@@ -19,7 +19,6 @@ from .asymptotic import (
     TestFunction,
     error_decomposition,
     exact_integral,
-    F_weight,
     main_term,
     make_gaussian,
     make_tabulated,
@@ -27,7 +26,7 @@ from .asymptotic import (
     tenenbaum_check,
     theorem2_report,
 )
-from .branching import BranchedPath, PoweredPath, build_branched_path
+from .branching import BranchedPath, build_branched_path
 from .dickman import (
     DickmanTable,
     EULER_GAMMA,
@@ -37,7 +36,6 @@ from .dickman import (
     expint_J,
     rho_hat,
     rho_hat_path,
-    rho_hat_pow,
 )
 from .errors import (
     CountCapExceeded,

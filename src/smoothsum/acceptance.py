@@ -56,7 +56,9 @@ class CheckResult:
         return f"{tag} criterion {self.criterion} [{self.name}] ({self.elapsed:.1f}s): {self.detail}"
 
 
-def _fmt(v) -> str:
+def fmt_value(v) -> str:
+    """One table cell: floats (and complex parts) to 17 significant digits,
+    so equal doubles print equal bytes."""
     if isinstance(v, complex):
         return f"{fmt_float(v.real)}{'+' if v.imag >= 0 else '-'}{fmt_float(abs(v.imag))}j"
     if isinstance(v, float):
@@ -389,7 +391,7 @@ def render_tables(results) -> dict:
     for res in results:
         lines = [",".join(res.header)]
         for row in res.rows:
-            lines.append(",".join(_fmt(v) for v in row))
+            lines.append(",".join(fmt_value(v) for v in row))
         out[f"criterion_{res.criterion:02d}.csv"] = "\n".join(lines) + "\n"
     # no timings in the table bodies: they are the determinism-compared bytes
     summary = ["criterion,name,passed,detail"]

@@ -26,9 +26,14 @@ import numpy as np
 from numpy.polynomial import chebyshev as cheb
 
 from . import dickman, zeta_engine
-from .branching import BranchedPath
 from .errors import EtaTooSmall, ToleranceUnachievable
-from .euler_products import g_abs_bound, g_values, h_cutoff, zeta_partial_values
+from .euler_products import (
+    g_abs_bound,
+    g_values,
+    h_cutoff,
+    h_log_values,
+    zeta_partial_values,
+)
 from .params import SumParams
 from .quadrature import QuadResult, integrate_adaptive
 from .arith_core import sieve_primes
@@ -52,9 +57,6 @@ class TestFunction:
     sup_tail: object  # u -> sup_{u' > u} |f(u')|
     default_u_cutoff: float
     test_only: bool = False
-
-    def describe(self) -> str:
-        return self.family
 
 
 def _erfc_threshold(target: float) -> float:
@@ -170,6 +172,18 @@ def _require_transform(f: TestFunction) -> None:
         raise ValueError("this operation needs a test function with a transform")
 
 
+def _g_integrand(params: SumParams, f: TestFunction):
+    """x -> fhat(x) g(1 + ix/log N), the integrand of the exact route."""
+    primes = sieve_primes(params.N)
+    log_n = params.log_n
+
+    def integrand(xs):
+        s_nodes = 1.0 + 1j * np.asarray(xs) / log_n
+        return f.eval_fhat(xs) * g_values(params, s_nodes, primes)
+
+    return integrand
+
+
 def exact_integral(
     params: SumParams,
     f: TestFunction,
@@ -185,16 +199,14 @@ def exact_integral(
     _require_transform(f)
     if not 0 < tol <= 1e-3:
         raise ValueError("tol must lie in (0, 1e-3]")
-    primes = sieve_primes(params.N)
-    log_n = params.log_n
     x_max = f.fhat_cutoff
-
-    def integrand(xs):
-        s_nodes = 1.0 + 1j * np.asarray(xs) / log_n
-        return f.eval_fhat(xs) * g_values(params, s_nodes, primes)
-
     res, _ = integrate_adaptive(
-        integrand, -x_max, x_max, 0.5 * tol, min_panels=min_panels, max_panels=max_panels
+        _g_integrand(params, f),
+        -x_max,
+        x_max,
+        0.5 * tol,
+        min_panels=min_panels,
+        max_panels=max_panels,
     )
     tail = f.fhat_tail_bound * g_abs_bound(params)
     return QuadResult(res.value, res.quad_error, tail, res.node_count)
@@ -215,8 +227,6 @@ def _h_contour(alpha: complex, k: int, variant_N: int, h_tol: float):
     certified tail bound); variant_N = N > 0 selects h_{alpha,k,N}.
     Returns (coeffs, uniform_abs_error); query at t = x / (3 log N).
     """
-    from .euler_products import _h_log_sum
-
     if variant_N > 0:
         primes = sieve_primes(variant_N)
         log_tail = 0.0
@@ -228,7 +238,7 @@ def _h_contour(alpha: complex, k: int, variant_N: int, h_tol: float):
     def sample(ts):
         s_nodes = 1.0 + 3.0j * np.asarray(ts, dtype=np.float64)
         # removable hits (alpha p^{-s} = 1 at a sample node) take their limit
-        logs, tb = _h_log_sum(complex(alpha), k, s_nodes, primes, regularize=True)
+        logs, tb = h_log_values(alpha, k, s_nodes, primes, regularize=True)
         trunc[0] = max(trunc[0], tb)
         return np.exp(logs)
 
@@ -450,15 +460,10 @@ def error_decomposition(
     (log N)^{Re alpha - 1} / N.
     """
     _require_transform(f)
-    primes = sieve_primes(params.N)
     log_n = params.log_n
     x_max = f.fhat_cutoff
     window = 3.0 * log_n
-
-    def integrand(xs):
-        s_nodes = 1.0 + 1j * np.asarray(xs) / log_n
-        return f.eval_fhat(xs) * g_values(params, s_nodes, primes)
-
+    integrand = _g_integrand(params, f)
     full, _ = integrate_adaptive(integrand, -x_max, x_max, 0.5 * tol)
     r = min(window, x_max)
     restricted, _ = integrate_adaptive(integrand, -r, r, 0.5 * tol)
@@ -484,19 +489,4 @@ def error_decomposition(
         e2 / e2_shape if e2_shape > 0 else math.inf,
         QuadResult(full.value, full.quad_error, i2_note_tail, full.node_count),
         restricted,
-    )
-
-
-def F_weight(
-    f: TestFunction, alpha: complex, x: float, rho_path: BranchedPath | None = None
-):
-    """fhat(x) * rhohat(ix)^alpha with the module-standard branch: the Fourier
-    side of the alpha-fold Dickman smoothing of f."""
-    _require_transform(f)
-    x = float(x)
-    if rho_path is None:
-        span = max(abs(x), 1.0) + 1.0
-        rho_path = dickman.rho_hat_path(np.linspace(-span, span, 65))
-    return complex(
-        np.complex128(f.eval_fhat(x)) * np.exp(alpha * rho_path.log_at(x))
     )

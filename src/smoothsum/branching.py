@@ -41,10 +41,6 @@ class BranchedPath:
         self.xs.setflags(write=False)
         self.log_values.setflags(write=False)
 
-    @property
-    def values(self) -> np.ndarray:
-        return np.exp(self.log_values)
-
     def log_at(self, x) -> np.ndarray:
         """Unwrapped log f at arbitrary x inside the grid span (vectorized)."""
         xq = np.atleast_1d(np.asarray(x, dtype=np.float64))
@@ -59,15 +55,6 @@ class BranchedPath:
         im = im + _TWO_PI * np.round((ref - im) / _TWO_PI)
         out = raw.real + 1j * im
         return out if np.ndim(x) else complex(out[0])
-
-    def at(self, x):
-        return np.exp(self.log_at(x))
-
-    def power_at(self, alpha: complex, x):
-        return np.exp(alpha * self.log_at(x))
-
-    def power_on_grid(self, alpha: complex) -> np.ndarray:
-        return np.exp(alpha * self.log_values)
 
     def max_phase_step(self) -> float:
         return float(np.max(np.abs(np.diff(self.log_values.imag)), initial=0.0))
@@ -142,22 +129,3 @@ def build_branched_path(
         mids = 0.5 * (grid[:-1][bad] + grid[1:][bad])
         grid = np.unique(np.concatenate((grid, mids)))
         raw, unwrapped, k = _unwrap_on(evaluator, grid, anchor_x, anchor_im)
-
-
-@dataclass(frozen=True)
-class PoweredPath:
-    """A BranchedPath raised to a fixed complex power."""
-
-    base: BranchedPath
-    alpha: complex
-
-    @property
-    def xs(self) -> np.ndarray:
-        return self.base.xs
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.base.power_on_grid(self.alpha)
-
-    def at(self, x):
-        return np.exp(self.alpha * self.base.log_at(x))

@@ -5,6 +5,7 @@ digits, so a cache hit reproduces the computed doubles bit for bit.
 """
 
 import os
+import tempfile
 from pathlib import Path
 
 CACHE_ENV = "SMOOTHSUM_CACHE_DIR"
@@ -32,7 +33,10 @@ def load_floats(name: str, key: str) -> list[float] | None:
         return None
     if lines[1] != f"# key: {key}":
         return None
-    return [float(tok) for tok in lines[2:] if tok]
+    try:
+        return [float(tok) for tok in lines[2:] if tok]
+    except ValueError:  # a damaged file is a miss, not an error
+        return None
 
 
 def store_floats(name: str, key: str, values) -> None:
@@ -42,4 +46,13 @@ def store_floats(name: str, key: str, values) -> None:
     root.mkdir(parents=True, exist_ok=True)
     body = "\n".join(fmt_float(v) for v in values)
     text = f"# smoothsum-cache v{CACHE_FORMAT_VERSION}\n# key: {key}\n{body}\n"
-    (root / name).write_text(text)
+    # write-then-rename in one directory, so an interrupted write never
+    # leaves a partial file under the final name
+    fd, tmp = tempfile.mkstemp(dir=root, prefix=f".{name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, root / name)
+    except BaseException:
+        os.unlink(tmp)
+        raise

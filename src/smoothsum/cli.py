@@ -9,8 +9,9 @@ runs the acceptance gate and exits 1 on any failing criterion.
 
 Complex values on the command line are `re,im` pairs (`--alpha 1,0`); N
 ladders are comma lists (`--N 100,1000`); test functions are
-`gaussian:mu,sigma[,eta]`.  A `--config FILE` of `key=value` lines mirrors
-the flags exactly (flags given on the command line win).
+`gaussian:mu,sigma[,eta]`.  A `--config FILE` (or `--config=FILE`) of
+`key=value` lines mirrors the flags exactly (flags given on the command line
+win).
 """
 
 import argparse
@@ -33,7 +34,6 @@ from .asymptotic import (
     theorem2_report,
 )
 from .arith_core import DEFAULT_COUNT_CAP, sieve_primes
-from .cache import fmt_float
 from .errors import SmoothsumError
 from .euler_products import (
     DEFAULT_PRIME_CAP,
@@ -86,14 +86,6 @@ def _parse_testfn(text: str):
     raise argparse.ArgumentTypeError("gaussian needs mu,sigma or mu,sigma,eta")
 
 
-def _fmt_value(v) -> str:
-    if isinstance(v, complex):
-        return f"{fmt_float(v.real)}{'+' if v.imag >= 0 else '-'}{fmt_float(abs(v.imag))}j"
-    if isinstance(v, float):
-        return fmt_float(v)
-    return str(v)
-
-
 def _config_items(args: argparse.Namespace) -> list:
     """The resolved configuration in the same key=value form the flags and
     --config files use, so emit -> parse round-trips exactly."""
@@ -130,7 +122,7 @@ def _json_meta(args) -> dict:
 
 def _write_csv(path: Path, args, header, rows) -> None:
     body = [",".join(header)]
-    body += [",".join(_fmt_value(v) for v in row) for row in rows]
+    body += [",".join(acceptance.fmt_value(v) for v in row) for row in rows]
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(_meta_lines(args) + body) + "\n")
     print(f"wrote {path}")
@@ -148,7 +140,8 @@ def _write_table(stem: Path, args, header, rows) -> None:
     """Emit a table as CSV or JSON per --format (CSV bodies stay the
     byte-comparable determinism surface)."""
     if getattr(args, "format", "csv") == "json":
-        result = {"columns": list(header), "rows": [[_fmt_value(v) for v in row] for row in rows]}
+        cells = [[acceptance.fmt_value(v) for v in row] for row in rows]
+        result = {"columns": list(header), "rows": cells}
         _write_json(stem.with_suffix(".json"), args, result)
     else:
         _write_csv(stem.with_suffix(".csv"), args, header, rows)
@@ -542,11 +535,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _inject_config(argv: list) -> list:
-    """Expand `--config FILE` into the equivalent flags (given flags win)."""
-    if "--config" not in argv:
+    """Expand `--config FILE` or `--config=FILE` into the equivalent flags
+    (given flags win)."""
+    for i, arg in enumerate(argv):
+        if arg == "--config" and i + 1 < len(argv):
+            path = Path(argv[i + 1])
+            break
+        if arg.startswith("--config="):
+            path = Path(arg[len("--config="):])
+            break
+    else:
         return argv
-    i = argv.index("--config")
-    path = Path(argv[i + 1])
     extra = []
     for line in path.read_text().splitlines():
         line = line.strip()

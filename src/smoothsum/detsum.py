@@ -1,9 +1,10 @@
 """Deterministic floating-point accumulation helpers.
 
-All product logs and long reductions in this library go through `fsum_real`
-or `fsum_complex`.  math.fsum is exactly rounded, so the result does not
-depend on summation order or thread count; that is what makes end-to-end
-byte-reproducibility cheap to guarantee.
+The quadrature panel sums and the oracle's term sums go through `fsum_real`
+or `fsum_complex` (Euler products use their own fixed-chunk numpy sums).
+math.fsum is exactly rounded, so the result does not depend on summation
+order or thread count; that is what makes end-to-end byte-reproducibility
+cheap to guarantee.
 """
 
 import math

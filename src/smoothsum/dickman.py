@@ -1,4 +1,4 @@
-"""The Dickman function rho, its Laplace transform, and branched powers.
+"""The Dickman function rho, its Laplace transform, and its unwrapped log.
 
 rho solves the delay differential equation u*rho'(u) + rho(u-1) = 0 with
 rho = 1 on (0, 1].  It is built interval by interval from the equivalent
@@ -20,7 +20,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as cheb
 
 from . import cache
-from .branching import BranchedPath, PoweredPath, build_branched_path
+from .branching import BranchedPath, build_branched_path
 from .errors import DomainError, ToleranceUnachievable
 from .quadrature import integrate_adaptive
 
@@ -101,17 +101,20 @@ def build_rho(u_max: float, tol: float) -> DickmanTable:
     cached = cache.load_floats(
         "dickman_table.txt", f"u_max={cache.fmt_float(u_max)} tol={cache.fmt_float(tol)}"
     )
+    n_pieces = int(np.ceil(u_max)) - 1
+    # layout [err, width, n_pieces * width coefficients]; any other length
+    # (a truncated or foreign file) is a miss
+    if cached and len(cached) >= 2 and cached[1].is_integer():
+        width = int(cached[1])
+        if len(cached) == 2 + n_pieces * width:
+            pieces = tuple(
+                np.array(cached[2 + i * width : 2 + (i + 1) * width])
+                for i in range(n_pieces)
+            )
+            return DickmanTable(u_max, tol, pieces, cached[0])
+
     pieces = []
     err = 0.0
-    if cached is not None:
-        err = cached[0]
-        lens = int(cached[1])
-        off = 2
-        for _ in range(int(np.ceil(u_max)) - 1):
-            pieces.append(np.array(cached[off : off + lens]))
-            off += lens
-        return DickmanTable(u_max, tol, tuple(pieces), err)
-
     rho_m = 1.0
     for m in range(1, int(np.ceil(u_max))):
         if m == 1:
@@ -227,16 +230,3 @@ def rho_hat_path(path_xs, max_refine: int = 40) -> BranchedPath:
         anchor_log=complex(EULER_GAMMA),
         max_refine=max_refine,
     )
-
-
-def rho_hat_pow(path_xs, alpha: complex, max_refine: int = 40) -> PoweredPath:
-    """rhohat(ix)^alpha along the grid, branch unwrapped from the anchor x=0."""
-    return PoweredPath(rho_hat_path(path_xs, max_refine=max_refine), complex(alpha))
-
-
-def envelope_constants(scan_max: float = 10.0, n: int = 2001) -> tuple[float, float]:
-    """Empirical (C1, C2) with C1 <= |rhohat(ix)|*sqrt(1+x^2) <= C2 on the scan."""
-    xs = np.linspace(-scan_max, scan_max, n)
-    vals = np.array([abs(rho_hat(float(x)).value) for x in xs])
-    scaled = vals * np.sqrt(1.0 + xs**2)
-    return float(scaled.min()), float(scaled.max())

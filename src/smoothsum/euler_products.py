@@ -14,18 +14,20 @@ identity exact by construction (assembled factors can silently cross the
 principal branch for |alpha| beyond ~2) and it is what the grouped powers in
 `asymptotic` rely on.
 
-Scalar products use exactly-rounded fsum accumulation; the vectorized
-multi-node helpers use numpy sums over a fixed chunking, so both are
-bit-reproducible at any thread count.
+`_chunked_piece_sum` is the one reduction over primes: numpy sums over a
+fixed chunking of the primes, for a whole vector of nodes at once, so every
+product is bit-reproducible at any thread count.  The point evaluations
+(`zeta_partial`, `g_product`, `h_finite`, `h_infinite`) are length-1 calls
+of it.
 """
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .arith_core import PrimeSet, sieve_primes
-from .detsum import fsum_complex
 from .errors import DomainError, SingularFactor, ToleranceUnachievable
 from .params import SumParams
 
@@ -46,8 +48,11 @@ class ProductValue:
     tail_bound: float
 
 
-def _as_nodes(s) -> np.ndarray:
-    return np.atleast_1d(np.asarray(s, dtype=np.complex128))
+def _point(log_values: np.ndarray, log_error: float = 0.0) -> ProductValue:
+    # a length-1 log sum; log_error bounds |log of the neglected factors|
+    log_value = complex(log_values[0])
+    value = complex(np.exp(log_value))
+    return ProductValue(value, log_value, abs(value) * math.expm1(log_error))
 
 
 def _geom_sum(w: np.ndarray, k: int) -> np.ndarray:
@@ -59,8 +64,16 @@ def _geom_sum(w: np.ndarray, k: int) -> np.ndarray:
     return acc
 
 
+def _zeta_piece_logs(z: np.ndarray) -> np.ndarray:
+    return -np.log(1.0 - z)
+
+
 def _g_piece_logs(alpha: complex, k: int, z: np.ndarray) -> np.ndarray:
-    """Principal-piece log of 1 + w + ... + w^(k-1), w = alpha*z."""
+    """Principal-piece log of 1 + w + ... + w^(k-1), w = alpha*z.
+
+    The ratio form (1-w^k)/(1-w) is used except within 1e-6 of w = 1, where
+    the geometric sum is evaluated directly.
+    """
     w = alpha * z
     near = np.abs(1.0 - w) < _NEAR_TOL
     out = np.empty(z.shape, dtype=np.complex128)
@@ -78,33 +91,25 @@ def _g_piece_logs(alpha: complex, k: int, z: np.ndarray) -> np.ndarray:
 def _h_piece_logs(
     alpha: complex, k: int, z: np.ndarray, regularize: bool = False
 ) -> np.ndarray:
-    """Piece log of (1-w)^(-1) (1-z)^alpha (1-w^k), branch per piece.
+    """Piece log of (1-w)^(-1) (1-z)^alpha (1-w^k), branch per piece:
+    alpha*Log(1-z) plus the g piece.
 
     With regularize=True an exact hit w = 1 takes the continuous extension
     (1-z)^alpha * k instead of raising; the contour machinery needs the
     removable value, the public point evaluations keep the error contract.
     """
-    w = alpha * z
-    gap = np.abs(1.0 - w)
-    if not regularize and np.any(gap < _POLE_TOL):
+    if not regularize and np.any(np.abs(1.0 - alpha * z) < _POLE_TOL):
         raise SingularFactor("alpha * p^(-s) = 1: singular Euler factor")
-    lz = np.log(1.0 - z)  # |z| < 1, so principal and smooth
-    out = alpha * lz
-    near = gap < _NEAR_TOL
-    ok = ~near
-    res = np.empty(z.shape, dtype=np.complex128)
-    if np.any(ok):
-        res[ok] = -np.log(1.0 - w[ok]) + np.log(1.0 - w[ok] ** k)
-    if np.any(near):
-        geom = _geom_sum(w[near], k)
-        if np.any(np.abs(geom) < 1e-300):
-            raise SingularFactor("a k-free factor vanishes at this point")
-        res[near] = np.log(geom)
-    return out + res
+    return alpha * np.log(1.0 - z) + _g_piece_logs(alpha, k, z)
 
 
-def _chunked_piece_sum(piece_fn, primes: PrimeSet, s_nodes: np.ndarray) -> np.ndarray:
-    """sum_p piece_log(p, s) for every node, fixed chunking over primes."""
+def _chunked_piece_sum(piece_fn, primes: PrimeSet, s) -> np.ndarray:
+    """sum_p piece_fn(p^(-s)) for every node of s, fixed chunking over primes.
+
+    Needs Re(s) > 1/2 at every node."""
+    s_nodes = np.atleast_1d(np.asarray(s, dtype=np.complex128))
+    if np.any(s_nodes.real <= 0.5):
+        raise DomainError("need Re(s) > 0.5 for every node")
     nodes = len(s_nodes)
     chunk = max(1024, _CHUNK_BUDGET // max(nodes, 1))
     logp = primes.log_primes
@@ -116,76 +121,39 @@ def _chunked_piece_sum(piece_fn, primes: PrimeSet, s_nodes: np.ndarray) -> np.nd
     return acc
 
 
-def _require_halfplane(s_nodes: np.ndarray, floor: float = 0.5) -> None:
-    if np.any(s_nodes.real <= floor):
-        raise DomainError(f"need Re(s) > {floor} for every node")
-
-
 def zeta_partial(primes: PrimeSet, s: complex) -> ProductValue:
     """zeta_N(s) = prod_{p<=N} (1 - p^(-s))^(-1), log = -sum Log(1-p^(-s))."""
-    s = complex(s)
-    _require_halfplane(np.array([s]))
-    z = np.exp(-s * primes.log_primes)
-    log_value = fsum_complex(-np.log(1.0 - z))
-    return ProductValue(complex(np.exp(log_value)), log_value, 0.0)
+    return _point(_chunked_piece_sum(_zeta_piece_logs, primes, complex(s)))
 
 
 def zeta_partial_values(primes: PrimeSet, s_nodes) -> np.ndarray:
     """Vectorized zeta_N over nodes (no per-node ProductValue wrapping)."""
-    nodes = _as_nodes(s_nodes)
-    _require_halfplane(nodes)
-    return np.exp(_chunked_piece_sum(lambda z: -np.log(1.0 - z), primes, nodes))
+    return np.exp(_chunked_piece_sum(_zeta_piece_logs, primes, s_nodes))
 
 
 def g_product(params: SumParams, s: complex) -> ProductValue:
-    """g_{alpha,k,N}(s) = prod_{p<=N} (1 + alpha/p^s + ... + alpha^(k-1)/p^((k-1)s)).
-
-    The ratio form (1-w^k)/(1-w) is used per factor except within 1e-6 of
-    w = 1, where the geometric sum is evaluated directly.
-    """
-    s = complex(s)
-    _require_halfplane(np.array([s]))
-    primes = sieve_primes(params.N)
-    z = np.exp(-s * primes.log_primes)
-    log_value = fsum_complex(_g_piece_logs(params.alpha, params.k, z))
-    return ProductValue(complex(np.exp(log_value)), log_value, 0.0)
+    """g_{alpha,k,N}(s) = prod_{p<=N} (1 + alpha/p^s + ... + alpha^(k-1)/p^((k-1)s))."""
+    piece = partial(_g_piece_logs, params.alpha, params.k)
+    return _point(_chunked_piece_sum(piece, sieve_primes(params.N), complex(s)))
 
 
 def g_values(params: SumParams, s_nodes, primes: PrimeSet | None = None) -> np.ndarray:
-    nodes = _as_nodes(s_nodes)
-    _require_halfplane(nodes)
+    """Vectorized g_{alpha,k,N} over nodes; `primes` (default: all p <= N)
+    lets repeated callers share one prime set."""
     primes = primes if primes is not None else sieve_primes(params.N)
-    pieces = _chunked_piece_sum(
-        lambda z: _g_piece_logs(params.alpha, params.k, z), primes, nodes
-    )
-    return np.exp(pieces)
+    piece = partial(_g_piece_logs, params.alpha, params.k)
+    return np.exp(_chunked_piece_sum(piece, primes, s_nodes))
 
 
 def g_abs_bound(params: SumParams) -> float:
-    """prod_{p<=N} (1 + |alpha|/p + ... + |alpha|^(k-1)/p^(k-1)): the trivial
-    envelope sup_x |g(1+ix/log N)| used by tail certificates."""
-    primes = sieve_primes(params.N)
-    z = np.exp(-primes.log_primes)  # real p^(-1)
-    geom = _geom_sum(abs(params.alpha) * z, params.k)
-    return float(np.exp(math.fsum(np.log(geom))))
-
-
-def h_finite(params: SumParams, s: complex) -> ProductValue:
-    """h_{alpha,k,N}(s) = prod_{p<=N} (1-alpha/p^s)^(-1) (1-1/p^s)^alpha (1-alpha^k/p^(ks)).
-
-    (1-1/p^s)^alpha means exp(alpha*Log(1-p^(-s))) per factor.  Raises
-    SingularFactor on an exact pole hit alpha*p^(-s) = 1.
-    """
-    s = complex(s)
-    _require_halfplane(np.array([s]))
-    primes = sieve_primes(params.N)
-    z = np.exp(-s * primes.log_primes)
-    log_value = fsum_complex(_h_piece_logs(params.alpha, params.k, z))
-    return ProductValue(complex(np.exp(log_value)), log_value, 0.0)
+    """prod_{p<=N} (1 + |alpha|/p + ... + |alpha|^(k-1)/p^(k-1)) = g_{|alpha|,k,N}(1):
+    the trivial envelope sup_x |g(1+ix/log N)| used by tail certificates."""
+    return g_product(params.abs_alpha(), 1.0).value.real
 
 
 _SERIES_FLOOR = 1024  # primes above this use the factor-log power series
 _SERIES_TERMS = 8
+_SERIES_MAX_TRUNC = 1e-16  # ...where its certified truncation is below rounding
 
 
 def _h_series_coeff(alpha: complex, k: int, m: int) -> complex:
@@ -204,28 +172,35 @@ def h_series_trunc_log_bound(alpha: complex, k: int, sigma: float, floor: float)
     A|z| <= 1/2; the prime tail uses pi(x) < 1.25506 x/log x.
     """
     big = max(1.0, abs(alpha))
-    if big / floor**sigma > 0.5:
-        return math.inf
     m1 = _SERIES_TERMS + 1
+    if m1 * sigma <= 1.0 or big / floor**sigma > 0.5:
+        return math.inf
     return 2.0 * (2.0 + k) * big**m1 * _prime_sum_bound(m1 * sigma, floor)
 
 
-def _h_log_sum(
+def h_log_values(
     alpha: complex,
     k: int,
-    s_nodes: np.ndarray,
+    s_nodes,
     primes: PrimeSet,
     regularize: bool = False,
 ) -> tuple[np.ndarray, float]:
-    """sum_p log h_p per node: exact piece logs for p <= _SERIES_FLOOR, the
-    power series beyond (complex logs dominate the cost otherwise).  Returns
-    (log sums, certified series-truncation bound)."""
-    cut = int(np.searchsorted(primes.primes, _SERIES_FLOOR, side="right"))
-    small = PrimeSet(_SERIES_FLOOR, primes.primes[:cut], primes.log_primes[:cut])
-    acc = _chunked_piece_sum(
-        lambda z: _h_piece_logs(alpha, k, z, regularize), small, s_nodes
-    )
-    if cut == len(primes.primes):
+    """sum_p log h_p over the given primes, per node: exact piece logs for
+    p <= _SERIES_FLOOR, the factor-log power series beyond (complex logs
+    dominate the cost otherwise).  Returns (log sums, certified bound on the
+    series truncation); `regularize` is passed on to `_h_piece_logs`.
+
+    Where the certified series truncation exceeds _SERIES_MAX_TRUNC (large
+    |alpha|, or Re(s) well below 1), every factor takes its exact piece logs
+    instead."""
+    alpha = complex(alpha)
+    s_nodes = np.atleast_1d(np.asarray(s_nodes, dtype=np.complex128))
+    trunc = h_series_trunc_log_bound(alpha, k, float(np.min(s_nodes.real)), _SERIES_FLOOR)
+    floor = _SERIES_FLOOR if trunc <= _SERIES_MAX_TRUNC else primes.bound
+    cut = int(np.searchsorted(primes.primes, floor, side="right"))
+    piece = partial(_h_piece_logs, alpha, k, regularize=regularize)
+    acc = _chunked_piece_sum(piece, primes.restrict(floor), s_nodes)
+    if cut == len(primes):
         return acc, 0.0
     coeffs = [_h_series_coeff(alpha, k, m) for m in range(2, _SERIES_TERMS + 1)]
 
@@ -237,19 +212,20 @@ def _h_log_sum(
             out = out + cm * zm
         return out
 
-    tail_primes = PrimeSet(
-        primes.bound, primes.primes[cut:], primes.log_primes[cut:]
-    )
+    tail_primes = PrimeSet(primes.bound, primes.primes[cut:], primes.log_primes[cut:])
     acc = acc + _chunked_piece_sum(series_pieces, tail_primes, s_nodes)
-    sigma = float(np.min(s_nodes.real))
-    return acc, h_series_trunc_log_bound(alpha, k, sigma, _SERIES_FLOOR)
+    return acc, trunc
 
 
-def h_values(alpha: complex, k: int, s_nodes, primes: PrimeSet) -> np.ndarray:
-    nodes = _as_nodes(s_nodes)
-    _require_halfplane(nodes)
-    logs, _ = _h_log_sum(alpha, k, nodes, primes)
-    return np.exp(logs)
+def h_finite(params: SumParams, s: complex) -> ProductValue:
+    """h_{alpha,k,N}(s) = prod_{p<=N} (1-alpha/p^s)^(-1) (1-1/p^s)^alpha (1-alpha^k/p^(ks)).
+
+    (1-1/p^s)^alpha means exp(alpha*Log(1-p^(-s))) per factor.  Raises
+    SingularFactor on an exact pole hit alpha*p^(-s) = 1.  tail_bound carries
+    the series truncation of the factors above 1024 (0 for N <= 1024).
+    """
+    logs, trunc = h_log_values(params.alpha, params.k, complex(s), sieve_primes(params.N))
+    return _point(logs, trunc)
 
 
 def _prime_sum_bound(a: float, P: float) -> float:
@@ -293,19 +269,18 @@ def h_infinite(
     prime_cap: int = DEFAULT_PRIME_CAP,
 ) -> ProductValue:
     """h_{alpha,k}(s) = prod over all p, truncated at a cutoff with certified
-    |log tail| <= tol.  Needs Re(s) >= 1 (the 1-line is the use case)."""
+    |log tail| <= tol.  Needs Re(s) >= 1 (the 1-line is the use case).
+
+    tail_bound covers both the primes beyond the cutoff and the series
+    truncation of the factors above 1024."""
     s = complex(s)
     if s.real < 1.0:
         raise DomainError("h_infinite is certified for Re(s) >= 1 only")
     if k < 2:
         raise ValueError("k must be >= 2")
-    alpha = complex(alpha)
-    P, log_tail = h_cutoff(alpha, k, s.real, tol, prime_cap)
-    primes = sieve_primes(P)
-    z = np.exp(-s * primes.log_primes)
-    log_value = fsum_complex(_h_piece_logs(alpha, k, z))
-    value = complex(np.exp(log_value))
-    return ProductValue(value, log_value, abs(value) * math.expm1(log_tail))
+    P, log_tail = h_cutoff(complex(alpha), k, s.real, tol, prime_cap)
+    logs, trunc = h_log_values(alpha, k, s, sieve_primes(P))
+    return _point(logs, log_tail + trunc)
 
 
 @dataclass(frozen=True)
@@ -336,21 +311,21 @@ def lemma1_check(
     if any(n < 100 for n in n_values):
         raise ValueError("every N must be >= 100")
     taus = np.asarray(list(tau_grid), dtype=np.float64)
+    if taus.size == 0:
+        raise ValueError("the tau grid is empty")
     if alpha == 0:
         errs = tuple(0.0 for _ in n_values)
     else:
         P, _ = h_cutoff(alpha, k, 1.0, h_tol, prime_cap)
         primes = sieve_primes(max(P, max(n_values)))
-        cuts = [int(np.searchsorted(primes.primes, n, side="right")) for n in n_values]
-        errs_acc = [0.0] * len(n_values)
-        for tau in taus:
-            s = 1.0 + 1j * float(tau)
-            pieces = _h_piece_logs(alpha, k, np.exp(-s * primes.log_primes))
-            total = np.sum(pieces)
-            for i, cut in enumerate(cuts):
-                log_ratio = np.sum(pieces[:cut]) - total
-                errs_acc[i] = max(errs_acc[i], abs(np.exp(log_ratio) - 1.0))
-        errs = tuple(float(e) for e in errs_acc)
+        errs = []
+        for n in n_values:
+            cut = int(np.searchsorted(primes.primes, n, side="right"))
+            tail = PrimeSet(primes.bound, primes.primes[cut:], primes.log_primes[cut:])
+            # h_N / h = 1 / prod_{N < p <= P} h_p
+            tail_logs, _ = h_log_values(alpha, k, 1.0 + 1j * taus, tail)
+            errs.append(float(np.max(np.abs(np.expm1(-tail_logs)))))
+        errs = tuple(errs)
     ratios = tuple(
         errs[i] / errs[i + 1] if errs[i + 1] > 0 else math.inf
         for i in range(len(errs) - 1)

@@ -7,7 +7,6 @@ import scipy.integrate
 from smoothsum import (
     EtaTooSmall,
     EXP_EULER_GAMMA,
-    F_weight,
     SumParams,
     brute_S,
     error_decomposition,
@@ -18,6 +17,7 @@ from smoothsum import (
     make_test_constant,
     rho_hat,
     sieve_primes,
+    rho_hat_path,
     tenenbaum_check,
     theorem2_report,
     zeta,
@@ -204,8 +204,15 @@ def test_error_decomposition_alpha_zero_closed_form(f):
 
 
 def test_f_weight_cases(f):
-    assert F_weight(f, 0.0, 0.7) == complex(np.complex128(f.eval_fhat(0.7)))
+    """fhat(x) rhohat(ix)^alpha, the main term's Dickman weight, on the
+    branch of rho_hat_path."""
+    path = rho_hat_path(np.linspace(-2.0, 2.0, 65))
+
+    def weight(alpha, x):
+        return complex(np.complex128(f.eval_fhat(x)) * np.exp(alpha * path.log_at(x)))
+
+    assert weight(0.0, 0.7) == complex(np.complex128(f.eval_fhat(0.7)))
     expect0 = complex(np.complex128(f.eval_fhat(0.0))) * np.exp((0.5 + 0.5j) * math.log(EXP_EULER_GAMMA))
-    assert F_weight(f, 0.5 + 0.5j, 0.0) == pytest.approx(expect0, rel=1e-12)
+    assert weight(0.5 + 0.5j, 0.0) == pytest.approx(expect0, rel=1e-12)
     direct = complex(np.complex128(f.eval_fhat(1.0))) * rho_hat(1.0).value
-    assert F_weight(f, 1.0, 1.0) == pytest.approx(direct, rel=1e-12)
+    assert weight(1.0, 1.0) == pytest.approx(direct, rel=1e-12)

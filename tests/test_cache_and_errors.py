@@ -13,7 +13,7 @@ from smoothsum import (
     brute_S,
     build_rho,
     make_gaussian,
-    rho_hat_pow,
+    rho_hat_path,
 )
 from smoothsum.cli import build_parser
 
@@ -52,9 +52,23 @@ def test_build_rho_tolerance_unachievable(monkeypatch):
         build_rho(5.0, 1e-8)
 
 
+def test_truncated_dickman_cache_is_a_miss(tmp_path, monkeypatch):
+    """A cache file cut short (an interrupted write) is rebuilt, not read."""
+    monkeypatch.setenv("SMOOTHSUM_CACHE_DIR", str(tmp_path))
+    fresh = build_rho(10.0, 1e-10)
+    path = tmp_path / "dickman_table.txt"
+    path.write_bytes(path.read_bytes()[:3000])
+    rebuilt = build_rho(10.0, 1e-10)
+    us = np.linspace(0, 10, 401)
+    assert np.array_equal(fresh.rho(us), rebuilt.rho(us))
+    # the rebuild rewrote a whole file, with no temp file left beside it
+    assert build_rho(10.0, 1e-10).err_bound == fresh.err_bound
+    assert [p.name for p in tmp_path.iterdir()] == ["dickman_table.txt"]
+
+
 def test_rho_hat_pow_unwrap_error():
     with pytest.raises(UnwrapError):
-        rho_hat_pow(np.linspace(-10, 10, 9), 0.5 + 0.5j, max_refine=0)
+        rho_hat_path(np.linspace(-10, 10, 9), max_refine=0)
 
 
 def test_brute_count_cap():

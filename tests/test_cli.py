@@ -73,15 +73,16 @@ def test_config_file_round_trip(tmp_path):
     cfg_items.pop("command")
     cfg = "\n".join(f"{k}={v}" for k, v in cfg_items.items())
     (tmp_path / "replay.cfg").write_text(cfg + "\n")
-    assert run(["tenenbaum", "--config", str(tmp_path / "replay.cfg"),
-                "--out", str(tmp_path / "replay")]) == 0
-    assert body_of(tmp_path / "flags/tenenbaum.csv") == body_of(
-        tmp_path / "replay/tenenbaum.csv"
-    )
-    # and the re-emitted config matches the one it was parsed from
-    assert config_of(tmp_path / "replay/tenenbaum.csv") == config_of(
-        tmp_path / "flags/tenenbaum.csv"
-    )
+    cfg_path = str(tmp_path / "replay.cfg")
+    for form in (["--config", cfg_path], [f"--config={cfg_path}"]):
+        assert run(["tenenbaum", *form, "--out", str(tmp_path / "replay")]) == 0
+        assert body_of(tmp_path / "flags/tenenbaum.csv") == body_of(
+            tmp_path / "replay/tenenbaum.csv"
+        )
+        # and the re-emitted config matches the one it was parsed from
+        assert config_of(tmp_path / "replay/tenenbaum.csv") == config_of(
+            tmp_path / "flags/tenenbaum.csv"
+        )
 
 
 def test_flags_override_config(tmp_path):

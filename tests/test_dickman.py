@@ -12,9 +12,9 @@ from smoothsum import (
     build_rho,
     expint_J,
     rho_hat,
-    rho_hat_pow,
+    rho_hat_path,
 )
-from smoothsum.dickman import default_table, envelope_constants
+from smoothsum.dickman import default_table
 
 # independent marching-Simpson solve of u rho'(u) + rho(u-1) = 0 (h = 1/4096)
 RHO_3_ORACLE = 0.04860838829113197
@@ -130,6 +130,14 @@ def test_rho_hat_conjugate_symmetry():
         assert rho_hat(-x).value == pytest.approx(rho_hat(x).value.conjugate(), rel=1e-14)
 
 
+def envelope_constants(scan_max: float = 10.0, n: int = 2001) -> tuple[float, float]:
+    """Empirical (C1, C2) with C1 <= |rhohat(ix)|*sqrt(1+x^2) <= C2 on the scan."""
+    xs = np.linspace(-scan_max, scan_max, n)
+    vals = np.array([abs(rho_hat(float(x)).value) for x in xs])
+    scaled = vals * np.sqrt(1.0 + xs**2)
+    return float(scaled.min()), float(scaled.max())
+
+
 def test_envelope_constants_cover_outside_scan():
     c1, c2 = envelope_constants()
     assert 0 < c1 < c2
@@ -138,32 +146,32 @@ def test_envelope_constants_cover_outside_scan():
         assert c1 <= scaled <= c2
 
 
+# rhohat(ix)^alpha is exp(alpha * log) with the unwrapped log of rho_hat_path
+
+
 def test_rho_hat_pow_trivial_cases():
-    xs = np.linspace(-5, 5, 41)
-    p0 = rho_hat_pow(xs, 0.0)
-    assert np.allclose(p0.values, 1.0, atol=1e-14)
-    p1 = rho_hat_pow(xs, 1.0)
-    assert complex(p1.at(0.0)) == pytest.approx(EXP_EULER_GAMMA, rel=1e-14)
+    path = rho_hat_path(np.linspace(-5, 5, 41))
+    assert np.allclose(np.exp(0.0 * path.log_values), 1.0, atol=1e-14)
+    assert complex(np.exp(path.log_at(0.0))) == pytest.approx(EXP_EULER_GAMMA, rel=1e-14)
 
 
 def test_rho_hat_pow_integer_powers_branch_free():
-    xs = np.linspace(-6, 6, 49)
+    path = rho_hat_path(np.linspace(-6, 6, 49))
     for m in (1, 2, 3):
-        pm = rho_hat_pow(xs, float(m))
         for x in (0.0, 1.0, -2.5, 5.5):
             direct = rho_hat(x).value ** m
-            assert abs(complex(pm.at(x)) - direct) <= 1e-10 * abs(direct)
+            assert abs(complex(np.exp(m * path.log_at(x))) - direct) <= 1e-10 * abs(direct)
 
 
 def test_rho_hat_pow_decay_envelope():
     # |rhohat(ix)^alpha| <= C (1+x^2)^{-Re(alpha)/2} with C from the anchor region
     alpha = 1.25 + 0.5j
-    xs = np.linspace(-40, 40, 161)
-    path = rho_hat_pow(xs, alpha)
-    scaled = np.abs(path.values) * (1.0 + path.xs**2) ** (alpha.real / 2.0)
+    path = rho_hat_path(np.linspace(-40, 40, 161))
+    powers = np.exp(alpha * path.log_values)
+    scaled = np.abs(powers) * (1.0 + path.xs**2) ** (alpha.real / 2.0)
     assert np.max(scaled) < 20.0  # bounded, no blowup along the contour
 
 
 def test_rho_hat_pow_phase_steps_below_half_pi():
-    path = rho_hat_pow(np.linspace(-40, 40, 81), 0.5 + 0.5j)
-    assert path.base.max_phase_step() < math.pi / 2
+    path = rho_hat_path(np.linspace(-40, 40, 81))
+    assert path.max_phase_step() < math.pi / 2

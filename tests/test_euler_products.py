@@ -4,6 +4,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from smoothsum import (
     DomainError,
@@ -19,7 +20,13 @@ from smoothsum import (
     zeta,
 )
 from smoothsum.dickman import EXP_EULER_GAMMA
-from smoothsum.euler_products import g_abs_bound, g_values, h_cutoff, h_values
+from smoothsum.euler_products import (
+    g_abs_bound,
+    g_values,
+    h_cutoff,
+    h_log_values,
+    h_series_trunc_log_bound,
+)
 
 mpmath.mp.dps = 30
 
@@ -37,6 +44,64 @@ def test_zeta_partial_mertens():
 def test_zeta_partial_domain():
     with pytest.raises(DomainError):
         zeta_partial(sieve_primes(100), 0.5)
+    with pytest.raises(DomainError):
+        h_finite(SumParams(1, 2, 2000), 1 / 9)
+
+
+def direct_products(alpha, k, N, s):
+    """(zeta_N, g, h_N) at s as plain per-prime Python-complex products: the
+    independent reference for the chunked piece-log sums."""
+    zeta_n = g = h = 1.0 + 0.0j
+    for p in sieve_primes(N).primes:
+        z = complex(p) ** (-s)
+        w = alpha * z
+        zeta_n /= 1 - z
+        g *= sum(w**j for j in range(k))
+        h *= (1 - z) ** alpha * (1 - w**k) / (1 - w)
+    return zeta_n, g, h
+
+
+def test_zeta_partial_matches_direct_product():
+    for N, s in ((50, 1.0 + 0.8j), (2000, 1.0 - 2.5j), (300, 0.7 + 5.0j)):
+        zeta_n, _, _ = direct_products(1.0, 2, N, s)
+        assert zeta_partial(sieve_primes(N), s).value == pytest.approx(zeta_n, rel=1e-12)
+
+
+def test_h_finite_matches_direct_product():
+    # N = 2000: the power series above p = 1024, and exact pieces throughout
+    # at alpha = 12, where the series truncation would exceed rounding
+    for alpha, k, N, s in ((1.3 - 0.7j, 3, 50, 1.0 + 0.8j), (0.5 + 0.5j, 2, 2000, 1.0 - 2.5j),
+                           (-1.0, 4, 300, 0.8 + 1.5j), (12.0, 2, 2000, 1.0 + 0.3j)):
+        _, _, h = direct_products(alpha, k, N, s)
+        hv = h_finite(SumParams(alpha, k, N), s)
+        assert hv.value == pytest.approx(h, rel=1e-12)
+        assert hv.tail_bound <= 1e-15 * abs(hv.value)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    r=st.floats(0.0, 2.5),
+    phase=st.floats(-math.pi, math.pi),
+    k=st.integers(2, 5),
+    tau=st.floats(-3.0, 3.0),
+    N=st.integers(2, 200),
+)
+def test_products_match_direct_products_property(r, phase, k, tau, N):
+    """For any alpha, k, tau and small N: each product equals its direct
+    per-prime product, and log g = alpha log zeta_N + log h exactly."""
+    alpha = cmath.rect(r, phase)
+    s = 1.0 + 1j * tau
+    params = SumParams(alpha, k, N)
+    try:
+        g, h = g_product(params, s), h_finite(params, s)
+    except SingularFactor:
+        return
+    zn = zeta_partial(sieve_primes(N), s)
+    zeta_n, g_ref, h_ref = direct_products(alpha, k, N, s)
+    assert zn.value == pytest.approx(zeta_n, rel=1e-12)
+    assert g.value == pytest.approx(g_ref, rel=1e-11, abs=1e-13)
+    assert h.value == pytest.approx(h_ref, rel=1e-11, abs=1e-13)
+    assert abs(g.log_value - alpha * zn.log_value - h.log_value) <= 1e-12
 
 
 def test_product_log_consistency():
@@ -65,7 +130,8 @@ def test_g_values_vectorized_matches_scalar():
     s_nodes = 1.0 + 1j * np.linspace(-3, 3, 7)
     vec = g_values(params, s_nodes)
     for i, s in enumerate(s_nodes):
-        assert vec[i] == pytest.approx(g_product(params, complex(s)).value, rel=1e-12)
+        _, direct, _ = direct_products(params.alpha, params.k, params.N, complex(s))
+        assert vec[i] == pytest.approx(direct, rel=1e-12)
 
 
 def test_h_finite_golden():
@@ -131,11 +197,14 @@ def test_h_infinite_tail_honesty():
     alpha, k, s = 0.8 + 0.3j, 2, 1.0 + 0.5j
     coarse = h_infinite(alpha, k, s, 1e-6)
     # 4x the cutoff implied by the tolerance: value moves less than the bound
-    p_coarse, _ = h_cutoff(alpha, k, s.real, 1e-6)
+    p_coarse, log_tail = h_cutoff(alpha, k, s.real, 1e-6)
     fine_primes = sieve_primes(4 * p_coarse)
-    fine = h_values(alpha, k, np.array([s]), fine_primes)[0]
+    fine = np.exp(h_log_values(alpha, k, s, fine_primes)[0][0])
     assert abs(fine - coarse.value) <= coarse.tail_bound
-    assert coarse.tail_bound > 0
+    # the ledger carries the cutoff tail and the series truncation
+    trunc = h_series_trunc_log_bound(alpha, k, s.real, 1024)
+    assert 0 < trunc
+    assert coarse.tail_bound == abs(coarse.value) * math.expm1(log_tail + trunc)
 
 
 def test_h_infinite_domain_and_cap():
@@ -152,7 +221,7 @@ def test_h_uniform_boundedness_in_N():
     taus = 1.0 + 1j * np.linspace(-3, 3, 13)
     maxes = []
     for N in (10, 100, 1000, 10**4, 10**5, 10**6):
-        vals = h_values(alpha, k, taus, sieve_primes(N))
+        vals = np.exp(h_log_values(alpha, k, taus, sieve_primes(N))[0])
         maxes.append(float(np.max(np.abs(vals))))
     assert abs(maxes[-1] - maxes[-2]) / maxes[-1] < 0.01
     assert abs(maxes[-2] - maxes[-3]) / maxes[-2] < 0.01
@@ -181,6 +250,8 @@ def test_lemma1_error_matches_tail_sum():
 def test_lemma1_validation():
     with pytest.raises(ValueError):
         lemma1_check(1.0, 2, [50], [0.0])
+    with pytest.raises(ValueError):
+        lemma1_check(1.0, 2, [1000], [])
 
 
 def test_g_abs_bound_dominates_on_line():
