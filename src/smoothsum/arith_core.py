@@ -1,19 +1,22 @@
 """Primes, k-free smooth-integer enumeration, and smooth counting.
 
 A "k-free N-smooth" integer has every prime factor <= N and every exponent
-<= k-1.  Integers are never materialized: each one is carried as
-(log n, Omega(n)) plus its exponent vector, since log n and Omega(n) are all
-that downstream sums need and n itself can exceed 10^300.
+<= k-1.  The enumeration never materializes an integer: it emits numpy
+blocks of (log n, Omega(n)), since those are all that downstream sums need
+and n itself can exceed 10^300.  `count_smooth` walks exact integers
+instead and serves as the independent cross-check.
 """
 
+import math
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 import numpy as np
 
 from .errors import CountCapExceeded
 
 DEFAULT_COUNT_CAP = 200_000_000
+BLOCK_TERMS = 4096  # blocks this large are split; larger ones raised peak memory
 
 
 @dataclass(frozen=True)
@@ -37,14 +40,6 @@ class PrimeSet:
             return self
         cut = int(np.searchsorted(self.primes, bound, side="right"))
         return PrimeSet(bound, self.primes[:cut], self.log_primes[:cut])
-
-
-class SmoothElement(NamedTuple):
-    """One enumerated integer: log n, Omega(n), and its (prime, exponent) pairs."""
-
-    log_n: float
-    omega: int
-    exponents: tuple
 
 
 _sieve_cache: list = []  # single largest PrimeSet computed so far
@@ -78,76 +73,55 @@ def enumerate_kfree_smooth(
     k: int,
     log_cap: float,
     count_cap: int = DEFAULT_COUNT_CAP,
-    largest_prime_exponent: int | None = None,
-) -> Iterator[SmoothElement]:
-    """Depth-first stream of every k-free integer supported on `primes`
-    with log n <= log_cap, including n = 1.
+    seed: tuple = (0.0, 0),
+) -> Iterator[tuple]:
+    """Every n = n0 * m with log n <= log_cap and m k-free and supported on
+    `primes`, as blocks of (log n, Omega(n)) arrays.
 
-    Order is deterministic: at each level the next prime is chosen ascending
-    and its exponent ascending, parent before subtree.  With
-    `largest_prime_exponent = e` only the subtree where the largest prime
-    carries exponent e is walked; the k subtrees partition the full stream,
-    which is what the parallel reduction in `oracle` relies on.
+    `seed` = (log n0, Omega(n0)) stands for a cofactor n0 prime to `primes`;
+    the default n0 = 1 gives every k-free integer on `primes`, n = 1
+    included.  The blocks are built level by level, primes largest first:
+    each prime p appends the block shifted by e * log p for e = 1..k-1 where
+    that stays <= log_cap.  A block that outgrows BLOCK_TERMS is split,
+    and each piece goes on with the primes left, so memory stays bounded.
+    The blocks and their order depend only on the arguments.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
     if log_cap < 0:
         raise ValueError("log_cap must be >= 0")
-    if np.isinf(log_cap) and largest_prime_exponent is None:
-        # full tree has exactly k^pi(N) leaves; refuse blowups up front
-        if len(primes) * np.log(k) > np.log(count_cap):
-            raise CountCapExceeded(
-                f"k^pi(N) = {k}^{len(primes)} exceeds count cap {count_cap}"
-            )
-    # native scalars: numpy scalar arithmetic is ~10x slower in this loop
-    logs = [float(v) for v in primes.log_primes]
-    pvals = [int(p) for p in primes.primes]
-    n_primes = len(pvals)
-    budget = [count_cap]
-
-    def emit(log_n, omega, exps):
-        if budget[0] <= 0:
-            raise CountCapExceeded(f"enumeration exceeded count cap {count_cap}")
-        budget[0] -= 1
-        return SmoothElement(log_n, omega, exps)
-
-    def walk(start: int, stop: int, log_n: float, omega: int, exps: tuple):
-        for j in range(start, stop):
-            lp = logs[j]
-            if log_n + lp > log_cap:
-                break  # primes ascend, so every later j prunes too
-            add = 0.0
+    if math.isinf(log_cap) and k ** len(primes) > count_cap:
+        # without a cap there are exactly k^pi(N) terms; refuse up front
+        raise CountCapExceeded(f"{k}^{len(primes)} terms exceed count cap {count_cap}")
+    log_n0, omega0 = seed
+    if log_n0 > log_cap:
+        return
+    logs = primes.log_primes
+    stack = [(np.array([float(log_n0)]), np.array([int(omega0)]), len(logs))]
+    emitted = 0
+    while stack:
+        log_n, omega, j = stack.pop()
+        while j > 0 and len(log_n) <= BLOCK_TERMS:
+            j -= 1
+            parts_log, parts_omega = [log_n], [omega]
             for e in range(1, k):
-                add += lp
-                if log_n + add > log_cap:
-                    break
-                child = exps + ((pvals[j], e),)
-                yield emit(log_n + add, omega + e, child)
-                yield from walk(j + 1, stop, log_n + add, omega + e, child)
-
-    if largest_prime_exponent is None:
-        yield emit(0.0, 0, ())
-        yield from walk(0, n_primes, 0.0, 0, ())
-        return
-
-    e0 = largest_prime_exponent
-    if not 0 <= e0 <= k - 1:
-        raise ValueError("largest_prime_exponent must lie in [0, k-1]")
-    if n_primes == 0:
-        if e0 == 0:
-            yield emit(0.0, 0, ())
-        return
-    if e0 == 0:
-        yield emit(0.0, 0, ())
-        yield from walk(0, n_primes - 1, 0.0, 0, ())
-        return
-    root_log = e0 * logs[n_primes - 1]
-    if root_log > log_cap:
-        return
-    suffix = ((pvals[n_primes - 1], e0),)  # keep exponents ascending in p
-    yield emit(root_log, e0, suffix)
-    for el in walk(0, n_primes - 1, root_log, e0, ()):
-        yield SmoothElement(el.log_n, el.omega, el.exponents + suffix)
+                shifted = log_n + e * logs[j]
+                keep = shifted <= log_cap
+                if not keep.any():
+                    break  # a larger e shifts further
+                parts_log.append(shifted[keep])
+                parts_omega.append(omega[keep] + e)
+            log_n = np.concatenate(parts_log)
+            omega = np.concatenate(parts_omega)
+        if j > 0:  # too large to go on: continue each piece on its own
+            for lo in reversed(range(0, len(log_n), BLOCK_TERMS)):
+                hi = lo + BLOCK_TERMS
+                stack.append((log_n[lo:hi], omega[lo:hi], j))
+            continue
+        emitted += len(log_n)
+        if emitted > count_cap:
+            raise CountCapExceeded(f"enumeration exceeded count cap {count_cap}")
+        yield log_n, omega
 
 
 def count_smooth(x: float, y: float, count_cap: int = DEFAULT_COUNT_CAP) -> int:

@@ -188,8 +188,6 @@ def exact_integral(
     params: SumParams,
     f: TestFunction,
     tol: float = 1e-7,
-    min_panels: int = 8,
-    max_panels: int = 4096,
 ) -> QuadResult:
     """S(alpha,k;N) as the exact window integral of fhat(x) g(1 + ix/log N).
 
@@ -200,14 +198,7 @@ def exact_integral(
     if not 0 < tol <= 1e-3:
         raise ValueError("tol must lie in (0, 1e-3]")
     x_max = f.fhat_cutoff
-    res, _ = integrate_adaptive(
-        _g_integrand(params, f),
-        -x_max,
-        x_max,
-        0.5 * tol,
-        min_panels=min_panels,
-        max_panels=max_panels,
-    )
+    res, _ = integrate_adaptive(_g_integrand(params, f), -x_max, x_max, 0.5 * tol)
     tail = f.fhat_tail_bound * g_abs_bound(params)
     return QuadResult(res.value, res.quad_error, tail, res.node_count)
 
@@ -215,6 +206,7 @@ def exact_integral(
 # --- main-term machinery ----------------------------------------------------
 
 _H_MAX_DEGREE = 512
+MAIN_TERM_MIN_N = 20
 
 
 @lru_cache(maxsize=64)
@@ -268,21 +260,18 @@ def main_term(
     params: SumParams,
     f: TestFunction,
     tol: float = 1e-7,
-    n_floor: int = 20,
     min_panels: int = 8,
-    max_panels: int = 4096,
     use_integer_powers: bool = False,
     h_variant: str = "infinite",
     h_tol: float | None = None,
-    max_refine: int = 40,
 ) -> QuadResult:
     """C_f(alpha,k;N): the restricted integral whose (log N)^alpha multiple is
     the dominant behaviour of the sum.
 
-    Requires eta > max(1, 1 - Re alpha).  With use_integer_powers=True
-    (integer alpha only) the power factors are evaluated by plain repeated
-    multiplication instead of branched logs -- the cross-route oracle for the
-    branch convention.  h_variant="finite" substitutes h_{alpha,k,N}, which
+    Requires eta > max(1, 1 - Re alpha) and N >= MAIN_TERM_MIN_N.  With
+    use_integer_powers=True (integer alpha only) the power factors are
+    evaluated by plain repeated multiplication instead of branched logs --
+    the cross-route oracle for the branch convention.  h_variant="finite" substitutes h_{alpha,k,N}, which
     the error-decomposition report uses to measure the h_N -> h substitution
     step.  h_tol (default tol/10) sets the h-product cutoff; comparisons that
     share the cached h model may relax it independently of the quadrature
@@ -295,8 +284,8 @@ def main_term(
             f"need eta > max(1, 1-Re alpha) = {max(1.0, 1.0 - alpha.real):g}, "
             f"got {f.eta:g}"
         )
-    if params.N < n_floor:
-        raise ValueError(f"N below the configured floor {n_floor}")
+    if params.N < MAIN_TERM_MIN_N:
+        raise ValueError(f"main_term needs N >= {MAIN_TERM_MIN_N}")
     if h_variant not in ("infinite", "finite"):
         raise ValueError("h_variant must be 'infinite' or 'finite'")
     log_n = params.log_n
@@ -324,8 +313,8 @@ def main_term(
 
     else:
         grid = _branch_grid(half)
-        rho_path = dickman.rho_hat_path(grid, max_refine=max_refine)
-        a_path = zeta_engine.regular_factor_path(grid, log_n, max_refine=max_refine)
+        rho_path = dickman.rho_hat_path(grid)
+        a_path = zeta_engine.regular_factor_path(grid, log_n)
 
         def powers(xs):
             logs = rho_path.log_at(xs) + a_path.log_at(xs)
@@ -335,9 +324,7 @@ def main_term(
         xs = np.asarray(xs, dtype=np.float64)
         return f.eval_fhat(xs) * powers(xs) * h_at(xs)
 
-    res, l1 = integrate_adaptive(
-        integrand, -half, half, 0.5 * tol, min_panels=min_panels, max_panels=max_panels
-    )
+    res, l1 = integrate_adaptive(integrand, -half, half, 0.5 * tol, min_panels=min_panels)
     # uniform h uncertainty converts to an additive bound via the L1 mass
     h_floor = max(float(np.min(np.abs(cheb.chebval(np.linspace(-1, 1, 65), h_coeffs)))), 1e-9)
     tail = h_unc * l1 / h_floor

@@ -19,6 +19,7 @@ from .errors import UnwrapError
 
 _TWO_PI = 2.0 * np.pi
 MAX_PHASE_STEP = 0.5 * np.pi
+MAX_NODES = 200_000  # refinement stops (UnwrapError) once a grid passes this
 
 
 def _principal_im(values: np.ndarray) -> np.ndarray:
@@ -79,7 +80,6 @@ def build_branched_path(
     anchor_x: float = 0.0,
     anchor_log: complex = 0.0,
     max_refine: int = 40,
-    max_nodes: int = 200_000,
 ) -> BranchedPath:
     """Unwrap log f along `xs`, bisecting intervals until adjacent phase
     increments fall below pi/2 AND one further global bisection confirms the
@@ -103,7 +103,7 @@ def build_branched_path(
     while True:
         bad = np.abs(np.diff(unwrapped)) >= MAX_PHASE_STEP
         if not np.any(bad):
-            if rounds >= max_refine or grid.size > max_nodes:
+            if rounds >= max_refine or grid.size > MAX_NODES:
                 raise UnwrapError(
                     "refinement budget exhausted before the branch choice "
                     "could be confirmed"
@@ -120,7 +120,7 @@ def build_branched_path(
                 return BranchedPath(fine, raw_f.real + 1j * unw_f, k_f, evaluator)
             grid, raw, unwrapped, k = fine, raw_f, unw_f, k_f
             continue
-        if rounds >= max_refine or grid.size > max_nodes:
+        if rounds >= max_refine or grid.size > MAX_NODES:
             raise UnwrapError(
                 "phase increment >= pi/2 between adjacent nodes after maximum "
                 "refinement"

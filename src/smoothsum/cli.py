@@ -452,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u-cutoff", default=None,
                    help="truncation in u = log n / log N ('inf' sums all terms)")
     p.add_argument("--threads", type=int, default=1,
-                   help="subtree workers; results identical at any count")
+                   help="workers for the k per-seed sums; results identical at any count")
     p.add_argument("--count-cap", type=int, default=DEFAULT_COUNT_CAP)
     p.set_defaults(func=_cmd_brute)
 

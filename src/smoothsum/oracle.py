@@ -1,14 +1,16 @@
 """Ground-truth evaluation of the sum by direct enumeration.
 
 Every k-free N-smooth integer with log n <= u_cutoff * log N is enumerated
-depth-first and f(log n / log N) alpha^Omega(n) / n is accumulated with
-exactly-rounded summation.  The truncation tail carries a certificate:
-either the trivial envelope  sup_{u > cutoff} |f| * prod_p (1 + |alpha|/p +
-... + |alpha|^{k-1}/p^{k-1})  or the sharper Rankin-shift bound.
+in numpy blocks of (log n, Omega(n)), and f(log n / log N) alpha^Omega(n) / n
+is accumulated with exactly-rounded summation per block.  The truncation
+tail carries a certificate: either the trivial envelope
+sup_{u > cutoff} |f| * prod_p (1 + |alpha|/p + ... + |alpha|^{k-1}/p^{k-1})
+or the sharper Rankin-shift bound.
 
-Subtrees split on the exponent of the largest prime may be summed by
-independent workers; partial sums are combined in fixed subtree order, so
-the result is bit-identical at any thread count.
+The work is split into k seeds, one per exponent of the largest prime, and
+every call sums each seed separately (on a thread pool when asked) and
+combines the seed sums in fixed order, so the result is bit-identical at
+any thread count.
 """
 
 import math
@@ -19,12 +21,9 @@ import numpy as np
 
 from .arith_core import DEFAULT_COUNT_CAP, enumerate_kfree_smooth, sieve_primes
 from .asymptotic import TestFunction
-from .detsum import fsum_real
-from .errors import DomainError
+from .errors import CountCapExceeded, DomainError
 from .euler_products import g_abs_bound, g_product
 from .params import SumParams
-
-_BATCH = 65_536
 
 
 @dataclass(frozen=True)
@@ -33,54 +32,6 @@ class BruteResult:
     terms_used: int
     u_cutoff: float
     tail_certificate: float
-
-
-def _alpha_powers(alpha: complex, n: int) -> np.ndarray:
-    out = np.empty(n + 1, dtype=np.complex128)
-    out[0] = 1.0
-    for i in range(1, n + 1):
-        out[i] = out[i - 1] * alpha  # one multiply per step, as in the DFS
-    return out
-
-
-def _subtree_sum(params, f, log_cap, exponent, pows, count_cap):
-    """(real fsum, imag fsum, count) over one largest-prime-exponent subtree."""
-    primes = sieve_primes(params.N)
-    log_n = params.log_n
-    re_parts, im_parts = [], []
-    count = 0
-    logs, omegas = [], []
-
-    def flush():
-        nonlocal count
-        if not logs:
-            return
-        ln = np.asarray(logs, dtype=np.float64)
-        om = np.asarray(omegas, dtype=np.int64)
-        terms = (
-            np.asarray(f.eval_f(ln / log_n), dtype=np.complex128)
-            * pows[om]
-            * np.exp(-ln)
-        )
-        re_parts.append(fsum_real(terms.real.tolist()))
-        im_parts.append(fsum_real(terms.imag.tolist()))
-        count += len(logs)
-        logs.clear()
-        omegas.clear()
-
-    for el in enumerate_kfree_smooth(
-        primes,
-        params.k,
-        log_cap,
-        count_cap=count_cap,
-        largest_prime_exponent=exponent,
-    ):
-        logs.append(el.log_n)
-        omegas.append(el.omega)
-        if len(logs) >= _BATCH:
-            flush()
-    flush()
-    return fsum_real(re_parts), fsum_real(im_parts), count
 
 
 def brute_S(
@@ -94,7 +45,8 @@ def brute_S(
     f(log n / log N) alpha^Omega(n) / n, with a certified truncation tail.
 
     u_cutoff=None takes the test function's default (placed where its
-    envelope drops below ~1e-13); math.inf sums every term.
+    envelope drops below ~1e-13); math.inf sums every term.  More than
+    count_cap terms in the whole sum raise CountCapExceeded.
     """
     if u_cutoff is None:
         u_cutoff = f.default_u_cutoff
@@ -104,27 +56,38 @@ def brute_S(
         value = complex(np.complex128(f.eval_f(0.0)))
         return BruteResult(value, 1, float(u_cutoff), 0.0)
     primes = sieve_primes(params.N)
-    log_cap = u_cutoff * params.log_n if not math.isinf(u_cutoff) else math.inf
-    max_omega = (params.k - 1) * max(len(primes), 1)
-    pows = _alpha_powers(params.alpha, max_omega)
+    k, log_N = params.k, params.log_n
+    log_cap = u_cutoff * log_N if not math.isinf(u_cutoff) else math.inf
+    # alpha^0 .. alpha^Omega_max, one multiply per step
+    pows = np.cumprod(np.append(1.0 + 0j, np.full((k - 1) * len(primes), params.alpha)))
+    top = primes.log_primes[-1]
+    rest = primes.restrict(int(primes.primes[-1]) - 1)
 
-    exps = list(range(params.k))
+    def seed_sum(e, cap):
+        """(real fsum, imag fsum, count) over the n whose largest-prime exponent is e."""
+        re_parts, im_parts, count = [], [], 0
+        for log_n, omega in enumerate_kfree_smooth(rest, k, log_cap, cap, (e * top, e)):
+            terms = (
+                np.asarray(f.eval_f(log_n / log_N), dtype=np.complex128)
+                * pows[omega]
+                * np.exp(-log_n)
+            )
+            re_parts.append(math.fsum(terms.real.tolist()))
+            im_parts.append(math.fsum(terms.imag.tolist()))
+            count += len(log_n)
+        return math.fsum(re_parts), math.fsum(im_parts), count
+
     if threads <= 1:
-        parts = [
-            _subtree_sum(params, f, log_cap, e, pows, count_cap) for e in exps
-        ]
+        parts = []
+        for e in range(k):  # each seed gets what the earlier ones left of the cap
+            parts.append(seed_sum(e, count_cap - sum(p[2] for p in parts)))
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(_subtree_sum, params, f, log_cap, e, pows, count_cap)
-                for e in exps
-            ]
-            parts = [fut.result() for fut in futures]  # fixed subtree order
-
-    value = complex(
-        fsum_real(p[0] for p in parts), fsum_real(p[1] for p in parts)
-    )
+            parts = list(pool.map(seed_sum, range(k), [count_cap] * k))  # fixed seed order
     terms = sum(p[2] for p in parts)
+    if terms > count_cap:
+        raise CountCapExceeded(f"enumeration exceeded count cap {count_cap}")
+    value = complex(math.fsum(p[0] for p in parts), math.fsum(p[1] for p in parts))
     if math.isinf(u_cutoff):
         cert = 0.0
     else:

@@ -9,12 +9,11 @@ endpoint, so node budget and scheduling cannot change the result bits.
 """
 
 import heapq
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-
-from .detsum import fsum_complex, fsum_real
 
 _HI_NODES, _HI_WEIGHTS = leggauss(15)
 _LO_NODES, _LO_WEIGHTS = leggauss(7)
@@ -103,11 +102,13 @@ def integrate_adaptive(
             heapq.heappush(heap, (-pan.error, pan.a, pan.b, pan))
         since_resync += 1
         if since_resync >= 256:  # the running total drifts; resync exactly
-            total_err = fsum_real(-item[0] for item in heap)
+            total_err = math.fsum(-item[0] for item in heap)
             since_resync = 0
 
     panels = sorted((item[3] for item in heap), key=lambda p: p.a)
-    value = fsum_complex([p.value for p in panels])
-    err = fsum_real(p.error for p in panels)
-    l1 = fsum_real(p.abs_value for p in panels)
+    value = complex(
+        math.fsum(p.value.real for p in panels), math.fsum(p.value.imag for p in panels)
+    )
+    err = math.fsum(p.error for p in panels)
+    l1 = math.fsum(p.abs_value for p in panels)
     return QuadResult(value, err, 0.0, n_nodes), l1

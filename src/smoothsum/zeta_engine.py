@@ -144,7 +144,7 @@ def _log_regular_vec(xs: np.ndarray, log_n: float) -> np.ndarray:
     return out
 
 
-def regular_factor_path(path_xs, log_n: float, max_refine: int = 40) -> BranchedPath:
+def regular_factor_path(path_xs, log_n: float) -> BranchedPath:
     """Unwrapped log of A(x) = (s-1)zeta(s), s = 1 + ix/log N, anchored at
     A(0) = 1.  A is nonvanishing on the path since zeta(1+it) != 0."""
     if log_n <= 0:
@@ -154,7 +154,6 @@ def regular_factor_path(path_xs, log_n: float, max_refine: int = 40) -> Branched
         path_xs,
         anchor_x=0.0,
         anchor_log=0.0 + 0.0j,
-        max_refine=max_refine,
     )
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from smoothsum import (
     CountCapExceeded,
+    arith_core,
     count_smooth,
     enumerate_kfree_smooth,
     sieve_primes,
@@ -53,62 +54,91 @@ def test_sieve_cache_slicing():
     assert big.primes[: len(small)].tolist() == small.primes.tolist()
 
 
+def terms(primes, k, log_cap, **kw):
+    """(log n, Omega) pairs of every emitted block, in emission order."""
+    return [
+        (float(ln), int(om))
+        for log_n, omega in enumerate_kfree_smooth(primes, k, log_cap, **kw)
+        for ln, om in zip(log_n, omega)
+    ]
+
+
+def integers(pairs):
+    return sorted((round(math.exp(ln)), om) for ln, om in pairs)
+
+
+def trial_division_kfree(N, k, x):
+    """(n, Omega(n)) for every k-free N-smooth n <= x, by trial division."""
+    out = []
+    for n in range(1, x + 1):
+        m, exps, p = n, [], 2
+        while p * p <= m:
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            if e:
+                exps.append((p, e))
+            p += 1
+        if m > 1:
+            exps.append((m, 1))
+        if all(p <= N and e < k for p, e in exps):
+            out.append((n, sum(e for _, e in exps)))
+    return out
+
+
 def test_enumerate_squarefree_count():
-    els = list(enumerate_kfree_smooth(sieve_primes(10), 2, math.inf))
-    assert len(els) == 16  # 2^4 subsets of {2,3,5,7}
+    pairs = terms(sieve_primes(10), 2, math.inf)
+    assert len(pairs) == 16  # 2^4 subsets of {2,3,5,7}
     # every squarefree divisor of 210 appears exactly once
-    ns = sorted(round(math.exp(e.log_n)) for e in els)
-    assert ns == sorted(
+    assert [n for n, _ in integers(pairs)] == [
         n for n in range(1, 211) if 210 % n == 0 and all(n % (p * p) for p in (2, 3, 5, 7))
-    )
+    ]
 
 
 def test_enumerate_cubefree_count():
-    els = list(enumerate_kfree_smooth(sieve_primes(10), 3, math.inf))
-    assert len(els) == 81  # 3^4 exponent patterns
+    assert len(terms(sieve_primes(10), 3, math.inf)) == 81  # 3^4 exponent patterns
 
 
 def test_enumerate_log_cap_zero():
-    els = list(enumerate_kfree_smooth(sieve_primes(100), 4, 0.0))
-    assert [(e.log_n, e.omega, e.exponents) for e in els] == [(0.0, 0, ())]
+    assert terms(sieve_primes(100), 4, 0.0) == [(0.0, 0)]
+    # a term on the cap is kept: log 4 = 2 log 2 exactly
+    assert integers(terms(sieve_primes(2), 3, 2 * math.log(2))) == [(1, 0), (2, 1), (4, 2)]
 
 
 def test_enumerate_full_tree_size():
     primes = sieve_primes(47)  # pi = 15
-    assert sum(1 for _ in enumerate_kfree_smooth(primes, 2, math.inf)) == 2**15
+    assert sum(len(b[0]) for b in enumerate_kfree_smooth(primes, 2, math.inf)) == 2**15
 
 
-def test_element_invariants():
-    for el in enumerate_kfree_smooth(sieve_primes(30), 3, 3.5 * math.log(30)):
-        assert el.omega == sum(e for _, e in el.exponents)
-        assert all(1 <= e <= 2 for _, e in el.exponents)
-        assert all(p <= 30 for p, _ in el.exponents)
-        recon = sum(e * math.log(p) for p, e in el.exponents)
-        assert abs(el.log_n - recon) <= 1e-12 * max(1.0, abs(el.log_n))
-        assert el.log_n <= 3.5 * math.log(30)
+def test_element_invariants(monkeypatch):
+    """The emitted (n, Omega) multiset is exactly the trial-division one,
+    also when tiny blocks force many splits."""
+    blocks = (arith_core.BLOCK_TERMS, 7)
+    for N, k, x in ((30, 3, 5000), (20, 2, 10_000), (13, 4, 3000), (50, 2, 20_000), (7, 5, 10**5)):
+        expected = trial_division_kfree(N, k, x)
+        for block in blocks:
+            monkeypatch.setattr(arith_core, "BLOCK_TERMS", block)
+            # x + 1/2 keeps every log n clear of the cap
+            assert integers(terms(sieve_primes(N), k, math.log(x + 0.5))) == expected
 
 
 def test_enumeration_deterministic():
-    a = list(enumerate_kfree_smooth(sieve_primes(30), 3, 10.0))
-    b = list(enumerate_kfree_smooth(sieve_primes(30), 3, 10.0))
-    assert a == b
+    args = (sieve_primes(100), 2, 3 * math.log(100))
+    assert terms(*args) == terms(*args)
+    assert len(list(enumerate_kfree_smooth(*args))) > 1  # several blocks
 
 
-def test_subtree_partition_is_exact():
+def test_seed_partition_is_exact():
+    """The k seeds of the largest prime (the oracle's unit of work) split
+    the enumeration into disjoint parts that cover it."""
     primes = sieve_primes(20)
     cap = 2.5 * math.log(20)
-    whole = sorted(enumerate_kfree_smooth(primes, 3, cap), key=lambda e: e.exponents)
+    rest = primes.restrict(18)
     parts = []
     for e in range(3):
-        parts.extend(enumerate_kfree_smooth(primes, 3, cap, largest_prime_exponent=e))
-    parts.sort(key=lambda e: e.exponents)
-    # same integers, exactly once each; log_n agrees to the stated 1e-12
-    # (addition order differs between the subtree and plain walks)
-    assert [(p.exponents, p.omega) for p in parts] == [(w.exponents, w.omega) for w in whole]
-    assert all(
-        abs(p.log_n - w.log_n) <= 1e-12 * max(1.0, w.log_n)
-        for p, w in zip(parts, whole)
-    )
+        parts += terms(rest, 3, cap, seed=(e * math.log(19), e))
+    assert integers(parts) == integers(terms(primes, 3, cap))
 
 
 def test_count_cap():
@@ -116,6 +146,9 @@ def test_count_cap():
         list(enumerate_kfree_smooth(sieve_primes(100), 3, math.inf))
     with pytest.raises(CountCapExceeded):
         list(enumerate_kfree_smooth(sieve_primes(30), 2, math.inf, count_cap=100))
+    # under a finite cap the count is only known once the blocks are built
+    with pytest.raises(CountCapExceeded):
+        list(enumerate_kfree_smooth(sieve_primes(100), 2, 3 * math.log(100), count_cap=100))
 
 
 def test_count_smooth_small():

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+import smoothsum.cache as cache
 import smoothsum.dickman as dickman
 import smoothsum.zeta_engine as zeta_engine
 from smoothsum import (
@@ -13,6 +15,7 @@ from smoothsum import (
     brute_S,
     build_rho,
     make_gaussian,
+    make_test_constant,
     rho_hat_path,
 )
 from smoothsum.cli import build_parser
@@ -53,17 +56,43 @@ def test_build_rho_tolerance_unachievable(monkeypatch):
 
 
 def test_truncated_dickman_cache_is_a_miss(tmp_path, monkeypatch):
-    """A cache file cut short (an interrupted write) is rebuilt, not read."""
+    """A cache file cut short (an interrupted write) is rebuilt, not read:
+    cut after a few lines, and cut inside its last number, which keeps the
+    value count right but changes the value."""
     monkeypatch.setenv("SMOOTHSUM_CACHE_DIR", str(tmp_path))
     fresh = build_rho(10.0, 1e-10)
     path = tmp_path / "dickman_table.txt"
-    path.write_bytes(path.read_bytes()[:3000])
-    rebuilt = build_rho(10.0, 1e-10)
+    whole = path.read_bytes()
     us = np.linspace(0, 10, 401)
-    assert np.array_equal(fresh.rho(us), rebuilt.rho(us))
-    # the rebuild rewrote a whole file, with no temp file left beside it
-    assert build_rho(10.0, 1e-10).err_bound == fresh.err_bound
-    assert [p.name for p in tmp_path.iterdir()] == ["dickman_table.txt"]
+    for cut in (whole[:3000], whole.rstrip(b"\n")[:-1]):
+        path.write_bytes(cut)
+        rebuilt = build_rho(10.0, 1e-10)
+        assert np.array_equal(fresh.rho(us), rebuilt.rho(us))
+        # the rebuild rewrote a whole file, with no temp file left beside it
+        assert path.read_bytes() == whole
+        assert build_rho(10.0, 1e-10).err_bound == fresh.err_bound
+        assert [p.name for p in tmp_path.iterdir()] == ["dickman_table.txt"]
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=12))
+def test_cache_round_trip_property(tmp_path, monkeypatch, values):
+    """Every finite float list comes back bit for bit, and every strict
+    prefix of the stored file is a miss."""
+    monkeypatch.setenv("SMOOTHSUM_CACHE_DIR", str(tmp_path))
+    cache.store_floats("prop.txt", "key", values)
+    got = cache.load_floats("prop.txt", "key")
+    assert np.array(got, dtype=float).tobytes() == np.array(values, dtype=float).tobytes()
+    path = tmp_path / "prop.txt"
+    whole = path.read_bytes()
+    for n in range(len(whole)):
+        path.write_bytes(whole[:n])
+        assert cache.load_floats("prop.txt", "key") is None
 
 
 def test_rho_hat_pow_unwrap_error():
@@ -75,6 +104,16 @@ def test_brute_count_cap():
     f = make_gaussian(1, 0.4)
     with pytest.raises(CountCapExceeded):
         brute_S(SumParams(1, 3, 30), f, math.inf, count_cap=100)
+    # the cap bounds the whole sum (3^10 = 59049 terms), not each of the k seeds
+    f1 = make_test_constant()
+    for threads in (1, 2):
+        with pytest.raises(CountCapExceeded):
+            brute_S(SumParams(1, 3, 30), f1, math.inf, threads=threads, count_cap=30000)
+        # a first seed that uses up the whole cap (3^9 terms) leaves 0 for the next
+        with pytest.raises(CountCapExceeded):
+            brute_S(SumParams(1, 3, 30), f1, math.inf, threads=threads, count_cap=3**9)
+        full = brute_S(SumParams(1, 3, 30), f1, math.inf, threads=threads, count_cap=3**10)
+        assert full.terms_used == 3**10
 
 
 def test_every_csv_column_documented_in_help():
