@@ -66,7 +66,7 @@ def fmt_value(v) -> str:
     return str(v)
 
 
-def check_oracle_equivalence(level: str, threads: int) -> CheckResult:
+def check_oracle_equivalence(level: str) -> CheckResult:
     """1. exact_integral agrees with brute_S within the stated certificates."""
     t0 = time.time()
     f = make_gaussian(1, 0.4)
@@ -76,7 +76,7 @@ def check_oracle_equivalence(level: str, threads: int) -> CheckResult:
             for N in (10, 30):
                 p = SumParams(alpha, k, N)
                 ex = exact_integral(p, f, 1e-7)
-                br = brute_S(p, f, threads=threads)
+                br = brute_S(p, f)
                 gap = abs(ex.value - br.value)
                 bound = ex.quad_error + ex.tail_bound + br.tail_certificate
                 good = (
@@ -103,7 +103,7 @@ def check_oracle_equivalence(level: str, threads: int) -> CheckResult:
     )
 
 
-def check_product_identity(level: str, threads: int) -> CheckResult:
+def check_product_identity(level: str) -> CheckResult:
     """2. log g = alpha log zeta_N + log h factorwise, and brute_S(f=1) equals
     the closed-form product."""
     t0 = time.time()
@@ -133,7 +133,7 @@ def check_product_identity(level: str, threads: int) -> CheckResult:
     worst_brute = 0.0
     for alpha, k, N in ((1, 2, 30), (0.5 + 0.5j, 3, 30), (2, 4, 13), (-1, 2, 61)):
         p = SumParams(alpha, k, N)
-        br = brute_S(p, f1, math.inf, threads=threads)
+        br = brute_S(p, f1, math.inf)
         g = g_product(p, 1.0)
         rel = abs(br.value - g.value) / abs(g.value)
         worst_brute = max(worst_brute, rel)
@@ -170,7 +170,7 @@ def _expint_cf(z: complex, tol: float = 1e-14, max_iter: int = 600) -> complex:
     raise RuntimeError("continued fraction did not converge")
 
 
-def check_golden_values(level: str, threads: int) -> CheckResult:
+def check_golden_values(level: str) -> CheckResult:
     """3. Special-function golden values, each against an independent route."""
     t0 = time.time()
     rows = []
@@ -215,7 +215,7 @@ def check_golden_values(level: str, threads: int) -> CheckResult:
     )
 
 
-def check_tenenbaum(level: str, threads: int) -> CheckResult:
+def check_tenenbaum(level: str) -> CheckResult:
     """4. The partial-zeta factorization error decreases along the N ladder
     and is <= 0.1 at the top."""
     t0 = time.time()
@@ -239,7 +239,7 @@ def check_tenenbaum(level: str, threads: int) -> CheckResult:
     )
 
 
-def check_lemma1(level: str, threads: int) -> CheckResult:
+def check_lemma1(level: str) -> CheckResult:
     """5. |h_N/h - 1| shrinks by >= 8x from N=10^3 to 10^4."""
     t0 = time.time()
     taus = np.linspace(-3.0, 3.0, 25)
@@ -261,7 +261,7 @@ def check_lemma1(level: str, threads: int) -> CheckResult:
     )
 
 
-def check_theorem2(level: str, threads: int) -> CheckResult:
+def check_theorem2(level: str) -> CheckResult:
     """6. |E measured| strictly decreasing along the N ladder with >= 5x total
     shrink, S computed via the exact integral."""
     t0 = time.time()
@@ -291,12 +291,12 @@ def check_theorem2(level: str, threads: int) -> CheckResult:
     )
 
 
-def check_alpha_zero(level: str, threads: int) -> CheckResult:
+def check_alpha_zero(level: str) -> CheckResult:
     """7. Degenerate alpha = 0: one term, exact value, tiny E."""
     t0 = time.time()
     f = make_gaussian(1, 0.4)
     p = SumParams(0, 2, 100)
-    br = brute_S(p, f, threads=threads)
+    br = brute_S(p, f)
     f0 = complex(np.complex128(f.eval_f(0.0)))
     exact_one_term = br.terms_used == 1 and br.value == f0
     rep = theorem2_report([p], f, tol=1e-7)
@@ -317,7 +317,7 @@ def check_alpha_zero(level: str, threads: int) -> CheckResult:
     )
 
 
-def check_vinogradov_korobov(level: str, threads: int) -> CheckResult:
+def check_vinogradov_korobov(level: str) -> CheckResult:
     """8. |zeta(1+it)| <= 76.2 (log|t|)^{2/3} at the stated points."""
     t0 = time.time()
     rows, ok = [], True
@@ -336,7 +336,7 @@ def check_vinogradov_korobov(level: str, threads: int) -> CheckResult:
     )
 
 
-def check_branch_robustness(level: str, threads: int) -> CheckResult:
+def check_branch_robustness(level: str) -> CheckResult:
     """9. Branched powers equal direct integer powers; node doubling moves
     C_f by at most the reported quadrature error."""
     t0 = time.time()
@@ -376,12 +376,12 @@ CRITERIA = (
 )
 
 
-def run_criteria(level: str = "desk", threads: int = 1) -> list:
+def run_criteria(level: str = "desk") -> list:
     """Run criteria 1-9 (criterion 10, byte-level determinism, compares two
     invocations of this function and lives in the CLI/tests)."""
     if level not in ("desk", "quick"):
         raise ValueError("level must be 'desk' or 'quick'")
-    return [fn(level, threads) for fn in CRITERIA]
+    return [fn(level) for fn in CRITERIA]
 
 
 def render_tables(results) -> dict:

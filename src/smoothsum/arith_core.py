@@ -73,14 +73,11 @@ def enumerate_kfree_smooth(
     k: int,
     log_cap: float,
     count_cap: int = DEFAULT_COUNT_CAP,
-    seed: tuple = (0.0, 0),
 ) -> Iterator[tuple]:
-    """Every n = n0 * m with log n <= log_cap and m k-free and supported on
-    `primes`, as blocks of (log n, Omega(n)) arrays.
+    """Every k-free n supported on `primes` with log n <= log_cap (n = 1
+    included), as blocks of (log n, Omega(n)) arrays.
 
-    `seed` = (log n0, Omega(n0)) stands for a cofactor n0 prime to `primes`;
-    the default n0 = 1 gives every k-free integer on `primes`, n = 1
-    included.  The blocks are built level by level, primes largest first:
+    The blocks are built level by level, primes largest first:
     each prime p appends the block shifted by e * log p for e = 1..k-1 where
     that stays <= log_cap.  A block that outgrows BLOCK_TERMS is split,
     and each piece goes on with the primes left, so memory stays bounded.
@@ -93,11 +90,8 @@ def enumerate_kfree_smooth(
     if math.isinf(log_cap) and k ** len(primes) > count_cap:
         # without a cap there are exactly k^pi(N) terms; refuse up front
         raise CountCapExceeded(f"{k}^{len(primes)} terms exceed count cap {count_cap}")
-    log_n0, omega0 = seed
-    if log_n0 > log_cap:
-        return
     logs = primes.log_primes
-    stack = [(np.array([float(log_n0)]), np.array([int(omega0)]), len(logs))]
+    stack = [(np.array([0.0]), np.array([0]), len(logs))]
     emitted = 0
     while stack:
         log_n, omega, j = stack.pop()

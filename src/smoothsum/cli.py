@@ -4,14 +4,16 @@ Every subcommand validates its configuration up front (exit 2 on bad
 config), runs the computation (exit 3 on a computational error, with the
 error class named), and writes tables with a `#`-prefixed metadata header
 (config hash, version, timestamp).  Bodies below the header are
-byte-reproducible for identical configs at any thread count; `verify-all`
-runs the acceptance gate and exits 1 on any failing criterion.
+byte-reproducible for identical configs; `verify-all` runs the acceptance
+gate and exits 1 on any failing criterion.
 
 Complex values on the command line are `re,im` pairs (`--alpha 1,0`); N
-ladders are comma lists (`--N 100,1000`); test functions are
-`gaussian:mu,sigma[,eta]`.  A `--config FILE` (or `--config=FILE`) of
-`key=value` lines mirrors the flags exactly (flags given on the command line
-win).
+ladders are comma lists (`--N 100,1000`), and the single-N subcommands
+(products-table, brute, exact, cfactor, errordecomp) take one integer; test
+functions are `gaussian:mu,sigma[,eta]`.  A `--config FILE` (or
+`--config=FILE`) of `key=value` lines mirrors the flags exactly (flags given
+on the command line win).  An input a computation refuses (a ValueError,
+e.g. `cfactor --N 10`) is a configuration error too.
 """
 
 import argparse
@@ -55,11 +57,18 @@ def _parse_complex(text: str) -> complex:
     raise argparse.ArgumentTypeError(f"expected re or re,im - got {text!r}")
 
 
-def _parse_int_list(text: str) -> tuple:
+def _parse_N(text: str) -> int:
     try:
-        return tuple(int(tok) for tok in text.split(","))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma list of integers: {exc}")
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer N - got {text!r}")
+    if n < 2:
+        raise argparse.ArgumentTypeError(f"every N must be >= 2 - got {n}")
+    return n
+
+
+def _parse_N_list(text: str) -> tuple:
+    return tuple(_parse_N(tok) for tok in text.split(","))
 
 
 def _parse_grid(text: str) -> tuple:
@@ -197,7 +206,7 @@ def _cmd_zeta_table(args) -> int:
 
 
 def _cmd_products_table(args) -> int:
-    params = SumParams(args.alpha, args.k, args.N[0])
+    params = SumParams(args.alpha, args.k, args.N)
     primes = sieve_primes(params.N)
     lo, hi, n = args.tau
     rows = []
@@ -221,12 +230,12 @@ def _cmd_products_table(args) -> int:
 
 
 def _cmd_brute(args) -> int:
-    params = SumParams(args.alpha, args.k, args.N[0])
+    params = SumParams(args.alpha, args.k, args.N)
     f = args.f_obj
     cutoff = math.inf if args.u_cutoff == "inf" else (
         float(args.u_cutoff) if args.u_cutoff is not None else None
     )
-    res = brute_S(params, f, cutoff, threads=args.threads, count_cap=args.count_cap)
+    res = brute_S(params, f, cutoff, count_cap=args.count_cap)
     _write_record(
         Path(args.out) / "brute",
         args,
@@ -241,7 +250,7 @@ def _cmd_brute(args) -> int:
 
 
 def _cmd_exact(args) -> int:
-    params = SumParams(args.alpha, args.k, args.N[0])
+    params = SumParams(args.alpha, args.k, args.N)
     res = exact_integral(params, args.f_obj, args.tol)
     _write_record(
         Path(args.out) / "exact",
@@ -257,7 +266,7 @@ def _cmd_exact(args) -> int:
 
 
 def _cmd_cfactor(args) -> int:
-    params = SumParams(args.alpha, args.k, args.N[0])
+    params = SumParams(args.alpha, args.k, args.N)
     res = main_term(
         params,
         args.f_obj,
@@ -331,7 +340,7 @@ def _cmd_lemma1(args) -> int:
 
 
 def _cmd_errordecomp(args) -> int:
-    params = SumParams(args.alpha, args.k, args.N[0])
+    params = SumParams(args.alpha, args.k, args.N)
     d = error_decomposition(params, args.f_obj, args.tol)
     _write_record(
         Path(args.out) / "errordecomp",
@@ -349,7 +358,7 @@ def _cmd_errordecomp(args) -> int:
 
 
 def _cmd_verify_all(args) -> int:
-    results = acceptance.run_criteria(args.level, args.threads)
+    results = acceptance.run_criteria(args.level)
     tables = acceptance.render_tables(results)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -359,12 +368,11 @@ def _cmd_verify_all(args) -> int:
     for res in results:
         print(res.line())
     ok = all(r.passed for r in results)
-    if args.determinism:
-        second = acceptance.render_tables(acceptance.run_criteria(args.level, 8))
-        same = second == tables
+    if args.determinism:  # the second run finds every in-process cache warm
+        same = acceptance.render_tables(acceptance.run_criteria(args.level)) == tables
         print(
             f"{'PASS' if same else 'FAIL'} criterion 10 [determinism]: "
-            f"threads 1 vs 8 tables byte-identical: {same}"
+            f"cold- and warm-cache tables byte-identical: {same}"
         )
         ok = ok and same
     print("verify-all:", "PASS" if ok else "FAIL")
@@ -374,7 +382,7 @@ def _cmd_verify_all(args) -> int:
 # --- parser ------------------------------------------------------------------
 
 
-def _add_common(sub, *, f=False, alpha=False, n_list=False, tol=None, tau=None,
+def _add_common(sub, *, f=False, alpha=False, n=None, tol=None, tau=None,
                 fmt="csv"):
     sub.add_argument("--out", default=".", help="output directory")
     sub.add_argument(
@@ -388,9 +396,11 @@ def _add_common(sub, *, f=False, alpha=False, n_list=False, tol=None, tau=None,
         sub.add_argument("--alpha", type=_parse_complex, required=True,
                          help="complex weight base as re,im")
         sub.add_argument("--k", type=int, required=True, help="k-free order (>= 2)")
-    if n_list:
-        sub.add_argument("--N", type=_parse_int_list, required=True,
-                         help="smoothness bound(s), comma list")
+    if n == "list":
+        sub.add_argument("--N", type=_parse_N_list, required=True,
+                         help="smoothness bounds, comma list")
+    elif n == "one":
+        sub.add_argument("--N", type=_parse_N, required=True, help="smoothness bound")
     if f:
         sub.add_argument("--f", required=True,
                          help="test function, e.g. gaussian:1,0.4")
@@ -439,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Columns products.csv: tau, re_g, im_g, re_zetaN_pow, "
         "im_zetaN_pow, re_h, im_h, at s = 1 + i tau.",
     )
-    _add_common(p, alpha=True, n_list=True, tau=(-3.0, 3.0, 61))
+    _add_common(p, alpha=True, n="one", tau=(-3.0, 3.0, 61))
     p.set_defaults(func=_cmd_products_table)
 
     p = subs.add_parser(
@@ -448,11 +458,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="brute.json result fields: re_value, im_value, terms_used, "
         "u_cutoff, tail_certificate.",
     )
-    _add_common(p, alpha=True, n_list=True, f=True, fmt="json")
+    _add_common(p, alpha=True, n="one", f=True, fmt="json")
     p.add_argument("--u-cutoff", default=None,
                    help="truncation in u = log n / log N ('inf' sums all terms)")
-    p.add_argument("--threads", type=int, default=1,
-                   help="workers for the k per-seed sums; results identical at any count")
     p.add_argument("--count-cap", type=int, default=DEFAULT_COUNT_CAP)
     p.set_defaults(func=_cmd_brute)
 
@@ -462,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact.json result fields: re_value, im_value, quad_error, "
         "tail_bound, node_count.",
     )
-    _add_common(p, alpha=True, n_list=True, f=True, tol=1e-7, fmt="json")
+    _add_common(p, alpha=True, n="one", f=True, tol=1e-7, fmt="json")
     p.set_defaults(func=_cmd_exact)
 
     p = subs.add_parser(
@@ -471,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="cfactor.json result fields: re_C_f, im_C_f, quad_error, "
         "tail_bound, node_count.",
     )
-    _add_common(p, alpha=True, n_list=True, f=True, tol=1e-7, fmt="json")
+    _add_common(p, alpha=True, n="one", f=True, tol=1e-7, fmt="json")
     p.add_argument("--integer-powers", action="store_true",
                    help="direct integer powers instead of branched logs")
     p.add_argument("--h-variant", choices=("infinite", "finite"), default="infinite")
@@ -485,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
         "the envelope is (log N)^{1-eta} ((log log N)^{2 Re alpha/3} when "
         "Re alpha >= 0).",
     )
-    _add_common(p, alpha=True, n_list=True, f=True, tol=1e-6)
+    _add_common(p, alpha=True, n="list", f=True, tol=1e-6)
     p.set_defaults(func=_cmd_theorem2)
 
     p = subs.add_parser(
@@ -495,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
         "max_rel_err is over the tau grid of |zeta_N/(zeta (s-1) log N "
         "rhohat) - 1|.",
     )
-    _add_common(p, n_list=True, tau=(-3.0, 3.0, 25))
+    _add_common(p, n="list", tau=(-3.0, 3.0, 25))
     p.add_argument("--eps", type=float, default=0.1, help="epsilon in L_eps(N)")
     p.set_defaults(func=_cmd_tenenbaum)
 
@@ -505,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Columns lemma1.csv: N, max_rel_err, decay_ratio_to_next, "
         "expected_ratio (the N log N scaling).",
     )
-    _add_common(p, alpha=True, n_list=True, tau=(-3.0, 3.0, 25))
+    _add_common(p, alpha=True, n="list", tau=(-3.0, 3.0, 25))
     p.add_argument("--h-tol", type=float, default=1e-7)
     p.add_argument("--prime-cap", type=int, default=DEFAULT_PRIME_CAP)
     p.set_defaults(func=_cmd_lemma1)
@@ -516,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="errordecomp.json result fields: i2_abs, i2_shape, i2_ratio, "
         "e2_abs, e2_shape, e2_ratio.",
     )
-    _add_common(p, alpha=True, n_list=True, f=True, tol=1e-8, fmt="json")
+    _add_common(p, alpha=True, n="one", f=True, tol=1e-8, fmt="json")
     p.set_defaults(func=_cmd_errordecomp)
 
     p = subs.add_parser(
@@ -524,11 +532,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the acceptance gate",
         description="Writes criterion_NN.csv tables plus summary.csv; prints one "
         "PASS/FAIL line per criterion; exit 1 on any failure.  "
-        "--determinism reruns at 8 threads and byte-compares the tables.",
+        "--determinism runs the gate again in the same process (warm caches) "
+        "and byte-compares the tables.",
     )
     _add_common(p, fmt=None)
     p.add_argument("--level", choices=("desk", "quick"), default="desk")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--determinism", action="store_true")
     p.set_defaults(func=_cmd_verify_all)
     return top
@@ -571,27 +579,21 @@ def run(argv) -> int:
         return 2
     try:
         _validate(args)
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
         return args.func(args)
     except SmoothsumError as exc:
         print(f"computational error [{type(exc).__name__}]: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:  # an input the subcommand's own checks refuse
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
 
 
 def _validate(args) -> None:
     if getattr(args, "k", None) is not None and args.k < 2:
         raise ValueError("k must be >= 2")
-    for n in getattr(args, "N", ()) or ():
-        if n < 2:
-            raise ValueError("every N must be >= 2")
     tol = getattr(args, "tol", None)
     if tol is not None and not 0 < tol <= 1e-3:
         raise ValueError("tol must lie in (0, 1e-3]")
-    if getattr(args, "threads", 1) < 1:
-        raise ValueError("threads must be >= 1")
     if getattr(args, "u_cutoff", None) not in (None, "inf"):
         if float(args.u_cutoff) < 0:
             raise ValueError("u-cutoff must be >= 0")

@@ -16,7 +16,7 @@ principal branch for |alpha| beyond ~2) and it is what the grouped powers in
 
 `_chunked_piece_sum` is the one reduction over primes: numpy sums over a
 fixed chunking of the primes, for a whole vector of nodes at once, so every
-product is bit-reproducible at any thread count.  The point evaluations
+product depends only on its arguments, bit for bit.  The point evaluations
 (`zeta_partial`, `g_product`, `h_finite`, `h_infinite`) are length-1 calls
 of it.
 """

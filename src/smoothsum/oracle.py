@@ -7,21 +7,18 @@ tail carries a certificate: either the trivial envelope
 sup_{u > cutoff} |f| * prod_p (1 + |alpha|/p + ... + |alpha|^{k-1}/p^{k-1})
 or the sharper Rankin-shift bound.
 
-The work is split into k seeds, one per exponent of the largest prime, and
-every call sums each seed separately (on a thread pool when asked) and
-combines the seed sums in fixed order, so the result is bit-identical at
-any thread count.
+One sequential loop sums the blocks in the enumeration's fixed order, so
+the result depends only on the arguments.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .arith_core import DEFAULT_COUNT_CAP, enumerate_kfree_smooth, sieve_primes
 from .asymptotic import TestFunction
-from .errors import CountCapExceeded, DomainError
+from .errors import DomainError
 from .euler_products import g_abs_bound, g_product
 from .params import SumParams
 
@@ -46,8 +43,12 @@ def brute_S(
 
     u_cutoff=None takes the test function's default (placed where its
     envelope drops below ~1e-13); math.inf sums every term.  More than
-    count_cap terms in the whole sum raise CountCapExceeded.
+    count_cap terms in the whole sum raise CountCapExceeded.  `threads`
+    accepts only 1; it remains for callers that still pass it and goes at
+    the next benchmark change.
     """
+    if threads != 1:
+        raise ValueError("brute_S is sequential: threads must be 1")
     if u_cutoff is None:
         u_cutoff = f.default_u_cutoff
     if u_cutoff < 0:
@@ -60,34 +61,17 @@ def brute_S(
     log_cap = u_cutoff * log_N if not math.isinf(u_cutoff) else math.inf
     # alpha^0 .. alpha^Omega_max, one multiply per step
     pows = np.cumprod(np.append(1.0 + 0j, np.full((k - 1) * len(primes), params.alpha)))
-    top = primes.log_primes[-1]
-    rest = primes.restrict(int(primes.primes[-1]) - 1)
-
-    def seed_sum(e, cap):
-        """(real fsum, imag fsum, count) over the n whose largest-prime exponent is e."""
-        re_parts, im_parts, count = [], [], 0
-        for log_n, omega in enumerate_kfree_smooth(rest, k, log_cap, cap, (e * top, e)):
-            terms = (
-                np.asarray(f.eval_f(log_n / log_N), dtype=np.complex128)
-                * pows[omega]
-                * np.exp(-log_n)
-            )
-            re_parts.append(math.fsum(terms.real.tolist()))
-            im_parts.append(math.fsum(terms.imag.tolist()))
-            count += len(log_n)
-        return math.fsum(re_parts), math.fsum(im_parts), count
-
-    if threads <= 1:
-        parts = []
-        for e in range(k):  # each seed gets what the earlier ones left of the cap
-            parts.append(seed_sum(e, count_cap - sum(p[2] for p in parts)))
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(seed_sum, range(k), [count_cap] * k))  # fixed seed order
-    terms = sum(p[2] for p in parts)
-    if terms > count_cap:
-        raise CountCapExceeded(f"enumeration exceeded count cap {count_cap}")
-    value = complex(math.fsum(p[0] for p in parts), math.fsum(p[1] for p in parts))
+    re_parts, im_parts, terms = [], [], 0
+    for log_n, omega in enumerate_kfree_smooth(primes, k, log_cap, count_cap):
+        block = (
+            np.asarray(f.eval_f(log_n / log_N), dtype=np.complex128)
+            * pows[omega]
+            * np.exp(-log_n)
+        )
+        re_parts.append(math.fsum(block.real.tolist()))
+        im_parts.append(math.fsum(block.imag.tolist()))
+        terms += len(log_n)
+    value = complex(math.fsum(re_parts), math.fsum(im_parts))
     if math.isinf(u_cutoff):
         cert = 0.0
     else:

@@ -2,7 +2,8 @@
 
 Each panel is integrated with 15- and 7-point Gauss-Legendre rules; their
 difference is the panel error estimate and the worst panel is bisected until
-the summed estimate meets the budget.  Panels never straddle a caller-listed
+the summed estimate meets the budget; a budget still unmet at MAX_PANELS
+panels raises ToleranceUnachievable.  Panels never straddle a caller-listed
 split point (the integrands here have their one delicate point at x = 0).
 Final accumulation is an exactly-rounded fsum over panels sorted by left
 endpoint, so node budget and scheduling cannot change the result bits.
@@ -15,8 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from .errors import ToleranceUnachievable
+
 _HI_NODES, _HI_WEIGHTS = leggauss(15)
 _LO_NODES, _LO_WEIGHTS = leggauss(7)
+MAX_PANELS = 4096
 
 
 @dataclass(frozen=True)
@@ -59,7 +63,6 @@ def integrate_adaptive(
     b: float,
     tol: float,
     split_points=(0.0,),
-    max_panels: int = 4096,
     min_panels: int = 8,
 ) -> tuple[QuadResult, float]:
     """Integrate vectorized `f` over [a, b] to absolute tolerance `tol`.
@@ -67,7 +70,8 @@ def integrate_adaptive(
     Returns (QuadResult, L1) where L1 estimates the integral of |f|; the
     caller uses it to convert multiplicative integrand perturbations into an
     additive tail bound.  QuadResult.tail_bound is 0 here; window truncation
-    is the caller's ledger.
+    is the caller's ledger.  Raises ToleranceUnachievable when MAX_PANELS
+    panels leave the summed error estimate above `tol`.
     """
     if not b > a:
         raise ValueError("need b > a")
@@ -88,9 +92,9 @@ def integrate_adaptive(
         heapq.heappush(heap, (-pan.error, pan.a, pan.b, pan))
 
     since_resync = 0
-    while len(heap) < max_panels and total_err > tol:
+    while len(heap) < MAX_PANELS and total_err > tol:
         neg_err, lo, hi, top = heapq.heappop(heap)
-        if -neg_err <= tol / (4.0 * max_panels):  # every panel already negligible
+        if -neg_err <= tol / (4.0 * MAX_PANELS):  # every panel already negligible
             heapq.heappush(heap, (neg_err, lo, hi, top))
             break
         total_err += neg_err
@@ -110,5 +114,9 @@ def integrate_adaptive(
         math.fsum(p.value.real for p in panels), math.fsum(p.value.imag for p in panels)
     )
     err = math.fsum(p.error for p in panels)
+    if len(panels) >= MAX_PANELS and err > tol:
+        raise ToleranceUnachievable(
+            f"{MAX_PANELS} panels leave quadrature error {err:.2e} above tol {tol:.2e}"
+        )
     l1 = math.fsum(p.abs_value for p in panels)
     return QuadResult(value, err, 0.0, n_nodes), l1

@@ -117,12 +117,8 @@ def _regular_laurent(s: complex) -> complex:
     return complex(total)
 
 
-def zeta(s: complex, em_terms: int | None = None) -> ZetaValue:
-    """Evaluate zeta(s) for Re(s) >= 1/2 (at s = 1 only `regular` is valid).
-
-    em_terms overrides the Euler-Maclaurin cutoff, which the self-consistency
-    tests use by doubling it.
-    """
+def zeta(s: complex) -> ZetaValue:
+    """Evaluate zeta(s) for Re(s) >= 1/2 (at s = 1 only `regular` is valid)."""
     s = complex(s)
     if s.real < 0.5:
         raise ValueError("only the half-plane Re(s) >= 1/2 is supported")
@@ -132,8 +128,7 @@ def zeta(s: complex, em_terms: int | None = None) -> ZetaValue:
         reg = _regular_laurent(s)
         z = reg / (s - 1.0) if s != 1.0 else complex(float("nan"), float("nan"))
         return ZetaValue(s, z, reg, "laurent", 1e-15)
-    M = em_terms if em_terms is not None else max(20, int(math.ceil(2 * abs(s.imag))))
-    z, tail = _euler_maclaurin(s, M)
+    z, tail = _euler_maclaurin(s, max(20, int(math.ceil(2 * abs(s.imag)))))
     return ZetaValue(s, z, (s - 1.0) * z, "euler_maclaurin", tail)
 
 

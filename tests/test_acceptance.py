@@ -1,8 +1,8 @@
 """The acceptance gate: every criterion at its stated scale and tolerance.
 
 Run with `pytest -v -s tests/test_acceptance.py` to see one PASS/FAIL line
-per criterion.  Criterion 10 (byte-level determinism across repeat runs and
-thread counts) drives the CLI `verify-all` subcommand end to end.
+per criterion.  Criterion 10 (byte-level determinism across repeat runs)
+drives the CLI `verify-all` subcommand end to end.
 """
 
 from pathlib import Path
@@ -12,7 +12,7 @@ from smoothsum.cli import run
 
 
 def _run(check):
-    res = check("desk", 1)
+    res = check("desk")
     print()
     print(res.line())
     assert res.passed, res.detail
@@ -72,20 +72,18 @@ def _stripped_tables(out_dir: Path) -> dict:
 
 
 def test_criterion_10_determinism(tmp_path):
-    """verify-all twice and at thread counts {1, 8}: byte-identical tables.
+    """verify-all twice: byte-identical tables.
 
     Runs at the quick level: the code paths are identical to desk scale and
-    three full desk passes would triple the suite for no extra coverage.
+    two full desk passes would double the suite for no extra coverage.
     """
     outs = []
-    for name, threads in (("a", "1"), ("b", "1"), ("c", "8")):
+    for name in ("a", "b"):
         out = tmp_path / name
-        rc = run(["verify-all", "--level", "quick", "--threads", threads,
-                  "--out", str(out)])
+        rc = run(["verify-all", "--level", "quick", "--out", str(out)])
         assert rc == 0, f"verify-all failed (run {name})"
         outs.append(_stripped_tables(out))
     assert outs[0] == outs[1], "repeat run differs"
-    assert outs[0] == outs[2], "thread count changed results"
     assert len(outs[0]) == 10  # nine criterion tables + summary
     print()
-    print("PASS criterion 10 [determinism]: 3 verify-all runs byte-identical")
+    print("PASS criterion 10 [determinism]: 2 verify-all runs byte-identical")

@@ -129,18 +129,6 @@ def test_enumeration_deterministic():
     assert len(list(enumerate_kfree_smooth(*args))) > 1  # several blocks
 
 
-def test_seed_partition_is_exact():
-    """The k seeds of the largest prime (the oracle's unit of work) split
-    the enumeration into disjoint parts that cover it."""
-    primes = sieve_primes(20)
-    cap = 2.5 * math.log(20)
-    rest = primes.restrict(18)
-    parts = []
-    for e in range(3):
-        parts += terms(rest, 3, cap, seed=(e * math.log(19), e))
-    assert integers(parts) == integers(terms(primes, 3, cap))
-
-
 def test_count_cap():
     with pytest.raises(CountCapExceeded):
         list(enumerate_kfree_smooth(sieve_primes(100), 3, math.inf))

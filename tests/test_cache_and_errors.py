@@ -106,14 +106,12 @@ def test_brute_count_cap():
         brute_S(SumParams(1, 3, 30), f, math.inf, count_cap=100)
     # the cap bounds the whole sum (3^10 = 59049 terms), not each of the k seeds
     f1 = make_test_constant()
-    for threads in (1, 2):
-        with pytest.raises(CountCapExceeded):
-            brute_S(SumParams(1, 3, 30), f1, math.inf, threads=threads, count_cap=30000)
-        # a first seed that uses up the whole cap (3^9 terms) leaves 0 for the next
-        with pytest.raises(CountCapExceeded):
-            brute_S(SumParams(1, 3, 30), f1, math.inf, threads=threads, count_cap=3**9)
-        full = brute_S(SumParams(1, 3, 30), f1, math.inf, threads=threads, count_cap=3**10)
-        assert full.terms_used == 3**10
+    with pytest.raises(CountCapExceeded):
+        brute_S(SumParams(1, 3, 30), f1, math.inf, count_cap=30000)
+    with pytest.raises(CountCapExceeded):
+        brute_S(SumParams(1, 3, 30), f1, math.inf, count_cap=3**9)
+    full = brute_S(SumParams(1, 3, 30), f1, math.inf, count_cap=3**10)
+    assert full.terms_used == 3**10
 
 
 def test_every_csv_column_documented_in_help():

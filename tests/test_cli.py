@@ -56,12 +56,11 @@ def test_byte_identical_bodies(tmp_path):
 
 
 def test_brute_thread_counts_identical(tmp_path):
+    """`brute` has no --threads option: asking for one is a config error."""
     base = ["brute", "--alpha", "0.5,0.5", "--k", "3", "--N", "30", "--f", "gaussian:1,0.4"]
-    assert run(base + ["--threads", "1", "--out", str(tmp_path / "t1")]) == 0
-    assert run(base + ["--threads", "8", "--out", str(tmp_path / "t8")]) == 0
-    r1 = json.loads((tmp_path / "t1/brute.json").read_text())["result"]
-    r8 = json.loads((tmp_path / "t8/brute.json").read_text())["result"]
-    assert r1 == r8
+    assert run(base + ["--out", str(tmp_path / "t1")]) == 0
+    assert run(base + ["--threads", "8", "--out", str(tmp_path / "t8")]) == 2
+    assert not (tmp_path / "t8").exists()
 
 
 def test_config_file_round_trip(tmp_path):
@@ -103,6 +102,20 @@ def test_exit_code_config_error(tmp_path):
                 "--f", "lorentz:1", "--out", str(tmp_path)]) == 2
     assert run(["brute", "--alpha", "not-a-number", "--k", "2", "--N", "30",
                 "--f", "gaussian:1,0.4", "--out", str(tmp_path)]) == 2
+    # the single-N subcommands take one integer, not a ladder
+    for cmd in ("products-table", "brute", "exact", "cfactor", "errordecomp"):
+        argv = [cmd, "--alpha", "1,0", "--k", "2", "--N", "30,40", "--out", str(tmp_path)]
+        if cmd != "products-table":
+            argv += ["--f", "gaussian:1,0.4"]
+        assert run(argv) == 2, cmd
+    assert run(["tenenbaum", "--N", "1000,1", "--out", str(tmp_path)]) == 2
+    # inputs the computation itself refuses with ValueError
+    assert run(["lemma1", "--alpha", "1,0", "--k", "2", "--N", "50",
+                "--out", str(tmp_path)]) == 2
+    assert run(["tenenbaum", "--N", "100", "--out", str(tmp_path)]) == 2
+    assert run(["cfactor", "--alpha", "1,0", "--k", "2", "--N", "10",
+                "--f", "gaussian:1,0.4", "--out", str(tmp_path)]) == 2
+    assert list(tmp_path.iterdir()) == []  # nothing written
 
 
 def test_exit_code_computational_error(tmp_path):

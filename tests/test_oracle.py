@@ -74,9 +74,11 @@ def test_default_cutoff_below_quad_noise(f_gauss):
 
 
 def test_thread_counts_bitwise_identical(f_gauss):
+    """brute_S is one sequential loop; any thread count but 1 is refused."""
     p = SumParams(0.5 + 0.5j, 3, 30)
-    vals = {brute_S(p, f_gauss, threads=t).value for t in (1, 2, 8)}
-    assert len(vals) == 1
+    assert brute_S(p, f_gauss, threads=1).value == brute_S(p, f_gauss).value
+    with pytest.raises(ValueError):
+        brute_S(p, f_gauss, threads=2)
 
 
 def test_rankin_tail_never_exceeds_trivial(f_gauss):

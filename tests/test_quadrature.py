@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from smoothsum import ToleranceUnachievable
 from smoothsum.quadrature import integrate_adaptive
 
 
@@ -39,6 +40,12 @@ def test_deterministic():
     a, _ = integrate_adaptive(f, -5.0, 5.0, 1e-10)
     b, _ = integrate_adaptive(f, -5.0, 5.0, 1e-10)
     assert a.value == b.value and a.node_count == b.node_count
+
+
+def test_panel_cap_raises():
+    # 1.6e5 oscillations: MAX_PANELS panels cannot resolve them to 1e-14
+    with pytest.raises(ToleranceUnachievable):
+        integrate_adaptive(lambda x: np.exp(1e4j * x), -50.0, 50.0, 1e-14)
 
 
 def test_bad_interval():
