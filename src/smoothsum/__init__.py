@@ -20,7 +20,6 @@ from .asymptotic import (
     exact_integral,
     main_term,
     make_gaussian,
-    make_tabulated,
     make_test_constant,
     tenenbaum_check,
     theorem2_report,

@@ -26,7 +26,6 @@ from .asymptotic import (
     tenenbaum_check,
     theorem2_report,
 )
-from .cache import fmt_float
 from .dickman import EXP_EULER_GAMMA
 from .errors import SingularFactor
 from .euler_products import (
@@ -60,9 +59,9 @@ def fmt_value(v) -> str:
     """One table cell: floats (and complex parts) to 17 significant digits,
     so equal doubles print equal bytes."""
     if isinstance(v, complex):
-        return f"{fmt_float(v.real)}{'+' if v.imag >= 0 else '-'}{fmt_float(abs(v.imag))}j"
+        return f"{v.real:.17g}{'+' if v.imag >= 0 else '-'}{abs(v.imag):.17g}j"
     if isinstance(v, float):
-        return fmt_float(v)
+        return format(v, ".17g")
     return str(v)
 
 

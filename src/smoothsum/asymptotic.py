@@ -38,9 +38,6 @@ from .params import SumParams
 from .quadrature import QuadResult, integrate_adaptive
 from .arith_core import sieve_primes
 
-_FOURIER_CHECK_POINTS = 5
-_FOURIER_CHECK_TOL = 1e-6
-
 
 @dataclass(frozen=True)
 class TestFunction:
@@ -48,7 +45,6 @@ class TestFunction:
     decay exponent eta for fhat and a window [-X, X] holding all but
     `fhat_tail_bound` of the mass of |fhat|."""
 
-    family: str
     eval_f: object
     eval_fhat: object
     eta: float
@@ -56,7 +52,6 @@ class TestFunction:
     fhat_tail_bound: float
     sup_tail: object  # u -> sup_{u' > u} |f(u')|
     default_u_cutoff: float
-    test_only: bool = False
 
 
 def _erfc_threshold(target: float) -> float:
@@ -77,9 +72,11 @@ def make_gaussian(mu: float, sigma: float, eta: float = 6.0) -> TestFunction:
     Decay is super-polynomial, so any requested eta is certified; the window
     cutoff puts the |fhat| tail below 1e-14 (closed form erfc).
     """
+    mu, sigma, eta = float(mu), float(sigma), float(eta)
+    if not all(map(math.isfinite, (mu, sigma, eta))):
+        raise ValueError("mu, sigma and eta must be finite")
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    mu, sigma = float(mu), float(sigma)
     q = _erfc_threshold(1e-14)
     x_max = q * math.sqrt(2.0) / sigma
     tail = math.erfc(sigma * x_max / math.sqrt(2.0))
@@ -99,10 +96,9 @@ def make_gaussian(mu: float, sigma: float, eta: float = 6.0) -> TestFunction:
         return 1.0 if u <= mu else math.exp(-((u - mu) ** 2) / (2.0 * sigma**2))
 
     return TestFunction(
-        family=f"gaussian(mu={mu:g}, sigma={sigma:g})",
         eval_f=f,
         eval_fhat=fhat,
-        eta=float(eta),
+        eta=eta,
         fhat_cutoff=x_max,
         fhat_tail_bound=tail,
         sup_tail=sup_tail,
@@ -114,7 +110,6 @@ def make_test_constant() -> TestFunction:
     """f == 1: no transform, no decay -- usable only by the brute-force oracle,
     where it makes the full sum a closed-form Euler product."""
     return TestFunction(
-        family="constant-1 (test mode)",
         eval_f=lambda t: np.ones_like(np.asarray(t, dtype=np.float64)),
         eval_fhat=None,
         eta=0.0,
@@ -122,53 +117,11 @@ def make_test_constant() -> TestFunction:
         fhat_tail_bound=math.inf,
         sup_tail=lambda u: 0.0 if math.isinf(u) else 1.0,
         default_u_cutoff=math.inf,
-        test_only=True,
-    )
-
-
-def make_tabulated(
-    eval_f,
-    eval_fhat,
-    eta: float,
-    fhat_cutoff: float,
-    fhat_tail_bound: float,
-    sup_tail,
-    default_u_cutoff: float,
-    family: str = "tabulated",
-) -> TestFunction:
-    """Wrap a user-supplied pair, verifying the Fourier convention by
-    quadrature at 5 fixed sample points (mismatch >= 1e-6 is rejected:
-    a wrong sign or 2 pi convention would silently corrupt every result)."""
-    rng = np.random.default_rng(20260809)
-    ts = rng.uniform(-2.0, 2.0, _FOURIER_CHECK_POINTS)
-    for t in ts:
-        res, _ = integrate_adaptive(
-            lambda x: np.asarray(eval_fhat(x)) * np.exp(-1j * x * t),
-            -fhat_cutoff,
-            fhat_cutoff,
-            1e-9,
-        )
-        expect = complex(np.complex128(eval_f(t)))
-        if abs(res.value - expect) > _FOURIER_CHECK_TOL + fhat_tail_bound:
-            raise ValueError(
-                f"fhat does not invert to f at t={t:.4f}: "
-                f"integral {res.value:.8g} vs f(t) {expect:.8g} "
-                "(convention is f(t) = int fhat(x) exp(-ixt) dx)"
-            )
-    return TestFunction(
-        family,
-        eval_f,
-        eval_fhat,
-        float(eta),
-        float(fhat_cutoff),
-        float(fhat_tail_bound),
-        sup_tail,
-        float(default_u_cutoff),
     )
 
 
 def _require_transform(f: TestFunction) -> None:
-    if f.test_only or f.eval_fhat is None:
+    if f.eval_fhat is None:
         raise ValueError("this operation needs a test function with a transform")
 
 
@@ -275,7 +228,10 @@ def main_term(
     the error-decomposition report uses to measure the h_N -> h substitution
     step.  h_tol (default tol/10) sets the h-product cutoff; comparisons that
     share the cached h model may relax it independently of the quadrature
-    budget.
+    budget.  tol and h_tol must lie in (0, 1e-3].
+
+    quad_error is the 15/7-point Gauss difference of the window integral, an
+    estimate rather than a bound; tail_bound carries the h-model uncertainty.
     """
     _require_transform(f)
     alpha, k = params.alpha, params.k
@@ -286,14 +242,16 @@ def main_term(
         )
     if params.N < MAIN_TERM_MIN_N:
         raise ValueError(f"main_term needs N >= {MAIN_TERM_MIN_N}")
+    if h_tol is None:
+        h_tol = tol / 10.0
+    if not (0 < tol <= 1e-3 and 0 < h_tol <= 1e-3):
+        raise ValueError("tol and h_tol must lie in (0, 1e-3]")
     if h_variant not in ("infinite", "finite"):
         raise ValueError("h_variant must be 'infinite' or 'finite'")
     log_n = params.log_n
     half = 3.0 * log_n
     variant_N = params.N if h_variant == "finite" else 0
-    h_coeffs, h_unc = _h_contour(
-        alpha, k, variant_N, tol / 10.0 if h_tol is None else h_tol
-    )
+    h_coeffs, h_unc = _h_contour(alpha, k, variant_N, h_tol)
 
     def h_at(xs):
         return cheb.chebval(np.asarray(xs) / half, h_coeffs)

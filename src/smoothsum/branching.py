@@ -8,7 +8,8 @@ continuous choice agreeing with the principal value at the anchor.
 
 Off-grid queries re-evaluate the function and snap the phase to the nearest
 grid node, which is valid because construction refines the grid until
-adjacent phases differ by < pi/2.
+adjacent phases differ by < pi/2.  Refinement is bounded by MAX_REFINE
+rounds and MAX_NODES grid nodes; past either it raises UnwrapError.
 """
 
 from dataclasses import dataclass, field
@@ -19,6 +20,7 @@ from .errors import UnwrapError
 
 _TWO_PI = 2.0 * np.pi
 MAX_PHASE_STEP = 0.5 * np.pi
+MAX_REFINE = 40  # refinement rounds, confirming rounds included
 MAX_NODES = 200_000  # refinement stops (UnwrapError) once a grid passes this
 
 
@@ -79,7 +81,6 @@ def build_branched_path(
     xs,
     anchor_x: float = 0.0,
     anchor_log: complex = 0.0,
-    max_refine: int = 40,
 ) -> BranchedPath:
     """Unwrap log f along `xs`, bisecting intervals until adjacent phase
     increments fall below pi/2 AND one further global bisection confirms the
@@ -89,7 +90,7 @@ def build_branched_path(
     `evaluator(x_array)` returns log f(x) up to an arbitrary multiple of
     2*pi*i per point.  The anchor must be a grid point where f is real and
     positive with known log (imaginary part 0 there).  Every round, refining
-    or confirming, draws on the max_refine budget.
+    or confirming, draws on the MAX_REFINE budget.
     """
     grid = np.unique(np.asarray(xs, dtype=np.float64))
     if grid.size < 2:
@@ -103,7 +104,7 @@ def build_branched_path(
     while True:
         bad = np.abs(np.diff(unwrapped)) >= MAX_PHASE_STEP
         if not np.any(bad):
-            if rounds >= max_refine or grid.size > MAX_NODES:
+            if rounds >= MAX_REFINE or grid.size > MAX_NODES:
                 raise UnwrapError(
                     "refinement budget exhausted before the branch choice "
                     "could be confirmed"
@@ -120,7 +121,7 @@ def build_branched_path(
                 return BranchedPath(fine, raw_f.real + 1j * unw_f, k_f, evaluator)
             grid, raw, unwrapped, k = fine, raw_f, unw_f, k_f
             continue
-        if rounds >= max_refine or grid.size > MAX_NODES:
+        if rounds >= MAX_REFINE or grid.size > MAX_NODES:
             raise UnwrapError(
                 "phase increment >= pi/2 between adjacent nodes after maximum "
                 "refinement"

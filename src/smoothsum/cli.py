@@ -76,8 +76,8 @@ def _parse_grid(text: str) -> tuple:
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("expected min,max,count")
     lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
-    if n < 2 or not hi > lo:
-        raise argparse.ArgumentTypeError("grid needs max > min and count >= 2")
+    if n < 2 or not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
+        raise argparse.ArgumentTypeError("grid needs finite max > min and count >= 2")
     return (lo, hi, n)
 
 
@@ -594,9 +594,6 @@ def _validate(args) -> None:
     tol = getattr(args, "tol", None)
     if tol is not None and not 0 < tol <= 1e-3:
         raise ValueError("tol must lie in (0, 1e-3]")
-    if getattr(args, "u_cutoff", None) not in (None, "inf"):
-        if float(args.u_cutoff) < 0:
-            raise ValueError("u-cutoff must be >= 0")
     if getattr(args, "f", None) is not None:
         try:
             args.f_obj = _parse_testfn(args.f)

@@ -5,6 +5,7 @@ rho = 1 on (0, 1].  It is built interval by interval from the equivalent
 integral form rho(u) = rho(m) - int_m^u rho(t-1)/t dt, one Chebyshev series
 per unit interval (rho is analytic in each open interval, so the series
 converges geometrically and its coefficient tail certifies the error).
+default_table builds the table once per process and keeps it in memory.
 
 The Laplace transform on the imaginary axis is evaluated through
 s*rhohat(s) = exp(-J(s)), with J(s) = int_0^inf exp(-s-t)/(s+t) dt; J is
@@ -19,7 +20,6 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
 
-from . import cache
 from .branching import BranchedPath, build_branched_path
 from .errors import DomainError, ToleranceUnachievable
 from .quadrature import integrate_adaptive
@@ -98,21 +98,6 @@ def build_rho(u_max: float, tol: float) -> DickmanTable:
         raise ValueError("u_max must be >= 1")
     if not 0 < tol <= 1e-4:
         raise ValueError("tol must lie in (0, 1e-4]")
-    cached = cache.load_floats(
-        "dickman_table.txt", f"u_max={cache.fmt_float(u_max)} tol={cache.fmt_float(tol)}"
-    )
-    n_pieces = int(np.ceil(u_max)) - 1
-    # layout [err, width, n_pieces * width coefficients]; any other length
-    # (a truncated or foreign file) is a miss
-    if cached and len(cached) >= 2 and cached[1].is_integer():
-        width = int(cached[1])
-        if len(cached) == 2 + n_pieces * width:
-            pieces = tuple(
-                np.array(cached[2 + i * width : 2 + (i + 1) * width])
-                for i in range(n_pieces)
-            )
-            return DickmanTable(u_max, tol, pieces, cached[0])
-
     pieces = []
     err = 0.0
     rho_m = 1.0
@@ -132,18 +117,7 @@ def build_rho(u_max: float, tol: float) -> DickmanTable:
         pieces.append(c)
         rho_m = float(cheb.chebval(1.0, c))
 
-    flat = [err, max((len(c) for c in pieces), default=0)]
-    width = int(flat[1])
-    for c in pieces:
-        flat.extend(np.pad(c, (0, width - len(c))))
-        # all pieces share one width so the cache file is rectangular
-    cache.store_floats(
-        "dickman_table.txt",
-        f"u_max={cache.fmt_float(u_max)} tol={cache.fmt_float(tol)}",
-        flat,
-    )
-    padded = tuple(np.pad(c, (0, width - len(c))) for c in pieces)
-    return DickmanTable(u_max, tol, padded, err)
+    return DickmanTable(u_max, tol, tuple(pieces), err)
 
 
 @lru_cache(maxsize=4)
@@ -221,12 +195,11 @@ def _log_rho_hat_vec(xs: np.ndarray) -> np.ndarray:
     return np.array([_log_rho_hat(float(x)) for x in np.atleast_1d(xs)])
 
 
-def rho_hat_path(path_xs, max_refine: int = 40) -> BranchedPath:
+def rho_hat_path(path_xs) -> BranchedPath:
     """Unwrapped log of rhohat(ix) along a grid, anchored at rhohat(0)=e^gamma."""
     return build_branched_path(
         _log_rho_hat_vec,
         path_xs,
         anchor_x=0.0,
         anchor_log=complex(EULER_GAMMA),
-        max_refine=max_refine,
     )

@@ -2,10 +2,11 @@
 
 Every k-free N-smooth integer with log n <= u_cutoff * log N is enumerated
 in numpy blocks of (log n, Omega(n)), and f(log n / log N) alpha^Omega(n) / n
-is accumulated with exactly-rounded summation per block.  The truncation
-tail carries a certificate: either the trivial envelope
-sup_{u > cutoff} |f| * prod_p (1 + |alpha|/p + ... + |alpha|^{k-1}/p^{k-1})
-or the sharper Rankin-shift bound.
+is accumulated with exactly-rounded summation per block.  brute_S certifies
+the truncation tail with the trivial envelope
+sup_{u > cutoff} |f| * prod_p (1 + |alpha|/p + ... + |alpha|^{k-1}/p^{k-1}).
+rankin_tail is a separate, sharper Rankin-shift bound on the same tail;
+brute_S does not use it.
 
 One sequential loop sums the blocks in the enumeration's fixed order, so
 the result depends only on the arguments.
@@ -18,9 +19,12 @@ import numpy as np
 
 from .arith_core import DEFAULT_COUNT_CAP, enumerate_kfree_smooth, sieve_primes
 from .asymptotic import TestFunction
-from .errors import DomainError
 from .euler_products import g_abs_bound, g_product
 from .params import SumParams
+
+# the Rankin shifts tried; delta = 0 is the trivial envelope, so the bound
+# never exceeds it
+_RANKIN_DELTAS = tuple(np.linspace(0.0, 0.45, 10))
 
 
 @dataclass(frozen=True)
@@ -51,8 +55,10 @@ def brute_S(
         raise ValueError("brute_S is sequential: threads must be 1")
     if u_cutoff is None:
         u_cutoff = f.default_u_cutoff
-    if u_cutoff < 0:
+    if not u_cutoff >= 0:  # also refuses NaN
         raise ValueError("u_cutoff must be >= 0 (or math.inf)")
+    if count_cap < 0:
+        raise ValueError("count_cap must be >= 0")
     if params.alpha == 0:  # alpha^Omega kills every n > 1
         value = complex(np.complex128(f.eval_f(0.0)))
         return BruteResult(value, 1, float(u_cutoff), 0.0)
@@ -79,24 +85,19 @@ def brute_S(
     return BruteResult(value, terms, float(u_cutoff), cert)
 
 
-def rankin_tail(params: SumParams, f_envelope, u_cutoff: float, deltas=None) -> float:
+def rankin_tail(params: SumParams, f_envelope, u_cutoff: float) -> float:
     """Rankin-shift bound on the neglected tail: for any delta in (0, 1/2),
 
         sum_{n > X} |alpha|^Omega(n)/n <= X^{-delta} g_{|alpha|,k,N}(1-delta),
 
-    with X = N^{u_cutoff}; minimized over a delta grid that includes the
-    trivial delta=0 endpoint, so it never exceeds the trivial certificate.
+    with X = N^{u_cutoff}; minimized over the delta grid _RANKIN_DELTAS.
     """
     if math.isinf(u_cutoff):
         return 0.0
-    if deltas is None:
-        deltas = np.linspace(0.0, 0.45, 10)
-    if np.any(np.asarray(deltas) < 0) or np.any(np.asarray(deltas) >= 0.5):
-        raise DomainError("every delta must lie in [0, 1/2)")
     abs_params = params.abs_alpha()
     log_x = u_cutoff * params.log_n
     best = math.inf
-    for d in deltas:
+    for d in _RANKIN_DELTAS:
         g = g_product(abs_params, 1.0 - float(d)).value.real
         best = min(best, math.exp(-float(d) * log_x) * g)
     return f_envelope(u_cutoff) * best

@@ -27,8 +27,10 @@ MAX_PANELS = 4096
 class QuadResult:
     """Integral value with separated error budget.
 
-    quad_error bounds the quadrature discretization error, tail_bound the
-    certified truncation outside the integration window (0 when none).
+    quad_error estimates the quadrature discretization error: it is the
+    summed difference of the 15- and 7-point Gauss rules over the panels, not
+    a proven bound.  tail_bound is the certified truncation outside the
+    integration window (0 when none).
     """
 
     value: complex

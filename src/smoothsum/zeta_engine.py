@@ -9,7 +9,8 @@ regular factor switches to the Stieltjes expansion
     (s-1) zeta(s) = 1 + sum_{n>=0} (-1)^n gamma_n (s-1)^{n+1} / n!
 
 whose constants are self-computed from Euler-Maclaurin values by a Cauchy
-circle integral rather than copied from tables.
+circle integral rather than copied from tables, once per process and kept
+in memory.
 """
 
 import math
@@ -18,7 +19,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import cache
 from .branching import BranchedPath, build_branched_path
 from .errors import PrecisionLoss
 
@@ -95,13 +95,7 @@ def _stieltjes_from_em(n_max: int = 6, radius: float = 0.5, k: int = 256):
 
 @lru_cache(maxsize=1)
 def stieltjes_constants(n_max: int = 6) -> tuple[float, ...]:
-    key = f"n_max={n_max}"
-    hit = cache.load_floats("stieltjes.txt", key)
-    if hit is not None and len(hit) == n_max:
-        return tuple(hit)
-    vals = _stieltjes_from_em(n_max)
-    cache.store_floats("stieltjes.txt", key, vals)
-    return tuple(vals)
+    return tuple(_stieltjes_from_em(n_max))
 
 
 def _regular_laurent(s: complex) -> complex:

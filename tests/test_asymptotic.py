@@ -13,7 +13,6 @@ from smoothsum import (
     exact_integral,
     main_term,
     make_gaussian,
-    make_tabulated,
     make_test_constant,
     rho_hat,
     sieve_primes,
@@ -56,27 +55,10 @@ def test_gaussian_transform_quadrature():
 
 
 def test_gaussian_validation():
-    with pytest.raises(ValueError):
-        make_gaussian(0, -1)
-
-
-def test_tabulated_accepts_correct_convention():
-    g = make_gaussian(0.5, 0.8)
-    t = make_tabulated(
-        g.eval_f, g.eval_fhat, 4.0, g.fhat_cutoff, g.fhat_tail_bound,
-        g.sup_tail, g.default_u_cutoff,
-    )
-    assert not t.test_only
-
-
-def test_tabulated_rejects_wrong_sign_convention():
-    g = make_gaussian(0.5, 0.8)
-    bad_fhat = lambda x: g.eval_fhat(x).conjugate()  # e^{-i mu x}: wrong sign
-    with pytest.raises(ValueError):
-        make_tabulated(
-            g.eval_f, bad_fhat, 4.0, g.fhat_cutoff, g.fhat_tail_bound,
-            g.sup_tail, g.default_u_cutoff,
-        )
+    for mu, sigma, eta in ((0, -1, 6), (1, math.nan, 6), (math.nan, 0.4, 6),
+                           (1, 0.4, math.nan), (1, math.inf, 6)):
+        with pytest.raises(ValueError):
+            make_gaussian(mu, sigma, eta)
 
 
 def test_exact_integral_alpha_zero(f):
@@ -127,6 +109,14 @@ def test_main_term_eta_guard():
 def test_main_term_n_floor(f):
     with pytest.raises(ValueError):
         main_term(SumParams(1, 2, 10), f, 1e-6)
+
+
+def test_main_term_tol_validation(f):
+    # refused up front, not after walking the h cutoff up to its cap
+    for tol, h_tol in ((math.nan, None), (1e-2, None), (1e-6, math.nan),
+                       (1e-6, -1e-7), (1e-6, 0.0)):
+        with pytest.raises(ValueError):
+            main_term(SumParams(1, 2, 100), f, tol, h_tol=h_tol)
 
 
 def test_main_term_integer_power_route(f):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import smoothsum.branching as branching
 from smoothsum import UnwrapError, build_branched_path
 
 
@@ -19,9 +20,10 @@ def test_unwraps_fast_winding_function():
     assert path.max_phase_step() < math.pi / 2
 
 
-def test_unwrap_error_when_refinement_disabled():
+def test_unwrap_error_when_refinement_disabled(monkeypatch):
+    monkeypatch.setattr(branching, "MAX_REFINE", 0)
     with pytest.raises(UnwrapError):
-        build_branched_path(winding_log(5.0), np.linspace(-4, 4, 9), max_refine=0)
+        build_branched_path(winding_log(5.0), np.linspace(-4, 4, 9))
 
 
 def test_power_at_matches_exact():

@@ -2,11 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
 
-import smoothsum.cache as cache
+import smoothsum.branching as branching
 import smoothsum.dickman as dickman
-import smoothsum.zeta_engine as zeta_engine
 from smoothsum import (
     CountCapExceeded,
     SumParams,
@@ -21,83 +19,16 @@ from smoothsum import (
 from smoothsum.cli import build_parser
 
 
-def test_dickman_cache_round_trip(tmp_path, monkeypatch):
-    monkeypatch.setenv("SMOOTHSUM_CACHE_DIR", str(tmp_path))
-    fresh = build_rho(6.0, 1e-9)
-    assert (tmp_path / "dickman_table.txt").is_file()
-    cached = build_rho(6.0, 1e-9)
-    us = np.linspace(0, 6, 301)
-    # a cache hit reproduces the computed doubles bit for bit
-    assert np.array_equal(fresh.rho(us), cached.rho(us))
-    assert fresh.err_bound == cached.err_bound
-
-
-def test_stieltjes_cache_round_trip(tmp_path, monkeypatch):
-    monkeypatch.setenv("SMOOTHSUM_CACHE_DIR", str(tmp_path))
-    zeta_engine.stieltjes_constants.cache_clear()
-    fresh = zeta_engine.stieltjes_constants()
-    assert (tmp_path / "stieltjes.txt").is_file()
-    zeta_engine.stieltjes_constants.cache_clear()
-    cached = zeta_engine.stieltjes_constants()
-    assert fresh == cached
-    zeta_engine.stieltjes_constants.cache_clear()
-
-
-def test_cache_disabled_without_env(tmp_path, monkeypatch):
-    monkeypatch.delenv("SMOOTHSUM_CACHE_DIR", raising=False)
-    build_rho(3.0, 1e-8)
-    assert not list(tmp_path.iterdir())
-
-
 def test_build_rho_tolerance_unachievable(monkeypatch):
     monkeypatch.setattr(dickman, "_MAX_CHEB_DEGREE", 2)
     with pytest.raises(ToleranceUnachievable):
         build_rho(5.0, 1e-8)
 
 
-def test_truncated_dickman_cache_is_a_miss(tmp_path, monkeypatch):
-    """A cache file cut short (an interrupted write) is rebuilt, not read:
-    cut after a few lines, and cut inside its last number, which keeps the
-    value count right but changes the value."""
-    monkeypatch.setenv("SMOOTHSUM_CACHE_DIR", str(tmp_path))
-    fresh = build_rho(10.0, 1e-10)
-    path = tmp_path / "dickman_table.txt"
-    whole = path.read_bytes()
-    us = np.linspace(0, 10, 401)
-    for cut in (whole[:3000], whole.rstrip(b"\n")[:-1]):
-        path.write_bytes(cut)
-        rebuilt = build_rho(10.0, 1e-10)
-        assert np.array_equal(fresh.rho(us), rebuilt.rho(us))
-        # the rebuild rewrote a whole file, with no temp file left beside it
-        assert path.read_bytes() == whole
-        assert build_rho(10.0, 1e-10).err_bound == fresh.err_bound
-        assert [p.name for p in tmp_path.iterdir()] == ["dickman_table.txt"]
-
-
-@settings(
-    max_examples=60,
-    deadline=None,
-    derandomize=True,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
-@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=12))
-def test_cache_round_trip_property(tmp_path, monkeypatch, values):
-    """Every finite float list comes back bit for bit, and every strict
-    prefix of the stored file is a miss."""
-    monkeypatch.setenv("SMOOTHSUM_CACHE_DIR", str(tmp_path))
-    cache.store_floats("prop.txt", "key", values)
-    got = cache.load_floats("prop.txt", "key")
-    assert np.array(got, dtype=float).tobytes() == np.array(values, dtype=float).tobytes()
-    path = tmp_path / "prop.txt"
-    whole = path.read_bytes()
-    for n in range(len(whole)):
-        path.write_bytes(whole[:n])
-        assert cache.load_floats("prop.txt", "key") is None
-
-
-def test_rho_hat_pow_unwrap_error():
+def test_rho_hat_pow_unwrap_error(monkeypatch):
+    monkeypatch.setattr(branching, "MAX_REFINE", 0)
     with pytest.raises(UnwrapError):
-        rho_hat_path(np.linspace(-10, 10, 9), max_refine=0)
+        rho_hat_path(np.linspace(-10, 10, 9))
 
 
 def test_brute_count_cap():
@@ -112,6 +43,9 @@ def test_brute_count_cap():
         brute_S(SumParams(1, 3, 30), f1, math.inf, count_cap=3**9)
     full = brute_S(SumParams(1, 3, 30), f1, math.inf, count_cap=3**10)
     assert full.terms_used == 3**10
+    # a negative cap is an input error, not a cap the sum exceeds
+    with pytest.raises(ValueError):
+        brute_S(SumParams(1, 2, 30), f, count_cap=-5)
 
 
 def test_every_csv_column_documented_in_help():

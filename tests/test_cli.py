@@ -115,6 +115,15 @@ def test_exit_code_config_error(tmp_path):
     assert run(["tenenbaum", "--N", "100", "--out", str(tmp_path)]) == 2
     assert run(["cfactor", "--alpha", "1,0", "--k", "2", "--N", "10",
                 "--f", "gaussian:1,0.4", "--out", str(tmp_path)]) == 2
+    # NaN and negative inputs are refused up front
+    brute = ["brute", "--alpha", "1,0", "--k", "2", "--N", "30", "--out", str(tmp_path)]
+    assert run(brute + ["--f", "gaussian:1,0.4", "--u-cutoff", "nan"]) == 2
+    assert run(brute + ["--f", "gaussian:1,0.4", "--u-cutoff", "-1"]) == 2
+    assert run(brute + ["--f", "gaussian:1,0.4", "--count-cap", "-5"]) == 2
+    assert run(brute + ["--f", "gaussian:1,nan"]) == 2
+    assert run(brute + ["--f", "gaussian:nan,0.4"]) == 2
+    assert run(["products-table", "--alpha", "1,0", "--k", "2", "--N", "30",
+                "--tau=-inf,0,3", "--out", str(tmp_path)]) == 2
     assert list(tmp_path.iterdir()) == []  # nothing written
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import smoothsum.oracle as oracle
 from smoothsum import (
     SumParams,
     brute_S,
@@ -67,6 +68,13 @@ def test_monotone_refinement(f_gauss):
     assert r2.tail_certificate < r1.tail_certificate
 
 
+def test_u_cutoff_validation(f_gauss):
+    # a NaN cutoff would keep no term but n = 1 and certify a NaN tail
+    for cutoff in (math.nan, -1.0):
+        with pytest.raises(ValueError):
+            brute_S(SumParams(1, 2, 30), f_gauss, cutoff)
+
+
 def test_default_cutoff_below_quad_noise(f_gauss):
     r = brute_S(SumParams(1, 2, 30), f_gauss)
     assert r.u_cutoff == pytest.approx(1 + 0.4 * math.sqrt(60.0))
@@ -91,9 +99,10 @@ def test_rankin_tail_never_exceeds_trivial(f_gauss):
     assert rankin_tail(p, f_gauss.sup_tail, math.inf) == 0.0
 
 
-def test_rankin_delta_zero_reduces_to_trivial(f_gauss):
+def test_rankin_delta_zero_reduces_to_trivial(f_gauss, monkeypatch):
+    monkeypatch.setattr(oracle, "_RANKIN_DELTAS", (0.0,))
     p = SumParams(1, 2, 10)
     cutoff = 3.0
-    only_trivial = rankin_tail(p, f_gauss.sup_tail, cutoff, deltas=[0.0])
+    only_trivial = rankin_tail(p, f_gauss.sup_tail, cutoff)
     trivial = brute_S(p, f_gauss, cutoff).tail_certificate
     assert only_trivial == pytest.approx(trivial, rel=1e-12)
