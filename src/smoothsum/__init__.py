@@ -54,7 +54,7 @@ from .euler_products import (
     lemma1_check,
     zeta_partial,
 )
-from .oracle import BruteResult, brute_S, rankin_tail
+from .oracle import BruteResult, brute_S
 from .params import SumParams
 from .quadrature import QuadResult
 from .zeta_engine import ZetaValue, regular_factor_path, vk_check, zeta

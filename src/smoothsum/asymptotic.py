@@ -12,9 +12,13 @@ and asymptotically C_f(alpha,k;N) (log N)^alpha with
           [ (s-1) zeta(s) ]^alpha  h_{alpha,k}(s) dx,     s = 1 + ix/log N.
 
 The zeta^alpha (ix/log N)^alpha grouping is evaluated as A(x)^alpha with
-A = (s-1) zeta(s): both A and rhohat are nonvanishing on the contour, so
-their logs unwrap continuously from the real-positive anchors A(0) = 1 and
-rhohat(0) = e^gamma, which pins the otherwise ambiguous complex powers.
+A = (s-1) zeta(s): both A and rhohat are nonvanishing on the contour, and
+each complex power is exp(alpha log) with the log continuous from the
+real-positive anchors A(0) = 1 and rhohat(0) = e^gamma.  log rhohat(ix) is
+the closed form gamma - Ein(ix) (dickman.log_rho_hat_ix); log A depends on
+tau = x/log N alone and is one Chebyshev model on |tau| <= 3 per process
+(zeta_engine.log_regular_model), as h is.  The integer-power route through
+rho_hat and zeta cross-checks both.
 (log N)^alpha always means exp(alpha log log N), the real-positive branch.
 """
 
@@ -202,13 +206,6 @@ def _h_contour(alpha: complex, k: int, variant_N: int, h_tol: float):
     )
 
 
-def _branch_grid(half: float) -> np.ndarray:
-    n = max(129, 2 * int(half) + 1)
-    if n % 2 == 0:
-        n += 1
-    return np.linspace(-half, half, n)
-
-
 def main_term(
     params: SumParams,
     f: TestFunction,
@@ -223,15 +220,18 @@ def main_term(
 
     Requires eta > max(1, 1 - Re alpha) and N >= MAIN_TERM_MIN_N.  With
     use_integer_powers=True (integer alpha only) the power factors are
-    evaluated by plain repeated multiplication instead of branched logs --
-    the cross-route oracle for the branch convention.  h_variant="finite" substitutes h_{alpha,k,N}, which
+    evaluated by plain repeated multiplication of rho_hat and zeta values
+    instead of exp(alpha log) -- the cross-route oracle for the branch
+    convention.  h_variant="finite" substitutes h_{alpha,k,N}, which
     the error-decomposition report uses to measure the h_N -> h substitution
     step.  h_tol (default tol/10) sets the h-product cutoff; comparisons that
     share the cached h model may relax it independently of the quadrature
     budget.  tol and h_tol must lie in (0, 1e-3].
 
     quad_error is the 15/7-point Gauss difference of the window integral, an
-    estimate rather than a bound; tail_bound carries the h-model uncertainty.
+    estimate rather than a bound; tail_bound carries the h-model uncertainty
+    and, on the exp(alpha log) route, the uniform error delta of the log A
+    model as expm1(|alpha| delta) times the L1 mass.
     """
     _require_transform(f)
     alpha, k = params.alpha, params.k
@@ -260,6 +260,7 @@ def main_term(
         m = round(alpha.real)
         if abs(alpha - m) > 1e-12:
             raise ValueError("use_integer_powers needs integer alpha")
+        a_err = 0.0  # zeta itself, not the log A model
 
         def powers(xs):
             out = np.empty(len(xs), dtype=np.complex128)
@@ -270,12 +271,10 @@ def main_term(
             return out
 
     else:
-        grid = _branch_grid(half)
-        rho_path = dickman.rho_hat_path(grid)
-        a_path = zeta_engine.regular_factor_path(grid, log_n)
+        a_coeffs, a_err = zeta_engine.log_regular_model()
 
         def powers(xs):
-            logs = rho_path.log_at(xs) + a_path.log_at(xs)
+            logs = dickman.log_rho_hat_ix(xs) + cheb.chebval(xs / half, a_coeffs)
             return np.exp(alpha * logs)
 
     def integrand(xs):
@@ -285,7 +284,7 @@ def main_term(
     res, l1 = integrate_adaptive(integrand, -half, half, 0.5 * tol, min_panels=min_panels)
     # uniform h uncertainty converts to an additive bound via the L1 mass
     h_floor = max(float(np.min(np.abs(cheb.chebval(np.linspace(-1, 1, 65), h_coeffs)))), 1e-9)
-    tail = h_unc * l1 / h_floor
+    tail = h_unc * l1 / h_floor + math.expm1(abs(alpha) * a_err) * l1
     return QuadResult(res.value, res.quad_error, tail, res.node_count)
 
 

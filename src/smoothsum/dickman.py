@@ -9,8 +9,13 @@ default_table builds the table once per process and keeps it in memory.
 
 The Laplace transform on the imaginary axis is evaluated through
 s*rhohat(s) = exp(-J(s)), with J(s) = int_0^inf exp(-s-t)/(s+t) dt; J is
-holomorphic off the cut (-inf, 0].  Fractional powers rhohat(ix)^alpha are
-defined via a continuously unwrapped log anchored at rhohat(0) = e^gamma.
+holomorphic off the cut (-inf, 0].  J is the exponential integral E1, and
+E1(s) = Ein(s) - gamma - log s with Ein entire (Abramowitz-Stegun 5.1.39),
+so log rhohat(s) = gamma - Ein(s) is the continuous log anchored at
+rhohat(0) = e^gamma.  log_rho_hat_ix evaluates it on the imaginary axis in
+closed form, gamma - Cin(x) - i Si(x), and defines the fractional powers
+rhohat(ix)^alpha.  rho_hat (quadrature for J) and rho_hat_path (phase
+unwrapping) are the independent reference route.
 """
 
 import math
@@ -31,6 +36,8 @@ EXP_EULER_GAMMA = math.exp(EULER_GAMMA)
 
 _MAX_CHEB_DEGREE = 96
 _SERIES_RADIUS = 4.0  # |s| below which the -gamma - log s + sum series is used
+_EIN_TERMS = 34  # 4^34 / (34 * 34!) < 1e-18: the series is exact to rounding
+_CF_MAX_ITER = 200  # the E1 continued fraction needs <= 45 steps for |s| >= 4
 
 
 @dataclass(frozen=True)
@@ -203,3 +210,47 @@ def rho_hat_path(path_xs) -> BranchedPath:
         anchor_x=0.0,
         anchor_log=complex(EULER_GAMMA),
     )
+
+
+def log_rho_hat_ix(xs) -> np.ndarray:
+    """log rhohat(ix) = gamma - Ein(ix) = gamma - Cin(x) - i Si(x), vectorised.
+
+    The power series of Ein serves |x| <= 4; beyond it, -E1(ix) - log(ix)
+    with E1 from its continued fraction (modified Lentz, as the acceptance
+    suite's independent oracle).  Ein is entire, so this is the continuous
+    log anchored at rhohat(0) = e^gamma, with no unwrapping.
+    """
+    x = np.asarray(xs, dtype=np.float64)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("log_rho_hat_ix needs finite x")
+    out = np.empty(x.shape, dtype=np.complex128)
+    near = np.abs(x) <= _SERIES_RADIUS
+    z = 1j * x[near]
+    term = np.ones_like(z)
+    ein = np.zeros_like(z)
+    for m in range(1, _EIN_TERMS + 1):  # Ein(z) = sum (-1)^{m+1} z^m / (m m!)
+        term *= -z / m
+        ein -= term / m
+    out[near] = EULER_GAMMA - ein
+    far = ~near
+    if np.any(far):
+        xf = x[far]
+        z = 1j * xf
+        b = z + 1.0
+        c = np.full_like(z, 1e300)
+        d = 1.0 / b
+        h = d.copy()
+        for i in range(1, _CF_MAX_ITER):
+            a = -float(i * i)
+            b = b + 2.0
+            d = 1.0 / (a * d + b)
+            c = b + a / c
+            delta = c * d
+            h *= delta
+            if np.all(np.abs(delta - 1.0) < 1e-15):
+                break
+        else:
+            raise ToleranceUnachievable("E1 continued fraction did not converge")
+        log_ix = np.log(np.abs(xf)) + 1j * np.copysign(0.5 * math.pi, xf)
+        out[far] = -np.exp(-z) * h - log_ix
+    return out

@@ -5,8 +5,6 @@ in numpy blocks of (log n, Omega(n)), and f(log n / log N) alpha^Omega(n) / n
 is accumulated with exactly-rounded summation per block.  brute_S certifies
 the truncation tail with the trivial envelope
 sup_{u > cutoff} |f| * prod_p (1 + |alpha|/p + ... + |alpha|^{k-1}/p^{k-1}).
-rankin_tail is a separate, sharper Rankin-shift bound on the same tail;
-brute_S does not use it.
 
 One sequential loop sums the blocks in the enumeration's fixed order, so
 the result depends only on the arguments.
@@ -19,12 +17,8 @@ import numpy as np
 
 from .arith_core import DEFAULT_COUNT_CAP, enumerate_kfree_smooth, sieve_primes
 from .asymptotic import TestFunction
-from .euler_products import g_abs_bound, g_product
+from .euler_products import g_abs_bound
 from .params import SumParams
-
-# the Rankin shifts tried; delta = 0 is the trivial envelope, so the bound
-# never exceeds it
-_RANKIN_DELTAS = tuple(np.linspace(0.0, 0.45, 10))
 
 
 @dataclass(frozen=True)
@@ -84,20 +78,3 @@ def brute_S(
         cert = f.sup_tail(u_cutoff) * g_abs_bound(params)
     return BruteResult(value, terms, float(u_cutoff), cert)
 
-
-def rankin_tail(params: SumParams, f_envelope, u_cutoff: float) -> float:
-    """Rankin-shift bound on the neglected tail: for any delta in (0, 1/2),
-
-        sum_{n > X} |alpha|^Omega(n)/n <= X^{-delta} g_{|alpha|,k,N}(1-delta),
-
-    with X = N^{u_cutoff}; minimized over the delta grid _RANKIN_DELTAS.
-    """
-    if math.isinf(u_cutoff):
-        return 0.0
-    abs_params = params.abs_alpha()
-    log_x = u_cutoff * params.log_n
-    best = math.inf
-    for d in _RANKIN_DELTAS:
-        g = g_product(abs_params, 1.0 - float(d)).value.real
-        best = min(best, math.exp(-float(d) * log_x) * g)
-    return f_envelope(u_cutoff) * best

@@ -11,6 +11,11 @@ regular factor switches to the Stieltjes expansion
 whose constants are self-computed from Euler-Maclaurin values by a Cauchy
 circle integral rather than copied from tables, once per process and kept
 in memory.
+
+On the main-term contour s = 1 + i tau, |tau| <= 3, the regular factor
+A = (s-1) zeta(s) depends on tau alone, so log A is one Chebyshev model per
+process (log_regular_model), built from one batch of zeta values.
+regular_factor_path, the per-N unwrapped path, is its reference route.
 """
 
 import math
@@ -20,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .branching import BranchedPath, build_branched_path
-from .errors import PrecisionLoss
+from .errors import PrecisionLoss, ToleranceUnachievable, UnwrapError
 
 # B_{2j} for j = 1..7; B14 only feeds the error estimate
 _BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)
@@ -31,6 +36,10 @@ MAX_IM = 1.0e7
 FORD_VK_CONSTANT = 76.2
 
 _CHUNK = 1_000_000
+
+_LOG_A_DEGREE = 64  # Chebyshev degree of the log A model on |tau| <= 3
+_ZETA_ERR_MAX = 1e-13  # largest zeta err_estimate a model sample may carry
+_MODEL_TAIL_MAX = 1e-13  # largest trailing Chebyshev coefficient of the model
 
 
 @dataclass(frozen=True)
@@ -144,6 +153,53 @@ def regular_factor_path(path_xs, log_n: float) -> BranchedPath:
         anchor_x=0.0,
         anchor_log=0.0 + 0.0j,
     )
+
+
+@lru_cache(maxsize=1)
+def log_regular_model() -> tuple[np.ndarray, float]:
+    """Chebyshev model of t -> log A(1 + 3it) on [-1, 1], A = (s-1) zeta(s).
+
+    Query at t = tau / 3 = x / (3 log N).  The principal log is the
+    continuous one: every sample has |arg A| < pi/2 (the maximum on the
+    segment is 1.40), checked here.  Returns (coeffs, uniform_abs_error),
+    the error being the coefficient tail plus the zeta error estimates
+    carried to log A and amplified by the Lebesgue constant.  Raises
+    PrecisionLoss when a sample's zeta error estimate exceeds _ZETA_ERR_MAX
+    and ToleranceUnachievable when the coefficient tail exceeds
+    _MODEL_TAIL_MAX.
+    """
+    # first-kind nodes t_j = cos theta_j, with cos(k theta_j) from angles
+    # reduced mod 2 pi in integers: numpy's chebinterpolate builds T_k(t_j)
+    # by recurrence, which left 8e-14 of noise at the ends of the model
+    n = _LOG_A_DEGREE + 1
+    j = np.arange(n)
+    cos_kj = np.cos(np.pi * (np.outer(j, 2 * j + 1) % (4 * n)) / (2 * n))
+    ts = cos_kj[1]
+    a_vals = np.empty(n, dtype=np.complex128)
+    log_err = 0.0
+    for i, t in enumerate(ts):
+        zv = zeta(1.0 + 3j * float(t))
+        if not zv.err_estimate <= _ZETA_ERR_MAX:
+            raise PrecisionLoss(
+                f"zeta error estimate {zv.err_estimate:.1e} at s = {zv.s} exceeds "
+                f"{_ZETA_ERR_MAX:.0e}"
+            )
+        a_vals[i] = zv.regular
+        log_err = max(log_err, zv.err_estimate * max(1.0, abs(3.0 * t)) / abs(zv.regular))
+    logs = np.log(a_vals)
+    if np.max(np.abs(logs.imag)) >= 0.5 * math.pi:
+        raise UnwrapError("|arg A| reaches pi/2 on |tau| <= 3")
+    coeffs = (2.0 / n) * (cos_kj @ logs)
+    coeffs[0] *= 0.5
+    tail = float(np.max(np.abs(coeffs[-4:])))
+    if tail > _MODEL_TAIL_MAX:
+        raise ToleranceUnachievable(
+            f"log A model tail {tail:.1e} exceeds {_MODEL_TAIL_MAX:.0e} at degree "
+            f"{_LOG_A_DEGREE}"
+        )
+    lebesgue = 2.0 / math.pi * math.log(n) + 1.0
+    coeffs.setflags(write=False)
+    return coeffs, float(np.sum(np.abs(coeffs[-4:]))) + lebesgue * log_err
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
+from numpy.polynomial import chebyshev as cheb
 
 from smoothsum import (
     EtaTooSmall,
@@ -16,13 +17,15 @@ from smoothsum import (
     make_test_constant,
     rho_hat,
     sieve_primes,
+    regular_factor_path,
     rho_hat_path,
     tenenbaum_check,
     theorem2_report,
     zeta,
     zeta_partial,
 )
-from smoothsum.asymptotic import log_n_power
+from smoothsum.asymptotic import _h_contour, log_n_power
+from smoothsum.quadrature import integrate_adaptive
 
 
 @pytest.fixture(scope="module")
@@ -126,6 +129,27 @@ def test_main_term_integer_power_route(f):
     assert abs(a.value - b.value) <= 1e-9
     with pytest.raises(ValueError):
         main_term(SumParams(0.5, 2, 100), f, 1e-6, use_integer_powers=True)
+
+
+def test_main_term_non_integer_alpha_matches_path_route(f):
+    # the closed-form log rhohat and the log A model against the same integral
+    # built on the phase-unwrapped reference paths, on the same quadrature
+    alpha, k, tol, h_tol = 0.5 + 0.5j, 3, 1e-8, 1e-5
+    h_coeffs, _ = _h_contour(alpha, k, 0, h_tol)
+    for N in (10**2, 10**4):
+        got = main_term(SumParams(alpha, k, N), f, tol, h_tol=h_tol)
+        half = 3.0 * math.log(N)
+        grid = np.linspace(-half, half, 2 * int(half) + 129)
+        rho_path = rho_hat_path(grid)
+        a_path = regular_factor_path(grid, math.log(N))
+
+        def integrand(xs):
+            logs = rho_path.log_at(xs) + a_path.log_at(xs)
+            return f.eval_fhat(xs) * np.exp(alpha * logs) * cheb.chebval(xs / half, h_coeffs)
+
+        ref, _ = integrate_adaptive(integrand, -half, half, 0.5 * tol)
+        assert got.node_count == ref.node_count
+        assert abs(got.value - ref.value) <= 1e-12 * abs(ref.value)
 
 
 def test_log_n_power_modulus_identity():

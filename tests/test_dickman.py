@@ -14,7 +14,7 @@ from smoothsum import (
     rho_hat,
     rho_hat_path,
 )
-from smoothsum.dickman import default_table
+from smoothsum.dickman import default_table, log_rho_hat_ix
 
 # independent marching-Simpson solve of u rho'(u) + rho(u-1) = 0 (h = 1/4096)
 RHO_3_ORACLE = 0.04860838829113197
@@ -128,6 +128,23 @@ def test_rho_hat_vs_direct_laplace(table):
 def test_rho_hat_conjugate_symmetry():
     for x in (0.7, 3.3, 17.0):
         assert rho_hat(-x).value == pytest.approx(rho_hat(x).value.conjugate(), rel=1e-14)
+
+
+def test_log_rho_hat_ix_matches_quadrature_and_sici():
+    # the closed form gamma - Cin(x) - i Si(x) against the expint_J route and
+    # scipy's sici, across the series/continued-fraction switch at |x| = 4
+    xs = np.concatenate((np.linspace(-60.0, 60.0, 197), [0.0, 4.0, -4.0, 4.0 + 1e-12]))
+    got = log_rho_hat_ix(xs)
+    via_j = np.array([rho_hat(float(x)).log_value for x in xs])
+    assert np.max(np.abs(got - via_j)) <= 5e-15
+    si, ci = scipy.special.sici(xs)
+    ax = np.abs(xs)
+    cin = np.where(ax > 0, EULER_GAMMA + np.log(np.where(ax > 0, ax, 1.0)) - ci, 0.0)
+    assert np.max(np.abs(got - (EULER_GAMMA - cin - 1j * si))) <= 5e-15
+    assert log_rho_hat_ix(np.array([0.0]))[0] == EULER_GAMMA
+    assert log_rho_hat_ix(np.linspace(-2, 2, 6).reshape(2, 3)).shape == (2, 3)
+    with pytest.raises(ValueError):
+        log_rho_hat_ix([1.0, math.nan])
 
 
 def envelope_constants(scan_max: float = 10.0, n: int = 2001) -> tuple[float, float]:

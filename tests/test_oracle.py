@@ -3,14 +3,12 @@ import math
 import numpy as np
 import pytest
 
-import smoothsum.oracle as oracle
 from smoothsum import (
     SumParams,
     brute_S,
     g_product,
     make_gaussian,
     make_test_constant,
-    rankin_tail,
 )
 
 
@@ -88,21 +86,3 @@ def test_thread_counts_bitwise_identical(f_gauss):
     with pytest.raises(ValueError):
         brute_S(p, f_gauss, threads=2)
 
-
-def test_rankin_tail_never_exceeds_trivial(f_gauss):
-    p = SumParams(1, 2, 10)
-    cutoff = 3.0
-    trivial = brute_S(p, f_gauss, cutoff).tail_certificate
-    sharp = rankin_tail(p, f_gauss.sup_tail, cutoff)
-    assert sharp <= trivial
-    assert sharp < trivial  # strictly smaller on this instance
-    assert rankin_tail(p, f_gauss.sup_tail, math.inf) == 0.0
-
-
-def test_rankin_delta_zero_reduces_to_trivial(f_gauss, monkeypatch):
-    monkeypatch.setattr(oracle, "_RANKIN_DELTAS", (0.0,))
-    p = SumParams(1, 2, 10)
-    cutoff = 3.0
-    only_trivial = rankin_tail(p, f_gauss.sup_tail, cutoff)
-    trivial = brute_S(p, f_gauss, cutoff).tail_certificate
-    assert only_trivial == pytest.approx(trivial, rel=1e-12)

@@ -4,12 +4,21 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from numpy.polynomial import chebyshev as cheb
 
-from smoothsum import PrecisionLoss, regular_factor_path, vk_check, zeta
+import smoothsum.zeta_engine as zeta_engine
+from smoothsum import (
+    PrecisionLoss,
+    ToleranceUnachievable,
+    regular_factor_path,
+    vk_check,
+    zeta,
+)
 from smoothsum.zeta_engine import (
     LAURENT_RADIUS,
     _euler_maclaurin,
     _regular_laurent,
+    log_regular_model,
     stieltjes_constants,
 )
 
@@ -120,3 +129,34 @@ def test_regular_factor_path_anchor_and_crosscheck():
 def test_regular_factor_path_validation():
     with pytest.raises(ValueError):
         regular_factor_path([-1.0, 0.0, 1.0], 0.0)
+
+
+def test_log_regular_model_matches_path_and_mpmath():
+    coeffs, err = log_regular_model()
+    assert 0 < err <= 1e-13
+    taus = np.linspace(-3.0, 3.0, 200)
+    model = cheb.chebval(taus / 3.0, coeffs)
+    for n in (10**2, 10**5):
+        log_n = math.log(n)
+        xs = np.linspace(-3 * log_n, 3 * log_n, 2 * int(3 * log_n) + 129)
+        path = regular_factor_path(xs, log_n)
+        assert np.max(np.abs(model - path.log_at(taus * log_n))) <= 1e-12
+    for tau, m in zip(taus, model):
+        s = mpmath.mpc(1, tau)
+        ref = complex(mpmath.log((s - 1) * mpmath.zeta(s)))
+        assert abs(m - ref) <= 1e-12
+
+
+def test_log_regular_model_guards(monkeypatch):
+    log_regular_model.cache_clear()
+    try:
+        monkeypatch.setattr(zeta_engine, "_ZETA_ERR_MAX", 1e-20)
+        with pytest.raises(PrecisionLoss):
+            log_regular_model()
+        monkeypatch.undo()
+        monkeypatch.setattr(zeta_engine, "_MODEL_TAIL_MAX", 1e-20)
+        with pytest.raises(ToleranceUnachievable):
+            log_regular_model()
+    finally:
+        monkeypatch.undo()
+        log_regular_model.cache_clear()
