@@ -32,12 +32,14 @@ from numpy.polynomial import chebyshev as cheb
 from . import dickman, zeta_engine
 from .errors import EtaTooSmall, ToleranceUnachievable
 from .euler_products import (
+    _SERIES_FLOOR,
     g_abs_bound,
     g_values,
-    h_cutoff,
     h_log_values,
+    h_tail_log_values,
     zeta_partial_values,
 )
+from .euler_products import h_cutoff  # noqa: F401 -- perfbench/layers.py patches this binding
 from .params import SumParams
 from .quadrature import QuadResult, integrate_adaptive
 from .arith_core import sieve_primes
@@ -172,23 +174,26 @@ def _h_contour(alpha: complex, k: int, variant_N: int, h_tol: float):
 
     The main-term contour is s = 1 + ix/log N with |x| <= 3 log N, i.e.
     always the segment |tau| <= 3 of the 1-line, so one interpolant serves
-    every N.  variant_N = 0 selects the infinite product (cutoff from its
-    certified tail bound); variant_N = N > 0 selects h_{alpha,k,N}.
+    every N.  variant_N = 0 selects the infinite product: exact piece logs
+    for p <= 1024 and the prime-zeta tail above (h_tail_log_values), so no
+    prime past 1024 is sieved; ToleranceUnachievable is raised when the
+    tail's certified bound exceeds h_tol.  variant_N = N > 0 selects
+    h_{alpha,k,N}, a walk over every p <= N.
     Returns (coeffs, uniform_abs_error); query at t = x / (3 log N).
     """
-    if variant_N > 0:
-        primes = sieve_primes(variant_N)
-        log_tail = 0.0
-    else:
-        P, log_tail = h_cutoff(alpha, k, 1.0, h_tol)
-        primes = sieve_primes(P)
-    trunc = [0.0]
+    primes = sieve_primes(variant_N if variant_N > 0 else _SERIES_FLOOR)
+    log_err = [0.0]
 
     def sample(ts):
         s_nodes = 1.0 + 3.0j * np.asarray(ts, dtype=np.float64)
         # removable hits (alpha p^{-s} = 1 at a sample node) take their limit
-        logs, tb = h_log_values(alpha, k, s_nodes, primes, regularize=True)
-        trunc[0] = max(trunc[0], tb)
+        logs, err = h_log_values(alpha, k, s_nodes, primes, regularize=True)
+        if variant_N == 0:
+            tail, err = h_tail_log_values(alpha, k, s_nodes)
+            if err > h_tol:
+                raise ToleranceUnachievable(f"h tail bound {err:.2e} > h_tol {h_tol:.2e}")
+            logs = logs + tail
+        log_err[0] = max(log_err[0], err)
         return np.exp(logs)
 
     deg = 64
@@ -197,8 +202,9 @@ def _h_contour(alpha: complex, k: int, variant_N: int, h_tol: float):
         tail = float(np.max(np.abs(coeffs[-4:])))
         scale = float(np.max(np.abs(cheb.chebval(np.linspace(-1, 1, 65), coeffs))))
         if tail <= max(0.5 * h_tol, 1e-13) * max(scale, 1e-6):
-            unc = tail + scale * (math.expm1(log_tail) + math.expm1(trunc[0]))
-            return coeffs, unc
+            # sample errors reach the interpolant through its Lebesgue constant
+            lebesgue = 2.0 / math.pi * math.log(deg + 1) + 1.0
+            return coeffs, tail + scale * lebesgue * math.expm1(log_err[0])
         deg *= 2
     raise ToleranceUnachievable(
         f"h contour interpolation did not reach tol {h_tol:.1e} at degree "
@@ -224,9 +230,9 @@ def main_term(
     instead of exp(alpha log) -- the cross-route oracle for the branch
     convention.  h_variant="finite" substitutes h_{alpha,k,N}, which
     the error-decomposition report uses to measure the h_N -> h substitution
-    step.  h_tol (default tol/10) sets the h-product cutoff; comparisons that
-    share the cached h model may relax it independently of the quadrature
-    budget.  tol and h_tol must lie in (0, 1e-3].
+    step.  h_tol (default tol/10) bounds the h tail and the h model's
+    interpolation; comparisons that share the cached h model may relax it
+    independently of the quadrature budget.  tol and h_tol must lie in (0, 1e-3].
 
     quad_error is the 15/7-point Gauss difference of the window integral, an
     estimate rather than a bound; tail_bound carries the h-model uncertainty

@@ -19,6 +19,13 @@ fixed chunking of the primes, for a whole vector of nodes at once, so every
 product depends only on its arguments, bit for bit.  The point evaluations
 (`zeta_partial`, `g_product`, `h_finite`, `h_infinite`) are length-1 calls
 of it.
+
+The infinite product h_{alpha,k} walks no prime past 1024.  Above it,
+`h_tail_log_values` expands each factor log as sum_m e_m p^(-m s) and sums
+over primes through the prime zeta function, P_{>Q}(w) = sum_j mu(j)/j
+log zeta_{>Q}(j w), with zeta from `zeta_engine`, so seven zeta values per
+node replace the walk.  The finite products and `lemma1_check` still walk
+their primes; `h_cutoff` sizes the latter's walk.
 """
 
 import math
@@ -27,6 +34,7 @@ from functools import partial
 
 import numpy as np
 
+from . import zeta_engine
 from .arith_core import PrimeSet, sieve_primes
 from .errors import DomainError, SingularFactor, ToleranceUnachievable
 from .params import SumParams
@@ -261,26 +269,101 @@ def h_cutoff(
         P = min(2 * P, prime_cap)
 
 
-def h_infinite(
-    alpha: complex,
-    k: int,
-    s: complex,
-    tol: float,
-    prime_cap: int = DEFAULT_PRIME_CAP,
-) -> ProductValue:
-    """h_{alpha,k}(s) = prod over all p, truncated at a cutoff with certified
-    |log tail| <= tol.  Needs Re(s) >= 1 (the 1-line is the use case).
+_MOBIUS = (0, 1, -1, -1, 0)  # mu(j) for j <= _SERIES_TERMS // 2
+_EPS = float(np.finfo(np.float64).eps)
+_ZETA_2 = math.pi**2 / 6.0
+_LOG_ZETA_2 = math.log(_ZETA_2)
 
-    tail_bound covers both the primes beyond the cutoff and the series
-    truncation of the factors above 1024."""
+
+def _log_zeta_above(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log zeta_{>Q}(u) = log zeta(u) + sum_{p<=Q} Log(1-p^(-u)), Q =
+    _SERIES_FLOOR, at every entry of the 1-d array u (Re u >= 2), with a
+    bound on the error of each entry.
+
+    zeta comes from one array call of the Euler-Maclaurin engine.  Re u >= 2
+    keeps |log zeta(u)| <= log zeta(2) < pi, so the principal log is the
+    prime sum, and |zeta(u)| >= zeta(4)/zeta(2)."""
+    primes = sieve_primes(_SERIES_FLOOR)
+    m_terms = max(20, math.ceil(2.0 * float(np.max(np.abs(u.imag)))))
+    zeta_u, em_tail = zeta_engine._euler_maclaurin(u, m_terms)
+    head = _chunked_piece_sum(_zeta_piece_logs, primes, u)  # log zeta_Q(u)
+    # rounding, doubled for safety: a term n^(-u) or Log(1-p^(-u)) carries a
+    # relative error below (2|u| log n + 3) eps; over either sum,
+    # sum |term| <= zeta(2) and sum |term| log n <= -zeta'(2) < 0.94; a naive
+    # sum of n terms adds n eps times its absolute sum, which is below zeta(2)
+    # for the zeta series and log zeta(2) for the primes
+    rounding = 2.0 * _EPS * (
+        2.0 * (1.88 * np.abs(u) + 3.0 * _ZETA_2)
+        + m_terms * _ZETA_2
+        + len(primes) * _LOG_ZETA_2
+    )
+    zeta_err = em_tail + rounding
+    return np.log(zeta_u) - head, zeta_err / (np.abs(zeta_u) - zeta_err) + rounding
+
+
+def h_tail_log_values(alpha: complex, k: int, s_nodes) -> tuple[np.ndarray, float]:
+    """sum_{p > Q} log h_p at every node, Q = _SERIES_FLOOR, through the
+    prime zeta function, and a certified bound on its error.
+
+    With e_m the factor-log coefficients (_h_series_coeff), the tail is
+    sum_{m>=2} e_m P_{>Q}(m s), and the prime zeta function is
+    P_{>Q}(w) = sum_j mu(j)/j log zeta_{>Q}(j w).  The pairs m j <= 8 are
+    kept, so the tail needs log zeta_{>Q}(n s) for n = 2..8 only (Ettahri,
+    Ramare and Surel, Math. Comp. 2021; H. Cohen, 1998).  The bound covers
+    the terms m > 8 (h_series_trunc_log_bound), the Moebius terms j > 8/m,
+    zeta's error estimates and the rounding of the p <= Q subtraction, each
+    weighted by sum |e_m|/j.  Needs Re(s) >= 1; raises ToleranceUnachievable
+    where max(1,|alpha|)/Q^Re(s) > 1/2, since the series does not certify
+    there.
+    """
+    alpha = complex(alpha)
+    s_nodes = np.atleast_1d(np.asarray(s_nodes, dtype=np.complex128))
+    sigma = float(np.min(s_nodes.real))
+    if sigma < 1.0:
+        raise DomainError("the prime-zeta h tail needs Re(s) >= 1")
+    Q = _SERIES_FLOOR
+    bound = h_series_trunc_log_bound(alpha, k, sigma, Q)
+    if math.isinf(bound):
+        raise ToleranceUnachievable(
+            f"|alpha| = {abs(alpha):.3g} is too large for the h series above p = {Q}"
+        )
+    n_max = _SERIES_TERMS
+    weights = np.zeros(n_max + 1, dtype=np.complex128)  # of log zeta_{>Q}(n s)
+    abs_weights = np.zeros(n_max + 1)
+    for m in range(2, n_max + 1):
+        e = _h_series_coeff(alpha, k, m)
+        last = n_max // m
+        for j in range(1, last + 1):
+            if _MOBIUS[j]:
+                weights[m * j] += e * _MOBIUS[j] / j
+                abs_weights[m * j] += abs(e) / j
+        # dropped j > last: |sum| <= sum_{p>Q} sum_{n>last} p^(-n m sigma)
+        bound += abs(e) * _prime_sum_bound((last + 1) * m * sigma, Q) / (1.0 - Q ** (-m * sigma))
+    ns = np.arange(2, n_max + 1)
+    logs, errs = _log_zeta_above(np.outer(ns, s_nodes).ravel())
+    logs = logs.reshape(len(ns), -1)
+    errs = errs.reshape(len(ns), -1)
+    bound += float(np.max(abs_weights[2:] @ errs))
+    return weights[2:] @ logs, bound
+
+
+def h_infinite(alpha: complex, k: int, s: complex, tol: float) -> ProductValue:
+    """h_{alpha,k}(s) = prod over all p: exact piece logs for p <= 1024 and
+    the prime-zeta tail above (h_tail_log_values), so no prime past 1024 is
+    sieved.  Needs Re(s) >= 1 (the 1-line is the use case).
+
+    tail_bound carries the tail's certified bound; ToleranceUnachievable is
+    raised when that bound exceeds tol."""
     s = complex(s)
     if s.real < 1.0:
         raise DomainError("h_infinite is certified for Re(s) >= 1 only")
     if k < 2:
         raise ValueError("k must be >= 2")
-    P, log_tail = h_cutoff(complex(alpha), k, s.real, tol, prime_cap)
-    logs, trunc = h_log_values(alpha, k, s, sieve_primes(P))
-    return _point(logs, log_tail + trunc)
+    head, _ = h_log_values(alpha, k, s, sieve_primes(_SERIES_FLOOR))
+    tail, bound = h_tail_log_values(alpha, k, s)
+    if bound > tol:
+        raise ToleranceUnachievable(f"h tail bound {bound:.2e} > tol {tol:.2e}")
+    return _point(head + tail, bound)
 
 
 @dataclass(frozen=True)

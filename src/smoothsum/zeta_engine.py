@@ -3,14 +3,18 @@ factor (s-1)*zeta(s), and the Vinogradov-Korobov bound check.
 
 Euler-Maclaurin with Bernoulli corrections through B12 and cutoff
 M = max(20, 2|Im s|) keeps the first omitted term below 1e-12 * |zeta(s)|
-for |Im s| <= 1e6 (the estimate is returned, not assumed).  Near s = 1 the
-regular factor switches to the Stieltjes expansion
+for |Im s| <= 1e6 (the estimate is returned, not assumed).  One
+vectorised Euler-Maclaurin serves every caller: a scalar zeta, the
+Stieltjes ring, and the batches of zeta(n s) behind the prime-zeta h tail
+(euler_products.h_tail_log_values).  Near s = 1 the regular factor
+switches to the Stieltjes expansion
 
     (s-1) zeta(s) = 1 + sum_{n>=0} (-1)^n gamma_n (s-1)^{n+1} / n!
 
-whose constants are self-computed from Euler-Maclaurin values by a Cauchy
-circle integral rather than copied from tables, once per process and kept
-in memory.
+cut after gamma_5, whose constants are self-computed from Euler-Maclaurin
+values by a Cauchy circle integral rather than copied from tables, once per
+process and kept in memory.  Its error estimate is the first omitted term,
+|gamma_6| / 6! |s-1|^7, with gamma_6 from the same integral.
 
 On the main-term contour s = 1 + i tau, |tau| <= 3, the regular factor
 A = (s-1) zeta(s) depends on tau alone, so log A is one Chebyshev model per
@@ -32,6 +36,7 @@ _BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)
 _N_CORRECTIONS = 6
 
 LAURENT_RADIUS = 0.05
+_LAURENT_TERMS = 6  # Stieltjes constants in the expansion near s = 1
 MAX_IM = 1.0e7
 FORD_VK_CONSTANT = 76.2
 
@@ -57,14 +62,18 @@ class ZetaValue:
     err_estimate: float
 
 
-def _euler_maclaurin(s: complex, m_terms: int) -> tuple[complex, float]:
+def _euler_maclaurin(s, m_terms: int) -> tuple[np.ndarray, np.ndarray]:
+    """zeta at every entry of the 1-d array s (Re s > 0, s != 1), all at one
+    cutoff M = m_terms, with the first omitted Bernoulli term of each entry
+    as its error estimate."""
+    s = np.atleast_1d(np.asarray(s, dtype=np.complex128))
     M = m_terms
-    total = 0.0 + 0.0j
-    for lo in range(1, M, _CHUNK):
-        n = np.arange(lo, min(lo + _CHUNK, M), dtype=np.float64)
-        total += complex(np.sum(np.exp(-s * np.log(n))))
-    mf = float(M)
-    lm = math.log(mf)
+    total = np.zeros(len(s), dtype=np.complex128)
+    chunk = max(1, _CHUNK // len(s))
+    for lo in range(1, M, chunk):
+        log_n = np.log(np.arange(lo, min(lo + chunk, M), dtype=np.float64))
+        total += np.exp(-np.outer(s, log_n)).sum(axis=1)
+    lm = math.log(M)
     total += np.exp((1.0 - s) * lm) / (s - 1.0) + 0.5 * np.exp(-s * lm)
     # Bernoulli corrections: B_{2j}/(2j)! * s(s+1)...(s+2j-2) * M^{-s-2j+1}
     rising = s
@@ -72,15 +81,15 @@ def _euler_maclaurin(s: complex, m_terms: int) -> tuple[complex, float]:
     for j in range(1, _N_CORRECTIONS + 1):
         fact *= (2 * j - 1) * (2 * j)
         total += _BERNOULLI[j - 1] / fact * rising * np.exp((-s - 2 * j + 1) * lm)
-        rising *= (s + 2 * j - 1) * (s + 2 * j)
+        rising = rising * (s + 2 * j - 1) * (s + 2 * j)
     fact *= (2 * _N_CORRECTIONS + 1) * (2 * _N_CORRECTIONS + 2)
-    tail = abs(_BERNOULLI[_N_CORRECTIONS] / fact * rising) * math.exp(
+    tail = np.abs(_BERNOULLI[_N_CORRECTIONS] / fact * rising) * np.exp(
         (-s.real - 2 * _N_CORRECTIONS - 1) * lm
     )
-    return complex(total), tail
+    return total, tail
 
 
-def _stieltjes_from_em(n_max: int = 6, radius: float = 0.5, k: int = 256):
+def _stieltjes_from_em(n_max: int, radius: float = 0.5, k: int = 256):
     """gamma_0..gamma_{n_max-1} via a Cauchy integral of (s-1)zeta(s) at s=1.
 
     Trapezoid on |s-1| = radius converges geometrically for this entire
@@ -89,11 +98,7 @@ def _stieltjes_from_em(n_max: int = 6, radius: float = 0.5, k: int = 256):
     """
     theta = 2.0 * np.pi * np.arange(k) / k
     ring = radius * np.exp(1j * theta)
-    w = np.empty(k, dtype=np.complex128)
-    for i, ds in enumerate(ring):
-        s = 1.0 + ds
-        z, _ = _euler_maclaurin(s, 64)
-        w[i] = ds * z
+    w = ring * _euler_maclaurin(1.0 + ring, 64)[0]
     gammas = []
     for n in range(n_max):
         m = n + 1  # Taylor coefficient index of (s-1)zeta(s)
@@ -103,21 +108,33 @@ def _stieltjes_from_em(n_max: int = 6, radius: float = 0.5, k: int = 256):
 
 
 @lru_cache(maxsize=1)
-def stieltjes_constants(n_max: int = 6) -> tuple[float, ...]:
-    return tuple(_stieltjes_from_em(n_max))
+def _laurent_constants() -> tuple[float, ...]:
+    # gamma_0..gamma_6: the expansion's terms and the first omitted one
+    return tuple(_stieltjes_from_em(_LAURENT_TERMS + 1))
 
 
-def _regular_laurent(s: complex) -> complex:
+def stieltjes_constants(n_max: int = _LAURENT_TERMS) -> tuple[float, ...]:
+    """gamma_0..gamma_{n_max-1}, n_max <= 7, computed once per process."""
+    if not 0 < n_max <= _LAURENT_TERMS + 1:
+        raise ValueError(f"n_max must lie in [1, {_LAURENT_TERMS + 1}]")
+    return _laurent_constants()[:n_max]
+
+
+def _regular_laurent(s: complex) -> tuple[complex, float]:
+    """(s-1) zeta(s) from gamma_0..gamma_5, and the first omitted term
+    |gamma_6| / 6! |s-1|^7 as its error estimate."""
+    gammas = _laurent_constants()
     ds = s - 1.0
     total = 1.0 + 0.0j
     fact = 1.0
     power = ds  # ds^{n+1} at step n
-    for n, g in enumerate(stieltjes_constants()):
+    for n, g in enumerate(gammas[:_LAURENT_TERMS]):
         if n > 0:
             fact *= n
         total += (-1) ** n * g * power / fact
         power *= ds
-    return complex(total)
+    fact *= _LAURENT_TERMS
+    return complex(total), abs(gammas[_LAURENT_TERMS]) / fact * abs(power)
 
 
 def zeta(s: complex) -> ZetaValue:
@@ -128,11 +145,12 @@ def zeta(s: complex) -> ZetaValue:
     if abs(s.imag) > MAX_IM:
         raise PrecisionLoss(f"|Im s| > {MAX_IM:g} exceeds the certified range")
     if abs(s - 1.0) < LAURENT_RADIUS:
-        reg = _regular_laurent(s)
+        reg, err = _regular_laurent(s)
         z = reg / (s - 1.0) if s != 1.0 else complex(float("nan"), float("nan"))
-        return ZetaValue(s, z, reg, "laurent", 1e-15)
+        return ZetaValue(s, z, reg, "laurent", err)
     z, tail = _euler_maclaurin(s, max(20, int(math.ceil(2 * abs(s.imag)))))
-    return ZetaValue(s, z, (s - 1.0) * z, "euler_maclaurin", tail)
+    z = complex(z[0])
+    return ZetaValue(s, z, (s - 1.0) * z, "euler_maclaurin", float(tail[0]))
 
 
 def _log_regular_vec(xs: np.ndarray, log_n: float) -> np.ndarray:

@@ -72,15 +72,11 @@ def _stripped_tables(out_dir: Path) -> dict:
 
 
 def test_criterion_10_determinism(tmp_path):
-    """verify-all twice: byte-identical tables.
-
-    Runs at the quick level: the code paths are identical to desk scale and
-    two full desk passes would double the suite for no extra coverage.
-    """
+    """verify-all twice at desk level: byte-identical tables."""
     outs = []
     for name in ("a", "b"):
         out = tmp_path / name
-        rc = run(["verify-all", "--level", "quick", "--out", str(out)])
+        rc = run(["verify-all", "--level", "desk", "--out", str(out)])
         assert rc == 0, f"verify-all failed (run {name})"
         outs.append(_stripped_tables(out))
     assert outs[0] == outs[1], "repeat run differs"

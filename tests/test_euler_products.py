@@ -19,13 +19,14 @@ from smoothsum import (
     zeta_partial,
     zeta,
 )
+from smoothsum import euler_products
 from smoothsum.dickman import EXP_EULER_GAMMA
 from smoothsum.euler_products import (
     g_abs_bound,
     g_values,
-    h_cutoff,
     h_log_values,
-    h_series_trunc_log_bound,
+    h_tail_log_bound,
+    h_tail_log_values,
 )
 
 mpmath.mp.dps = 30
@@ -193,25 +194,95 @@ def test_h_infinite_on_the_line():
             assert abs(hv.value - ref) <= 1e-8
 
 
+def _log1m(w):
+    """Log(1 - w), by its Mercator series where |w| < 0.01: rounding 1 - w
+    would cost eps per prime, 1e-11 over a walk to 2^20 (numpy's complex
+    log1p is no better)."""
+    small = np.abs(w) < 1e-2
+    ws = w if small.all() else w[small]
+    term, acc = ws.copy(), -ws
+    for r in range(2, 13):
+        term = term * ws
+        acc = acc - term / r
+    if small.all():
+        return acc
+    out = np.log(1 - w)
+    out[small] = acc
+    return out
+
+
+def _walk_logs(alpha, k, s_nodes, lo, hi):
+    """sum_{lo < p <= hi} log h_p by exact piece logs, test side."""
+    primes = sieve_primes(hi).primes
+    logp = np.log(primes[primes > lo].astype(np.float64))
+    s_nodes = np.atleast_1d(np.asarray(s_nodes, dtype=np.complex128))
+    acc = np.zeros(len(s_nodes), dtype=np.complex128)
+    for start in range(0, len(logp), 8192):
+        z = np.exp(-np.outer(logp[start : start + 8192], s_nodes))
+        w = alpha * z
+        acc += (alpha * _log1m(z) - _log1m(w) + _log1m(w**k)).sum(axis=0)
+    return acc
+
+
 def test_h_infinite_tail_honesty():
     alpha, k, s = 0.8 + 0.3j, 2, 1.0 + 0.5j
     coarse = h_infinite(alpha, k, s, 1e-6)
-    # 4x the cutoff implied by the tolerance: value moves less than the bound
-    p_coarse, log_tail = h_cutoff(alpha, k, s.real, 1e-6)
-    fine_primes = sieve_primes(4 * p_coarse)
-    fine = np.exp(h_log_values(alpha, k, s, fine_primes)[0][0])
-    assert abs(fine - coarse.value) <= coarse.tail_bound
-    # the ledger carries the cutoff tail and the series truncation
-    trunc = h_series_trunc_log_bound(alpha, k, s.real, 1024)
-    assert 0 < trunc
-    assert coarse.tail_bound == abs(coarse.value) * math.expm1(log_tail + trunc)
+    # the ledger is the prime-zeta tail's certified bound
+    _, bound = h_tail_log_values(alpha, k, s)
+    assert 0 < bound <= 1e-6
+    assert coarse.tail_bound == abs(coarse.value) * math.expm1(bound)
+    # a test-side walk to 2^20, with its own tail bound, agrees within the ledger
+    walk = np.exp(_walk_logs(alpha, k, s, 0, 2**20)[0])
+    walk_err = abs(walk) * math.expm1(h_tail_log_bound(alpha, k, s.real, 2**20))
+    assert abs(walk - coarse.value) <= coarse.tail_bound + walk_err
 
 
 def test_h_infinite_domain_and_cap():
     with pytest.raises(DomainError):
         h_infinite(1.0, 2, 0.9, 1e-8)
+    # a tol below the tail's certified floor (about 1e-13) fails loudly
     with pytest.raises(ToleranceUnachievable):
-        h_infinite(1.0, 2, 1.0, 1e-13, prime_cap=10**6)
+        h_infinite(1.0, 2, 1.0, 1e-16)
+
+
+def test_h_infinite_alpha_one_matches_mpmath():
+    # alpha = 1: h_p = 1 - p^(-ks), so h = 1/zeta(ks)
+    for k in (2, 3, 4):
+        for tau in np.linspace(-3.0, 3.0, 9):
+            s = complex(1.0, tau)
+            ref = complex(1 / mpmath.zeta(mpmath.mpc(k * s)))
+            assert abs(h_infinite(1.0, k, s, 1e-10).value - ref) <= 1e-14
+
+
+@pytest.mark.parametrize("alpha", [1, 2, -1, 0.5 + 0.5j, 1.5])
+def test_h_tail_self_consistent_across_floors(monkeypatch, alpha):
+    """tail above 1024 minus tail above 2^16 = the walk over (1024, 2^16]
+    (k = 3: at k = 2, alpha = -1 makes every factor 1)."""
+    s_nodes = 1.0 + 1j * np.linspace(-3.0, 3.0, 129)
+    low, low_bound = h_tail_log_values(alpha, 3, s_nodes)
+    monkeypatch.setattr(euler_products, "_SERIES_FLOOR", 2**16)
+    high, high_bound = h_tail_log_values(alpha, 3, s_nodes)
+    walk = _walk_logs(alpha, 3, s_nodes, 1024, 2**16)
+    assert np.max(np.abs(low - high - walk)) <= low_bound + high_bound + 1e-13
+
+
+@pytest.mark.parametrize("alpha", [1, 2, -1, 0.5 + 0.5j, 1.5, 3 + 1j])
+def test_h_tail_bound_against_long_walk(alpha):
+    s_nodes = 1.0 + 1j * np.linspace(-3.0, 3.0, 9)
+    for k in (2, 3):
+        tail, bound = h_tail_log_values(alpha, k, s_nodes)
+        walk = _walk_logs(alpha, k, s_nodes, 1024, 2**20)
+        allowed = bound + h_tail_log_bound(alpha, k, 1.0, 2**20)
+        assert np.max(np.abs(tail - walk)) <= allowed
+
+
+def test_h_tail_refuses_uncertified_inputs():
+    # the series above Q = 1024 needs |alpha| / Q <= 1/2 on the 1-line
+    with pytest.raises(ToleranceUnachievable):
+        h_tail_log_values(600.0, 2, 1.0)
+    h_tail_log_values(500.0, 2, 1.0)
+    with pytest.raises(DomainError):
+        h_tail_log_values(1.0, 2, 0.9)
 
 
 def test_h_uniform_boundedness_in_N():

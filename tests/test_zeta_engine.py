@@ -62,8 +62,8 @@ def test_laurent_matches_euler_maclaurin_on_circle():
     worst = 0.0
     for th in np.linspace(0.0, 2.0 * math.pi, 17)[:-1]:
         s = complex(1.0 + LAURENT_RADIUS * math.cos(th), LAURENT_RADIUS * math.sin(th))
-        em = (s - 1.0) * _euler_maclaurin(s, 64)[0]
-        worst = max(worst, abs(em - _regular_laurent(s)))
+        em = (s - 1.0) * _euler_maclaurin(s, 64)[0][0]
+        worst = max(worst, abs(em - _regular_laurent(s)[0]))
     assert worst <= 1e-9
 
 
@@ -77,6 +77,36 @@ def test_method_switch_continuity():
         assert inner.method == "laurent" and outer.method == "euler_maclaurin"
         # the points differ by 2e-3 * r in s; regular' ~ gamma_0 = 0.577
         assert abs(inner.regular - outer.regular) < 2e-3 * LAURENT_RADIUS * 0.6 * 1.2
+
+
+def test_laurent_error_estimate_is_the_first_omitted_term():
+    eps = np.finfo(np.float64).eps
+    rng = np.random.default_rng(23)
+    radii = 0.0499 * np.sqrt(rng.uniform(0.0, 1.0, 20))
+    for s in 1.0 + radii * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 20)):
+        v = zeta(complex(s))
+        assert v.method == "laurent"
+        ref = complex((mpmath.mpc(s) - 1) * mpmath.zeta(mpmath.mpc(s)))
+        assert abs(v.regular - ref) <= v.err_estimate + 4 * eps * abs(v.regular)
+    # |gamma_6| / 6! |s-1|^7: halving |s-1| divides it by 2^7
+    near, far = zeta(1 + 0.02j).err_estimate, zeta(1 + 0.04j).err_estimate
+    assert far / near == pytest.approx(2.0**7, rel=1e-9)
+    assert near > 0 and zeta(1.0).err_estimate == 0.0
+    assert len(stieltjes_constants()) == 6
+    assert stieltjes_constants(7)[6] == pytest.approx(-2.3876934543e-4, rel=1e-6)
+
+
+def test_euler_maclaurin_array_matches_scalar_and_mpmath():
+    eps = np.finfo(np.float64).eps
+    rng = np.random.default_rng(29)
+    s = rng.uniform(2.0, 8.0, 50) + 1j * rng.uniform(-24.0, 24.0, 50)
+    vals, errs = _euler_maclaurin(s, 48)
+    for i, si in enumerate(s):
+        one, one_err = _euler_maclaurin(np.array([si]), 48)
+        assert vals[i] == one[0] and errs[i] == one_err[0]
+        ref = complex(mpmath.zeta(mpmath.mpc(si)))
+        assert abs(vals[i] - ref) <= errs[i] + 8 * eps * abs(ref)
+        assert abs(vals[i] - zeta(complex(si)).zeta) <= 8 * eps * abs(ref)
 
 
 def test_stieltjes_against_literature():
