@@ -4,10 +4,6 @@ Each criterion is a function returning a CheckResult with a small result
 table; the CLI `verify-all` subcommand and tests/test_acceptance.py both run
 these, so the gate is a single source of truth.  Criteria with a stated
 runtime budget fail when they exceed it.
-
-Levels: "desk" runs every criterion at its stated scale; "quick" trims the
-N ladders and the heaviest product cutoffs for smoke runs (identical code
-paths, smaller inputs).
 """
 
 import cmath
@@ -65,7 +61,7 @@ def fmt_value(v) -> str:
     return str(v)
 
 
-def check_oracle_equivalence(level: str) -> CheckResult:
+def check_oracle_equivalence() -> CheckResult:
     """1. exact_integral agrees with brute_S within the stated certificates."""
     t0 = time.time()
     f = make_gaussian(1, 0.4)
@@ -102,7 +98,7 @@ def check_oracle_equivalence(level: str) -> CheckResult:
     )
 
 
-def check_product_identity(level: str) -> CheckResult:
+def check_product_identity() -> CheckResult:
     """2. log g = alpha log zeta_N + log h factorwise, and brute_S(f=1) equals
     the closed-form product."""
     t0 = time.time()
@@ -169,7 +165,7 @@ def _expint_cf(z: complex, tol: float = 1e-14, max_iter: int = 600) -> complex:
     raise RuntimeError("continued fraction did not converge")
 
 
-def check_golden_values(level: str) -> CheckResult:
+def check_golden_values() -> CheckResult:
     """3. Special-function golden values, each against an independent route."""
     t0 = time.time()
     rows = []
@@ -190,14 +186,11 @@ def check_golden_values(level: str) -> CheckResult:
     worst_j = max(abs(dickman.expint_J(s) - _expint_cf(complex(s))) for s in pts[:20])
     rows.append((f"J vs continued fraction at {len(pts[:20])} pts", 1e-8, worst_j, worst_j <= 1e-8))
 
-    h_tol = 1e-8 if level == "desk" else 1e-6
-    worst_h = 0.0
     for k in (2, 3, 4):
-        hv = h_infinite(1.0, k, 1.0, h_tol)
+        hv = h_infinite(1.0, k, 1.0, 1e-8)
         zk = zeta_engine.zeta(float(k)).zeta
         diff = abs(hv.value - 1.0 / zk)
-        worst_h = max(worst_h, diff)
-        rows.append((f"h_infinite(1,{k},1) vs 1/zeta({k})", 1e-8, diff, diff <= max(1e-8, h_tol)))
+        rows.append((f"h_infinite(1,{k},1) vs 1/zeta({k})", 1e-8, diff, diff <= 1e-8))
     z2 = abs(zeta_engine.zeta(2.0).zeta - math.pi**2 / 6.0)
     rows.append(("zeta(2) vs pi^2/6", 1e-10, z2, z2 <= 1e-10))
 
@@ -214,11 +207,11 @@ def check_golden_values(level: str) -> CheckResult:
     )
 
 
-def check_tenenbaum(level: str) -> CheckResult:
+def check_tenenbaum() -> CheckResult:
     """4. The partial-zeta factorization error decreases along the N ladder
     and is <= 0.1 at the top."""
     t0 = time.time()
-    ladder = [10**3, 10**4, 10**5, 10**6] if level == "desk" else [10**3, 10**4]
+    ladder = [10**3, 10**4, 10**5, 10**6]
     taus = np.linspace(-3.0, 3.0, 25)
     rep = tenenbaum_check(ladder, taus)
     errs = [r.max_rel_err for r in rep]
@@ -238,7 +231,7 @@ def check_tenenbaum(level: str) -> CheckResult:
     )
 
 
-def check_lemma1(level: str) -> CheckResult:
+def check_lemma1() -> CheckResult:
     """5. |h_N/h - 1| shrinks by >= 8x from N=10^3 to 10^4."""
     t0 = time.time()
     taus = np.linspace(-3.0, 3.0, 25)
@@ -260,18 +253,18 @@ def check_lemma1(level: str) -> CheckResult:
     )
 
 
-def check_theorem2(level: str) -> CheckResult:
+def check_theorem2() -> CheckResult:
     """6. |E measured| strictly decreasing along the N ladder with >= 5x total
     shrink, S computed via the exact integral."""
     t0 = time.time()
     f = make_gaussian(1, 0.4)
-    ladder = [10**2, 10**3, 10**4, 10**5] if level == "desk" else [10**2, 10**3]
+    ladder = [10**2, 10**3, 10**4, 10**5]
     rows, ok = [], True
     for alpha, k in ((1, 2), (-1, 2), (0.5 + 0.5j, 3)):
         rep = theorem2_report([SumParams(alpha, k, N) for N in ladder], f, tol=1e-6)
         es = [r.e_measured for r in rep]
         decreasing = all(es[i] > es[i + 1] for i in range(len(es) - 1))
-        shrink = es[-1] <= es[0] / 5.0 if level == "desk" else True
+        shrink = es[-1] <= es[0] / 5.0
         ok = ok and decreasing and shrink
         for r in rep:
             rows.append(
@@ -290,7 +283,7 @@ def check_theorem2(level: str) -> CheckResult:
     )
 
 
-def check_alpha_zero(level: str) -> CheckResult:
+def check_alpha_zero() -> CheckResult:
     """7. Degenerate alpha = 0: one term, exact value, tiny E."""
     t0 = time.time()
     f = make_gaussian(1, 0.4)
@@ -316,7 +309,7 @@ def check_alpha_zero(level: str) -> CheckResult:
     )
 
 
-def check_vinogradov_korobov(level: str) -> CheckResult:
+def check_vinogradov_korobov() -> CheckResult:
     """8. |zeta(1+it)| <= 76.2 (log|t|)^{2/3} at the stated points."""
     t0 = time.time()
     rows, ok = [], True
@@ -335,7 +328,7 @@ def check_vinogradov_korobov(level: str) -> CheckResult:
     )
 
 
-def check_branch_robustness(level: str) -> CheckResult:
+def check_branch_robustness() -> CheckResult:
     """9. Branched powers equal direct integer powers; node doubling moves
     C_f by at most the reported quadrature error."""
     t0 = time.time()
@@ -375,12 +368,10 @@ CRITERIA = (
 )
 
 
-def run_criteria(level: str = "desk") -> list:
+def run_criteria() -> list:
     """Run criteria 1-9 (criterion 10, byte-level determinism, compares two
     invocations of this function and lives in the CLI/tests)."""
-    if level not in ("desk", "quick"):
-        raise ValueError("level must be 'desk' or 'quick'")
-    return [fn(level) for fn in CRITERIA]
+    return [fn() for fn in CRITERIA]
 
 
 def render_tables(results) -> dict:

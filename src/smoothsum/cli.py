@@ -37,13 +37,7 @@ from .asymptotic import (
 )
 from .arith_core import DEFAULT_COUNT_CAP, sieve_primes
 from .errors import SmoothsumError
-from .euler_products import (
-    DEFAULT_PRIME_CAP,
-    g_product,
-    h_finite,
-    lemma1_check,
-    zeta_partial,
-)
+from .euler_products import g_product, h_finite, lemma1_check, zeta_partial
 from .oracle import brute_S
 from .params import SumParams
 
@@ -321,10 +315,7 @@ def _cmd_tenenbaum(args) -> int:
 
 def _cmd_lemma1(args) -> int:
     lo, hi, n = args.tau
-    rep = lemma1_check(
-        args.alpha, args.k, args.N, np.linspace(lo, hi, n),
-        h_tol=args.h_tol, prime_cap=args.prime_cap,
-    )
+    rep = lemma1_check(args.alpha, args.k, args.N, np.linspace(lo, hi, n))
     rows = []
     for i, N in enumerate(rep.n_values):
         ratio = rep.decay_ratios[i] if i < len(rep.decay_ratios) else float("nan")
@@ -358,7 +349,7 @@ def _cmd_errordecomp(args) -> int:
 
 
 def _cmd_verify_all(args) -> int:
-    results = acceptance.run_criteria(args.level)
+    results = acceptance.run_criteria()
     tables = acceptance.render_tables(results)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -369,7 +360,7 @@ def _cmd_verify_all(args) -> int:
         print(res.line())
     ok = all(r.passed for r in results)
     if args.determinism:  # the second run finds every in-process cache warm
-        same = acceptance.render_tables(acceptance.run_criteria(args.level)) == tables
+        same = acceptance.render_tables(acceptance.run_criteria()) == tables
         print(
             f"{'PASS' if same else 'FAIL'} criterion 10 [determinism]: "
             f"cold- and warm-cache tables byte-identical: {same}"
@@ -514,8 +505,6 @@ def build_parser() -> argparse.ArgumentParser:
         "expected_ratio (the N log N scaling).",
     )
     _add_common(p, alpha=True, n="list", tau=(-3.0, 3.0, 25))
-    p.add_argument("--h-tol", type=float, default=1e-7)
-    p.add_argument("--prime-cap", type=int, default=DEFAULT_PRIME_CAP)
     p.set_defaults(func=_cmd_lemma1)
 
     p = subs.add_parser(
@@ -536,7 +525,6 @@ def build_parser() -> argparse.ArgumentParser:
         "and byte-compares the tables.",
     )
     _add_common(p, fmt=None)
-    p.add_argument("--level", choices=("desk", "quick"), default="desk")
     p.add_argument("--determinism", action="store_true")
     p.set_defaults(func=_cmd_verify_all)
     return top

@@ -24,8 +24,9 @@ The infinite product h_{alpha,k} walks no prime past 1024.  Above it,
 `h_tail_log_values` expands each factor log as sum_m e_m p^(-m s) and sums
 over primes through the prime zeta function, P_{>Q}(w) = sum_j mu(j)/j
 log zeta_{>Q}(j w), with zeta from `zeta_engine`, so seven zeta values per
-node replace the walk.  The finite products and `lemma1_check` still walk
-their primes; `h_cutoff` sizes the latter's walk.
+node replace the walk.  `lemma1_check` reads h_N/h - 1 off the same tail,
+corrected by the primes between N and 1024, so it sieves no prime past
+max(N, 1024).  The finite products walk their primes.
 """
 
 import math
@@ -39,7 +40,6 @@ from .arith_core import PrimeSet, sieve_primes
 from .errors import DomainError, SingularFactor, ToleranceUnachievable
 from .params import SumParams
 
-DEFAULT_PRIME_CAP = 100_000_000
 _ROSSER = 1.25506  # pi(x) < 1.25506 x / log x for x > 1
 _POLE_TOL = 1e-12  # exact singular-factor hit
 _NEAR_TOL = 1e-6  # below this, (1-w^k)/(1-w) is evaluated as the geometric sum
@@ -87,7 +87,9 @@ def _g_piece_logs(alpha: complex, k: int, z: np.ndarray) -> np.ndarray:
     out = np.empty(z.shape, dtype=np.complex128)
     ok = ~near
     if np.any(ok):
-        out[ok] = -np.log(1.0 - w[ok]) + np.log(1.0 - w[ok] ** k)
+        # w^k = 1 with w != 1 is a vanishing factor: log 0 = -inf, value 0
+        with np.errstate(divide="ignore"):
+            out[ok] = -np.log(1.0 - w[ok]) + np.log(1.0 - w[ok] ** k)
     if np.any(near):
         geom = _geom_sum(w[near], k)
         if np.any(np.abs(geom) < 1e-300):
@@ -186,6 +188,12 @@ def h_series_trunc_log_bound(alpha: complex, k: int, sigma: float, floor: float)
     return 2.0 * (2.0 + k) * big**m1 * _prime_sum_bound(m1 * sigma, floor)
 
 
+def _above(primes: PrimeSet, floor: int) -> PrimeSet:
+    """The primes of `primes` that exceed floor."""
+    cut = int(np.searchsorted(primes.primes, floor, side="right"))
+    return PrimeSet(primes.bound, primes.primes[cut:], primes.log_primes[cut:])
+
+
 def h_log_values(
     alpha: complex,
     k: int,
@@ -205,10 +213,10 @@ def h_log_values(
     s_nodes = np.atleast_1d(np.asarray(s_nodes, dtype=np.complex128))
     trunc = h_series_trunc_log_bound(alpha, k, float(np.min(s_nodes.real)), _SERIES_FLOOR)
     floor = _SERIES_FLOOR if trunc <= _SERIES_MAX_TRUNC else primes.bound
-    cut = int(np.searchsorted(primes.primes, floor, side="right"))
     piece = partial(_h_piece_logs, alpha, k, regularize=regularize)
     acc = _chunked_piece_sum(piece, primes.restrict(floor), s_nodes)
-    if cut == len(primes):
+    tail_primes = _above(primes, floor)
+    if len(tail_primes) == 0:
         return acc, 0.0
     coeffs = [_h_series_coeff(alpha, k, m) for m in range(2, _SERIES_TERMS + 1)]
 
@@ -220,7 +228,6 @@ def h_log_values(
             out = out + cm * zm
         return out
 
-    tail_primes = PrimeSet(primes.bound, primes.primes[cut:], primes.log_primes[cut:])
     acc = acc + _chunked_piece_sum(series_pieces, tail_primes, s_nodes)
     return acc, trunc
 
@@ -253,20 +260,21 @@ def h_tail_log_bound(alpha: complex, k: int, sigma: float, P: float) -> float:
     ) * _prime_sum_bound(k * sigma, P)
 
 
-def h_cutoff(
-    alpha: complex, k: int, sigma: float, tol: float, prime_cap: int = DEFAULT_PRIME_CAP
-) -> tuple[int, float]:
-    """Smallest doubling cutoff P with certified |log tail| <= tol."""
+_CUTOFF_CAP = 100_000_000
+
+
+def h_cutoff(alpha: complex, k: int, sigma: float, tol: float) -> tuple[int, float]:
+    """Smallest doubling cutoff P <= 10^8 with certified |log tail| <= tol."""
     P = 128
     while True:
         bound = h_tail_log_bound(alpha, k, sigma, P)
         if bound <= tol:
             return P, bound
-        if P >= prime_cap:
+        if P >= _CUTOFF_CAP:
             raise ToleranceUnachievable(
-                f"h tail {bound:.2e} > tol {tol:.2e} at the sieve cap {prime_cap}"
+                f"h tail {bound:.2e} > tol {tol:.2e} at the sieve cap {_CUTOFF_CAP}"
             )
-        P = min(2 * P, prime_cap)
+        P = min(2 * P, _CUTOFF_CAP)
 
 
 _MOBIUS = (0, 1, -1, -1, 0)  # mu(j) for j <= _SERIES_TERMS // 2
@@ -376,19 +384,18 @@ class Lemma1Report:
     max_errors: tuple  # max over the tau grid of |h_N/h - 1|, per N
     decay_ratios: tuple  # max_errors[i] / max_errors[i+1]
     expected_ratios: tuple  # (N_{i+1} log N_{i+1}) / (N_i log N_i)
-    h_tol: float
+    tail_bound: float  # certified bound of the prime-zeta tail, in log(h_N/h)
 
 
-def lemma1_check(
-    alpha: complex,
-    k: int,
-    N_values,
-    tau_grid,
-    h_tol: float = 1e-7,
-    prime_cap: int = DEFAULT_PRIME_CAP,
-) -> Lemma1Report:
+def lemma1_check(alpha: complex, k: int, N_values, tau_grid) -> Lemma1Report:
     """Measure max_tau |h_{alpha,k,N}(1+i tau)/h_{alpha,k}(1+i tau) - 1| per N
-    and the decay ratio between consecutive N (the 1/(N log N) scaling)."""
+    and the decay ratio between consecutive N (the 1/(N log N) scaling).
+
+    h_N/h - 1 = expm1(-tail_{>N}), with tail_{>N} = sum_{p>N} log h_p read off
+    the prime-zeta tail above Q = 1024 (h_tail_log_values): minus the primes
+    in (Q, N] for N >= Q, plus those in (N, Q] for N < Q.  One sieve to
+    max(N, Q) serves every N.  Raises ToleranceUnachievable when the error
+    that tail_bound certifies for h_N/h - 1 exceeds 1% of its measured max."""
     alpha = complex(alpha)
     n_values = tuple(int(n) for n in N_values)
     if any(n < 100 for n in n_values):
@@ -397,17 +404,29 @@ def lemma1_check(
     if taus.size == 0:
         raise ValueError("the tau grid is empty")
     if alpha == 0:
-        errs = tuple(0.0 for _ in n_values)
+        errs, tail_bound = tuple(0.0 for _ in n_values), 0.0
     else:
-        P, _ = h_cutoff(alpha, k, 1.0, h_tol, prime_cap)
-        primes = sieve_primes(max(P, max(n_values)))
+        s_nodes = 1.0 + 1j * taus
+        Q = _SERIES_FLOOR
+        primes = sieve_primes(max(max(n_values), Q))
+        above_q, tail_bound = h_tail_log_values(alpha, k, s_nodes)
         errs = []
         for n in n_values:
-            cut = int(np.searchsorted(primes.primes, n, side="right"))
-            tail = PrimeSet(primes.bound, primes.primes[cut:], primes.log_primes[cut:])
-            # h_N / h = 1 / prod_{N < p <= P} h_p
-            tail_logs, _ = h_log_values(alpha, k, 1.0 + 1j * taus, tail)
-            errs.append(float(np.max(np.abs(np.expm1(-tail_logs)))))
+            # the series truncation over (Q, N] is part of the one tail_bound
+            # covers over p > Q, so tail_bound holds for tail_{>N} as well
+            between = _above(primes.restrict(max(n, Q)), min(n, Q))
+            logs, _ = h_log_values(alpha, k, s_nodes, between)
+            tail = above_q - logs if n >= Q else above_q + logs
+            err = float(np.max(np.abs(np.expm1(-tail))))
+            # a log error d moves h_N/h - 1 by at most |h_N/h| expm1(d)
+            with np.errstate(over="ignore"):
+                spread = np.max(np.abs(np.exp(-tail))) * np.expm1(tail_bound)
+            if not spread <= 0.01 * err:
+                raise ToleranceUnachievable(
+                    f"lemma1 at N = {n}: certified error {spread:.2e} exceeds 1% of "
+                    f"the measured max |h_N/h - 1| = {err:.2e}"
+                )
+            errs.append(err)
         errs = tuple(errs)
     ratios = tuple(
         errs[i] / errs[i + 1] if errs[i + 1] > 0 else math.inf
@@ -418,4 +437,4 @@ def lemma1_check(
         / (n_values[i] * math.log(n_values[i]))
         for i in range(len(n_values) - 1)
     )
-    return Lemma1Report(alpha, k, n_values, errs, ratios, expected, h_tol)
+    return Lemma1Report(alpha, k, n_values, errs, ratios, expected, tail_bound)

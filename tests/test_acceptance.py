@@ -12,7 +12,7 @@ from smoothsum.cli import run
 
 
 def _run(check):
-    res = check("desk")
+    res = check()
     print()
     print(res.line())
     assert res.passed, res.detail
@@ -72,11 +72,11 @@ def _stripped_tables(out_dir: Path) -> dict:
 
 
 def test_criterion_10_determinism(tmp_path):
-    """verify-all twice at desk level: byte-identical tables."""
+    """verify-all twice: byte-identical tables."""
     outs = []
     for name in ("a", "b"):
         out = tmp_path / name
-        rc = run(["verify-all", "--level", "desk", "--out", str(out)])
+        rc = run(["verify-all", "--out", str(out)])
         assert rc == 0, f"verify-all failed (run {name})"
         outs.append(_stripped_tables(out))
     assert outs[0] == outs[1], "repeat run differs"

@@ -127,6 +127,14 @@ def test_exit_code_config_error(tmp_path):
     assert list(tmp_path.iterdir()) == []  # nothing written
 
 
+def test_removed_options_are_refused(tmp_path):
+    # lemma1 has no walk to size, and the gate has one level
+    assert run(["lemma1", "--alpha", "1,0", "--k", "2", "--N", "1000",
+                "--prime-cap", "10", "--out", str(tmp_path)]) == 2
+    assert run(["verify-all", "--level", "quick", "--out", str(tmp_path)]) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_exit_code_computational_error(tmp_path):
     # alpha * 2^{-1} = 1: singular Euler factor in h
     rc = run(["products-table", "--alpha", "2,0", "--k", "2", "--N", "100",

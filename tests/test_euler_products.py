@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -323,6 +324,74 @@ def test_lemma1_validation():
         lemma1_check(1.0, 2, [50], [0.0])
     with pytest.raises(ValueError):
         lemma1_check(1.0, 2, [1000], [])
+
+
+def test_lemma1_alpha_one_matches_mpmath():
+    # alpha = 1, k = 2: h_N/h - 1 = zeta(2s) prod_{p<=N} (1 - p^(-2s)) - 1
+    for N in (10**3, 10**4):
+        ps = [mpmath.mpf(int(p)) for p in sieve_primes(N).primes]
+        for tau in np.linspace(-3.0, 3.0, 5):
+            s = mpmath.mpc(1.0, tau)
+            ref = mpmath.zeta(2 * s)
+            for p in ps:
+                ref *= 1 - p ** (-2 * s)
+            rep = lemma1_check(1.0, 2, [N], [tau])
+            assert abs(rep.max_errors[0] - abs(complex(ref - 1))) <= rep.tail_bound + 1e-14
+
+
+@pytest.mark.parametrize("alpha, k", [(0.5 + 0.5j, 2), (2, 2), (-1, 3)])
+def test_lemma1_matches_long_walk(alpha, k):
+    """h_N/h - 1 = expm1(-walk over (N, 2^20]) up to the walk's tail bound."""
+    taus = np.linspace(-3.0, 3.0, 5)
+    walk_bound = h_tail_log_bound(alpha, k, 1.0, 2**20)
+    high = _walk_logs(alpha, k, 1.0 + 1j * taus, 10**4, 2**20)
+    for N, walk in ((10**3, high + _walk_logs(alpha, k, 1.0 + 1j * taus, 10**3, 10**4)),
+                    (10**4, high)):
+        for tau, w in zip(taus, walk):
+            rep = lemma1_check(alpha, k, [N], [tau])
+            allowed = abs(np.exp(-w)) * math.expm1(rep.tail_bound + walk_bound)
+            assert abs(rep.max_errors[0] - abs(np.expm1(-w))) <= allowed
+
+
+def test_lemma1_refuses_uncertified_measurements():
+    taus = np.linspace(-3.0, 3.0, 25)
+    # alpha = -1, k = 2: every h_p is 1, so h_N/h - 1 is 0 and no bound is 1% of it
+    with pytest.raises(ToleranceUnachievable):
+        lemma1_check(-1.0, 2, [2000], taus)
+    # alpha = 8: the tail bound 5.8e-7 is 0.2% of |h_N/h - 1| at N = 10^4,
+    # but more than 1% of it at N = 10^5
+    lemma1_check(8.0, 2, [10**4], taus)
+    with pytest.raises(ToleranceUnachievable):
+        lemma1_check(8.0, 2, [10**4, 10**5], taus)
+    # alpha = 200: a log bound of 7.7e4 certifies nothing, though |h_N/h - 1|
+    # reads 2.4e33 and the bound is below 1% of that
+    with pytest.raises(ToleranceUnachievable):
+        lemma1_check(200.0, 2, [10**5], taus)
+
+
+def test_lemma1_sieves_no_prime_past_max_n_and_1024(monkeypatch):
+    bounds = []
+
+    def recorder(bound):
+        bounds.append(bound)
+        return sieve_primes(bound)
+
+    monkeypatch.setattr(euler_products, "sieve_primes", recorder)
+    taus = np.linspace(-3.0, 3.0, 25)
+    for N_values in ([100, 500], [1000, 10**4]):
+        bounds.clear()
+        lemma1_check(0.5 + 0.5j, 2, N_values, taus)
+        assert bounds and max(bounds) <= max(max(N_values), 1024)
+
+
+def test_vanishing_k_free_factor_is_zero_without_warning():
+    # alpha = -2, k = 2, s = 1: w = -1 at p = 2, so 1 + w = 0
+    params = SumParams(-2, 2, 30)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for pv in (g_product(params, 1.0), h_finite(params, 1.0)):
+            assert pv.value == 0
+            assert pv.log_value.real == -math.inf
 
 
 def test_g_abs_bound_dominates_on_line():
