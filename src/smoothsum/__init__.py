@@ -10,7 +10,6 @@ and Euler-product facts those routes depend on.
 
 from .arith_core import (
     PrimeSet,
-    count_smooth,
     enumerate_kfree_smooth,
     sieve_primes,
 )

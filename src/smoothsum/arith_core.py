@@ -1,10 +1,9 @@
-"""Primes, k-free smooth-integer enumeration, and smooth counting.
+"""Primes and k-free smooth-integer enumeration.
 
 A "k-free N-smooth" integer has every prime factor <= N and every exponent
 <= k-1.  The enumeration never materializes an integer: it emits numpy
 blocks of (log n, Omega(n)), since those are all that downstream sums need
-and n itself can exceed 10^300.  `count_smooth` walks exact integers
-instead and serves as the independent cross-check.
+and n itself can exceed 10^300.
 """
 
 import math
@@ -117,31 +116,3 @@ def enumerate_kfree_smooth(
             raise CountCapExceeded(f"enumeration exceeded count cap {count_cap}")
         yield log_n, omega
 
-
-def count_smooth(x: float, y: float, count_cap: int = DEFAULT_COUNT_CAP) -> int:
-    """Psi(x, y): the number of y-smooth integers <= x (no k-free restriction).
-
-    Runs in exact integer arithmetic so boundary cases like n = x are never
-    lost to rounding.
-    """
-    if x < 1 or y < 2:
-        raise ValueError("need x >= 1 and y >= 2")
-    xi = int(np.floor(x))
-    pvals = [int(p) for p in sieve_primes(int(np.floor(y))).primes]
-    budget = [count_cap]
-
-    def walk(start: int, n: int) -> int:
-        if budget[0] <= 0:
-            raise CountCapExceeded(f"count exceeded cap {count_cap}")
-        budget[0] -= 1
-        total = 1  # n itself
-        for j in range(start, len(pvals)):
-            m = n * pvals[j]
-            if m > xi:
-                break
-            while m <= xi:
-                total += walk(j + 1, m)
-                m *= pvals[j]
-        return total
-
-    return walk(0, 1)

@@ -30,7 +30,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as cheb
 
 from . import dickman, zeta_engine
-from .errors import EtaTooSmall, ToleranceUnachievable
+from .errors import EtaTooSmall, PrecisionLoss, ToleranceUnachievable
 from .euler_products import (
     _SERIES_FLOOR,
     g_abs_bound,
@@ -236,8 +236,9 @@ def main_term(
 
     quad_error is the 15/7-point Gauss difference of the window integral, an
     estimate rather than a bound; tail_bound carries the h-model uncertainty
-    and, on the exp(alpha log) route, the uniform error delta of the log A
-    model as expm1(|alpha| delta) times the L1 mass.
+    and the error delta of log A as expm1(|alpha| delta) times the L1 mass:
+    the log A model's uniform error on the exp(alpha log) route, the largest
+    err_estimate/|A| over the quadrature nodes on the integer-power route.
     """
     _require_transform(f)
     alpha, k = params.alpha, params.k
@@ -266,15 +267,16 @@ def main_term(
         m = round(alpha.real)
         if abs(alpha - m) > 1e-12:
             raise ValueError("use_integer_powers needs integer alpha")
-        a_err = 0.0  # zeta itself, not the log A model
+        # a relative error r in A moves log A^m by about |m| r: a_err is the
+        # largest err_estimate/|A| over the nodes the quadrature evaluates
+        a_err = 0.0
 
         def powers(xs):
-            out = np.empty(len(xs), dtype=np.complex128)
-            for i, x in enumerate(xs):
-                rv = dickman.rho_hat(float(x)).value
-                av = zeta_engine.zeta(1.0 + 1j * float(x) / log_n).regular
-                out[i] = rv**m * av**m
-            return out
+            nonlocal a_err
+            av, av_err = zeta_engine._euler_maclaurin(1.0 + 1j * xs / log_n)
+            a_err = max(a_err, float(np.max(av_err / np.abs(av))))
+            rv = np.array([dickman.rho_hat(float(x)).value for x in xs])
+            return rv**m * av**m
 
     else:
         a_coeffs, a_err = zeta_engine.log_regular_model()
@@ -361,22 +363,26 @@ def tenenbaum_check(N_values, tau_grid, eps: float = 0.1) -> list:
         zeta_N(1+i tau)  vs  zeta(s)(s-1) (log N) rhohat(i tau log N),
 
     together with L_eps(N) = exp((log N)^{3/5-eps}), the scale on which the
-    factorization's error term shrinks."""
+    factorization's error term shrinks.  Raises PrecisionLoss when an A
+    sample's error estimate exceeds zeta_engine._ZETA_ERR_MAX."""
+    taus = np.asarray(list(tau_grid), dtype=np.float64)
+    s_nodes = 1.0 + 1j * taus
+    regular, reg_err = zeta_engine._euler_maclaurin(s_nodes)
+    worst = int(np.argmax(reg_err))
+    if not reg_err[worst] <= zeta_engine._ZETA_ERR_MAX:
+        raise PrecisionLoss(
+            f"A error estimate {reg_err[worst]:.1e} at tau = {taus[worst]:g} exceeds "
+            f"{zeta_engine._ZETA_ERR_MAX:.0e}"
+        )
     rows = []
     for N in N_values:
         N = int(N)
         if N < 1000:
             raise ValueError("tenenbaum_check expects N >= 1000")
-        primes = sieve_primes(N)
         log_n = math.log(N)
-        taus = np.asarray(list(tau_grid), dtype=np.float64)
-        s_nodes = 1.0 + 1j * taus
-        lhs = zeta_partial_values(primes, s_nodes)
-        rhs = np.empty_like(lhs)
-        for i, tau in enumerate(taus):
-            reg = zeta_engine.zeta(complex(s_nodes[i])).regular
-            rhs[i] = reg * log_n * dickman.rho_hat(float(tau) * log_n).value
-        rel = np.abs(lhs / rhs - 1.0)
+        lhs = zeta_partial_values(sieve_primes(N), s_nodes)
+        rho = np.array([dickman.rho_hat(float(tau) * log_n).value for tau in taus])
+        rel = np.abs(lhs / (regular * log_n * rho) - 1.0)
         j = int(np.argmax(rel))
         l_eps = math.exp(log_n ** (0.6 - eps))
         rows.append(TenenbaumRow(N, float(rel[j]), float(taus[j]), l_eps))

@@ -187,13 +187,12 @@ def _cmd_zeta_table(args) -> int:
     lo, hi, n = args.tau
     rows = []
     for tau in np.linspace(lo, hi, n):
-        v = zeta_engine.zeta(complex(1.0, float(tau)))
-        z = v.zeta if tau != 0 else complex(float("nan"), float("nan"))
-        rows.append((float(tau), z.real, z.imag, v.regular.real, v.regular.imag, v.method))
+        v = zeta_engine.zeta(complex(1.0, float(tau)))  # zeta is nan at tau = 0
+        rows.append((float(tau), v.zeta.real, v.zeta.imag, v.regular.real, v.regular.imag))
     _write_table(
         Path(args.out) / "zeta_line",
         args,
-        ("tau", "re_zeta", "im_zeta", "re_regular", "im_regular", "method"),
+        ("tau", "re_zeta", "im_zeta", "re_regular", "im_regular"),
         rows,
     )
     return 0
@@ -429,7 +428,8 @@ def build_parser() -> argparse.ArgumentParser:
         "zeta-table",
         help="tabulate zeta on the 1-line",
         description="Columns zeta_line.csv: tau, re_zeta, im_zeta, re_regular, "
-        "im_regular, method.  regular is (s-1) zeta(s) at s = 1 + i tau.",
+        "im_regular.  regular is (s-1) zeta(s) at s = 1 + i tau; zeta is nan "
+        "at tau = 0.",
     )
     _add_common(p, tau=(-3.0, 3.0, 61))
     p.set_defaults(func=_cmd_zeta_table)

@@ -288,24 +288,26 @@ def _log_zeta_above(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     _SERIES_FLOOR, at every entry of the 1-d array u (Re u >= 2), with a
     bound on the error of each entry.
 
-    zeta comes from one array call of the Euler-Maclaurin engine.  Re u >= 2
-    keeps |log zeta(u)| <= log zeta(2) < pi, so the principal log is the
-    prime sum, and |zeta(u)| >= zeta(4)/zeta(2)."""
+    zeta = A/(u-1) with error err_A/|u-1|, A from one array call of the
+    Euler-Maclaurin engine.  Re u >= 2 keeps |log zeta(u)| <= log zeta(2) < pi,
+    so the principal log is the prime sum, and |zeta(u)| >= zeta(4)/zeta(2)."""
     primes = sieve_primes(_SERIES_FLOOR)
     m_terms = max(20, math.ceil(2.0 * float(np.max(np.abs(u.imag)))))
-    zeta_u, em_tail = zeta_engine._euler_maclaurin(u, m_terms)
+    a_u, a_err = zeta_engine._euler_maclaurin(u, m_terms)
+    zeta_u = a_u / (u - 1.0)
     head = _chunked_piece_sum(_zeta_piece_logs, primes, u)  # log zeta_Q(u)
     # rounding, doubled for safety: a term n^(-u) or Log(1-p^(-u)) carries a
     # relative error below (2|u| log n + 3) eps; over either sum,
     # sum |term| <= zeta(2) and sum |term| log n <= -zeta'(2) < 0.94; a naive
     # sum of n terms adds n eps times its absolute sum, which is below zeta(2)
-    # for the zeta series and log zeta(2) for the primes
+    # for the zeta series and log zeta(2) for the primes; multiplying the
+    # series by u-1 and dividing A by it again adds below 8 eps times zeta(2)
     rounding = 2.0 * _EPS * (
         2.0 * (1.88 * np.abs(u) + 3.0 * _ZETA_2)
-        + m_terms * _ZETA_2
+        + (m_terms + 8) * _ZETA_2
         + len(primes) * _LOG_ZETA_2
     )
-    zeta_err = em_tail + rounding
+    zeta_err = a_err / np.abs(u - 1.0) + rounding
     return np.log(zeta_u) - head, zeta_err / (np.abs(zeta_u) - zeta_err) + rounding
 
 
@@ -395,7 +397,8 @@ def lemma1_check(alpha: complex, k: int, N_values, tau_grid) -> Lemma1Report:
     the prime-zeta tail above Q = 1024 (h_tail_log_values): minus the primes
     in (Q, N] for N >= Q, plus those in (N, Q] for N < Q.  One sieve to
     max(N, Q) serves every N.  Raises ToleranceUnachievable when the error
-    that tail_bound certifies for h_N/h - 1 exceeds 1% of its measured max."""
+    that tail_bound and the rounding of the sum between N and Q certify for
+    h_N/h - 1 exceeds 1% of its measured max."""
     alpha = complex(alpha)
     n_values = tuple(int(n) for n in N_values)
     if any(n < 100 for n in n_values):
@@ -410,6 +413,18 @@ def lemma1_check(alpha: complex, k: int, N_values, tau_grid) -> Lemma1Report:
         Q = _SERIES_FLOOR
         primes = sieve_primes(max(max(n_values), Q))
         above_q, tail_bound = h_tail_log_values(alpha, k, s_nodes)
+        # rounding per prime of the sum over the primes between N and Q: a
+        # few eps for each of the three exact piece logs (one scaled by
+        # alpha), and for a series value a few eps times its size
+        # sum m |e_m| Q^(-m) per unit of relative error in p^(-s)
+        exact_round = 4.0 * _EPS * (abs(alpha) + 2.0)
+        size = sum(
+            m * abs(_h_series_coeff(alpha, k, m)) * Q**-m for m in range(2, _SERIES_TERMS + 1)
+        )
+        log_n_max = math.log(max(max(n_values), Q))
+        series_round = 4.0 * _EPS * (2.0 * float(np.max(np.abs(s_nodes))) * log_n_max + 3.0) * size
+        if h_series_trunc_log_bound(alpha, k, 1.0, Q) > _SERIES_MAX_TRUNC:
+            series_round = exact_round  # h_log_values takes exact piece logs
         errs = []
         for n in n_values:
             # the series truncation over (Q, N] is part of the one tail_bound
@@ -418,9 +433,10 @@ def lemma1_check(alpha: complex, k: int, N_values, tau_grid) -> Lemma1Report:
             logs, _ = h_log_values(alpha, k, s_nodes, between)
             tail = above_q - logs if n >= Q else above_q + logs
             err = float(np.max(np.abs(np.expm1(-tail))))
+            rounding = len(between) * (series_round if n >= Q else exact_round)
             # a log error d moves h_N/h - 1 by at most |h_N/h| expm1(d)
             with np.errstate(over="ignore"):
-                spread = np.max(np.abs(np.exp(-tail))) * np.expm1(tail_bound)
+                spread = np.max(np.abs(np.exp(-tail))) * np.expm1(tail_bound + rounding)
             if not spread <= 0.01 * err:
                 raise ToleranceUnachievable(
                     f"lemma1 at N = {n}: certified error {spread:.2e} exceeds 1% of "

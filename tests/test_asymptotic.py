@@ -7,6 +7,7 @@ from numpy.polynomial import chebyshev as cheb
 
 from smoothsum import (
     EtaTooSmall,
+    PrecisionLoss,
     EXP_EULER_GAMMA,
     SumParams,
     brute_S,
@@ -24,6 +25,7 @@ from smoothsum import (
     zeta,
     zeta_partial,
 )
+from smoothsum import zeta_engine
 from smoothsum.asymptotic import _h_contour, log_n_power
 from smoothsum.quadrature import integrate_adaptive
 
@@ -129,6 +131,25 @@ def test_main_term_integer_power_route(f):
     assert abs(a.value - b.value) <= 1e-9
     with pytest.raises(ValueError):
         main_term(SumParams(0.5, 2, 100), f, 1e-6, use_integer_powers=True)
+
+
+def test_zeta_error_estimate_is_read(f, monkeypatch):
+    # an inflated A error estimate widens the integer route's tail_bound and
+    # stops tenenbaum_check
+    p = SumParams(1, 2, 100)
+    base = main_term(p, f, 1e-8, h_tol=1e-7, use_integer_powers=True)
+    em = zeta_engine._euler_maclaurin
+
+    def inflated(s, m_terms=None):
+        vals, errs = em(s, m_terms)
+        return vals, errs + 1e-6
+
+    monkeypatch.setattr(zeta_engine, "_euler_maclaurin", inflated)
+    got = main_term(p, f, 1e-8, h_tol=1e-7, use_integer_powers=True)
+    assert got.value == base.value
+    assert got.tail_bound >= base.tail_bound + 1e-7
+    with pytest.raises(PrecisionLoss):
+        tenenbaum_check([10**3], np.linspace(-3, 3, 13))
 
 
 def test_main_term_non_integer_alpha_matches_path_route(f):

@@ -52,7 +52,7 @@ def test_every_csv_column_documented_in_help():
     """The --help text of each table subcommand names every emitted column."""
     columns = {
         "dickman-table": ["u", "rho", "x", "re_rhohat", "im_rhohat"],
-        "zeta-table": ["tau", "re_zeta", "im_zeta", "re_regular", "im_regular", "method"],
+        "zeta-table": ["tau", "re_zeta", "im_zeta", "re_regular", "im_regular"],
         "products-table": ["tau", "re_g", "im_g", "re_zetaN_pow", "im_zetaN_pow", "re_h", "im_h"],
         "theorem2": ["N", "re_S", "im_S", "re_C_f", "im_C_f", "abs_E_measured", "predicted_envelope"],
         "tenenbaum": ["N", "max_rel_err", "argmax_tau", "L_eps"],

@@ -182,7 +182,7 @@ def test_dickman_table_output(tmp_path):
 def test_zeta_and_products_and_lemma1_tables(tmp_path):
     assert run(["zeta-table", "--tau=-2,2,5", "--out", str(tmp_path)]) == 0
     lines = body_of(tmp_path / "zeta_line.csv").splitlines()
-    assert lines[0] == "tau,re_zeta,im_zeta,re_regular,im_regular,method"
+    assert lines[0] == "tau,re_zeta,im_zeta,re_regular,im_regular"
     assert run(["products-table", "--alpha", "1,0", "--k", "2", "--N", "100",
                 "--tau=-1,1,3", "--out", str(tmp_path)]) == 0
     plines = body_of(tmp_path / "products.csv").splitlines()

@@ -326,6 +326,13 @@ def test_lemma1_validation():
         lemma1_check(1.0, 2, [1000], [])
 
 
+def test_lemma1_ledger_covers_the_rounding_below_q():
+    # alpha = -1, k = 2: every h_p is 1, so h_N/h - 1 is 0 up to the rounding
+    # of the exact piece logs over (N, 1024], which the certified error covers
+    with pytest.raises(ToleranceUnachievable):
+        lemma1_check(-1.0, 2, [100, 1000], np.linspace(-3, 3, 25))
+
+
 def test_lemma1_alpha_one_matches_mpmath():
     # alpha = 1, k = 2: h_N/h - 1 = zeta(2s) prod_{p<=N} (1 - p^(-2s)) - 1
     for N in (10**3, 10**4):
