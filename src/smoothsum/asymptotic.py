@@ -37,6 +37,7 @@ from .euler_products import (
     g_values,
     h_log_values,
     h_tail_log_values,
+    series_floor,
     zeta_partial_values,
 )
 from .euler_products import h_cutoff  # noqa: F401 -- perfbench/layers.py patches this binding
@@ -150,15 +151,18 @@ def exact_integral(
 ) -> QuadResult:
     """S(alpha,k;N) as the exact window integral of fhat(x) g(1 + ix/log N).
 
-    Equals the finite sum up to quadrature error plus the certified window
-    tail |fhat| outside [-X, X] times the trivial sup bound on |g|.
+    Equals the finite sum up to quadrature error plus tail_bound: the
+    certified window tail |fhat| outside [-X, X] times the trivial sup bound
+    on |g|, and the factor-log series truncation trunc in log g as
+    expm1(trunc) times the L1 mass of the integrand.
     """
     _require_transform(f)
     if not 0 < tol <= 1e-3:
         raise ValueError("tol must lie in (0, 1e-3]")
     x_max = f.fhat_cutoff
-    res, _ = integrate_adaptive(_g_integrand(params, f), -x_max, x_max, 0.5 * tol)
-    tail = f.fhat_tail_bound * g_abs_bound(params)
+    res, l1 = integrate_adaptive(_g_integrand(params, f), -x_max, x_max, 0.5 * tol)
+    trunc = series_floor(params.alpha, 0.0, params.k, 1.0, params.N)[1]
+    tail = f.fhat_tail_bound * g_abs_bound(params) + math.expm1(trunc) * l1
     return QuadResult(res.value, res.quad_error, tail, res.node_count)
 
 
@@ -187,7 +191,7 @@ def _h_contour(alpha: complex, k: int, variant_N: int, h_tol: float):
     def sample(ts):
         s_nodes = 1.0 + 3.0j * np.asarray(ts, dtype=np.float64)
         # removable hits (alpha p^{-s} = 1 at a sample node) take their limit
-        logs, err = h_log_values(alpha, k, s_nodes, primes, regularize=True)
+        logs, err = h_log_values(alpha, k, s_nodes, primes)
         if variant_N == 0:
             tail, err = h_tail_log_values(alpha, k, s_nodes)
             if err > h_tol:

@@ -1,32 +1,35 @@
-"""Finite and infinite products over primes.
+"""Finite and infinite products over primes, through one Euler-factor kernel.
 
-For z = p^(-s) and w = alpha*z the three players are
+For z = p^(-s) and w = alpha*z every product here multiplies the factor
+(1-z)^(-beta) (1-w^k)/(1-w):
 
-    zeta_N(s)          factor (1-z)^(-1)
-    g_{alpha,k,N}(s)   factor 1 + w + ... + w^(k-1) = (1-w^k)/(1-w)
-    h_{alpha,k,N}(s)   factor (1-w)^(-1) (1-z)^alpha (1-w^k)
+    zeta_N(s)          beta = 1, alpha = 0:  (1-z)^(-1)
+    g_{alpha,k,N}(s)   beta = 0:             1 + w + ... + w^(k-1)
+    h_{alpha,k,N}(s)   beta = -alpha:        (1-w)^(-1) (1-z)^alpha (1-w^k)
 
-and g = zeta_N^alpha * h holds factor by factor once zeta_N^alpha is read as
-exp(alpha * sum_p -Log(1-z)).  Every product here is accumulated as a sum of
-*piece* logs: the principal Log of each algebraic piece above, never the log
-of an assembled factor value.  That convention makes the factorization
-identity exact by construction (assembled factors can silently cross the
-principal branch for |alpha| beyond ~2) and it is what the grouped powers in
-`asymptotic` rely on.
+`_factor_log_sum` sums the factor log over the primes.  For p <= 1024 it
+adds the principal Log of each algebraic piece, never the log of an
+assembled factor (which can cross the principal branch for |alpha| beyond
+~2).  Above 1024 it adds sum_{m<=8} e_m z^m, e_m = (beta + alpha^m)/m -
+[k | m] (k/m) alpha^m: the sum of the Mercator expansions of the same
+piece logs, which neither takes complex logs nor rounds 1 - z (eps per
+prime against a term of size |z|).  Either way g = zeta_N^alpha * h holds
+factor by factor with zeta_N^alpha = exp(alpha * sum_p -Log(1-z)), which
+the grouped powers in `asymptotic` rely on.  The series truncation is
+certified and returned; where it exceeds 1e-16 (|alpha| beyond about 7 on
+the 1-line, or Re(s) well below 1) the piece logs run over every prime.
+At w = 1 the kernel takes the removable value k of (1-w^k)/(1-w);
+`h_finite` and `h_infinite` refuse that point with SingularFactor.
 
 `_chunked_piece_sum` is the one reduction over primes: numpy sums over a
 fixed chunking of the primes, for a whole vector of nodes at once, so every
-product depends only on its arguments, bit for bit.  The point evaluations
-(`zeta_partial`, `g_product`, `h_finite`, `h_infinite`) are length-1 calls
-of it.
+product depends only on its arguments, bit for bit.
 
 The infinite product h_{alpha,k} walks no prime past 1024.  Above it,
-`h_tail_log_values` expands each factor log as sum_m e_m p^(-m s) and sums
-over primes through the prime zeta function, P_{>Q}(w) = sum_j mu(j)/j
-log zeta_{>Q}(j w), with zeta from `zeta_engine`, so seven zeta values per
-node replace the walk.  `lemma1_check` reads h_N/h - 1 off the same tail,
-corrected by the primes between N and 1024, so it sieves no prime past
-max(N, 1024).  The finite products walk their primes.
+`h_tail_log_values` sums the same series over primes through the prime zeta
+function, P_{>Q}(w) = sum_j mu(j)/j log zeta_{>Q}(j w), with zeta from
+`zeta_engine`.  `lemma1_check` reads h_N/h - 1 off the same tail, corrected
+by the primes between N and 1024, so it sieves no prime past max(N, 1024).
 """
 
 import math
@@ -44,12 +47,15 @@ _ROSSER = 1.25506  # pi(x) < 1.25506 x / log x for x > 1
 _POLE_TOL = 1e-12  # exact singular-factor hit
 _NEAR_TOL = 1e-6  # below this, (1-w^k)/(1-w) is evaluated as the geometric sum
 _CHUNK_BUDGET = 4_000_000  # complex scratch entries per prime chunk
+_SERIES_FLOOR = 1024  # primes above this use the factor-log power series
+_SERIES_TERMS = 8
+_SERIES_MAX_TRUNC = 1e-16  # ...where its certified truncation is below rounding
 
 
 @dataclass(frozen=True)
 class ProductValue:
-    """A product over primes: value, its accumulated log, and a tail bound
-    on the neglected factors (0 for finite products)."""
+    """A product over primes: value, its accumulated log, and a bound on
+    |value| error from the neglected factors and the series truncation."""
 
     value: complex
     log_value: complex
@@ -63,63 +69,68 @@ def _point(log_values: np.ndarray, log_error: float = 0.0) -> ProductValue:
     return ProductValue(value, log_value, abs(value) * math.expm1(log_error))
 
 
-def _geom_sum(w: np.ndarray, k: int) -> np.ndarray:
-    acc = np.ones_like(w)
-    term = np.ones_like(w)
-    for _ in range(k - 1):
-        term = term * w
-        acc = acc + term
+def _piece_logs(alpha: complex, beta: complex, k: int, z: np.ndarray) -> np.ndarray:
+    """Sum of the principal piece logs of (1-z)^(-beta) (1-w^k)/(1-w),
+    w = alpha*z; a piece that is identically 0 (alpha = 0 or beta = 0) is
+    not evaluated.  Within 1e-6 of w = 1 the ratio is the geometric sum
+    1 + w + ... + w^(k-1), close to k."""
+    out = -beta * np.log(1.0 - z) if beta != 0 else np.zeros_like(z)
+    if alpha == 0:
+        return out
+    w = alpha * z
+    # w^k = 1 with w != 1 is a vanishing factor: log 0 = -inf, value 0;
+    # w = 1 gives nan here and takes the geometric sum below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.log(1.0 - w**k) - np.log(1.0 - w)
+    near = np.abs(1.0 - w) < _NEAR_TOL
+    ratio[near] = np.log(np.polynomial.polynomial.polyval(w[near], np.ones(k)))
+    return out + ratio
+
+
+def _series_coeff(alpha: complex, beta: complex, k: int, m: int) -> complex:
+    # log[(1-z)^(-beta) (1-w^k)/(1-w)] = sum_{m>=1} e_m z^m for |z|, |w| < 1
+    e = (beta + alpha**m) / m
+    if m % k == 0:
+        e -= (k / m) * alpha**m
+    return e
+
+
+def _series_pieces(coeffs: list, z: np.ndarray) -> np.ndarray:
+    # sum_m coeffs[m-1] z^m, Horner
+    acc = coeffs[-1] * z
+    for c in coeffs[-2::-1]:
+        acc += c
+        acc *= z
     return acc
 
 
-def _zeta_piece_logs(z: np.ndarray) -> np.ndarray:
-    return -np.log(1.0 - z)
+def _series_trunc_bound(alpha: complex, beta: complex, k: int, sigma: float, floor: float) -> float:
+    """|sum_{p > floor} (factor log - its degree-_SERIES_TERMS series)|,
+    certified at Re(s) >= sigma.
 
-
-def _g_piece_logs(alpha: complex, k: int, z: np.ndarray) -> np.ndarray:
-    """Principal-piece log of 1 + w + ... + w^(k-1), w = alpha*z.
-
-    The ratio form (1-w^k)/(1-w) is used except within 1e-6 of w = 1, where
-    the geometric sum is evaluated directly.
+    Per factor the dropped terms are sum_{m > M} e_m z^m with
+    |e_m| <= (2+k) C^m (C = max(1, |alpha|, |beta|)), geometrically summed
+    under C|z| <= 1/2; the prime tail uses pi(x) < 1.25506 x/log x.
     """
-    w = alpha * z
-    near = np.abs(1.0 - w) < _NEAR_TOL
-    out = np.empty(z.shape, dtype=np.complex128)
-    ok = ~near
-    if np.any(ok):
-        # w^k = 1 with w != 1 is a vanishing factor: log 0 = -inf, value 0
-        with np.errstate(divide="ignore"):
-            out[ok] = -np.log(1.0 - w[ok]) + np.log(1.0 - w[ok] ** k)
-    if np.any(near):
-        geom = _geom_sum(w[near], k)
-        if np.any(np.abs(geom) < 1e-300):
-            raise SingularFactor("a k-free factor vanishes at this point")
-        out[near] = np.log(geom)
-    return out
+    big = max(1.0, abs(alpha), abs(beta))
+    m1 = _SERIES_TERMS + 1
+    if m1 * sigma <= 1.0 or big / floor**sigma > 0.5:
+        return math.inf
+    return 2.0 * (2.0 + k) * big**m1 * _prime_sum_bound(m1 * sigma, floor)
 
 
-def _h_piece_logs(
-    alpha: complex, k: int, z: np.ndarray, regularize: bool = False
-) -> np.ndarray:
-    """Piece log of (1-w)^(-1) (1-z)^alpha (1-w^k), branch per piece:
-    alpha*Log(1-z) plus the g piece.
-
-    With regularize=True an exact hit w = 1 takes the continuous extension
-    (1-z)^alpha * k instead of raising; the contour machinery needs the
-    removable value, the public point evaluations keep the error contract.
-    """
-    if not regularize and np.any(np.abs(1.0 - alpha * z) < _POLE_TOL):
-        raise SingularFactor("alpha * p^(-s) = 1: singular Euler factor")
-    return alpha * np.log(1.0 - z) + _g_piece_logs(alpha, k, z)
+def series_floor(alpha: complex, beta: complex, k: int, sigma: float, bound: int) -> tuple[int, float]:
+    """(floor, trunc) for a kernel sum over the primes <= bound at
+    Re(s) >= sigma: exact piece logs run to floor and the series above it,
+    with certified truncation trunc (0 where no series runs)."""
+    trunc = _series_trunc_bound(alpha, beta, k, sigma, _SERIES_FLOOR)
+    if bound <= _SERIES_FLOOR or trunc > _SERIES_MAX_TRUNC:
+        return bound, 0.0
+    return _SERIES_FLOOR, trunc
 
 
-def _chunked_piece_sum(piece_fn, primes: PrimeSet, s) -> np.ndarray:
-    """sum_p piece_fn(p^(-s)) for every node of s, fixed chunking over primes.
-
-    Needs Re(s) > 1/2 at every node."""
-    s_nodes = np.atleast_1d(np.asarray(s, dtype=np.complex128))
-    if np.any(s_nodes.real <= 0.5):
-        raise DomainError("need Re(s) > 0.5 for every node")
+def _chunked_piece_sum(piece_fn, primes: PrimeSet, s_nodes: np.ndarray) -> np.ndarray:
+    """sum_p piece_fn(p^(-s)) for every node of s, fixed chunking over primes."""
     nodes = len(s_nodes)
     chunk = max(1024, _CHUNK_BUDGET // max(nodes, 1))
     logp = primes.log_primes
@@ -131,28 +142,56 @@ def _chunked_piece_sum(piece_fn, primes: PrimeSet, s) -> np.ndarray:
     return acc
 
 
+def _above(primes: PrimeSet, floor: int) -> PrimeSet:
+    """The primes of `primes` that exceed floor."""
+    cut = int(np.searchsorted(primes.primes, floor, side="right"))
+    return PrimeSet(primes.bound, primes.primes[cut:], primes.log_primes[cut:])
+
+
+def _factor_log_sum(alpha, beta, k: int, s, primes: PrimeSet) -> tuple[np.ndarray, float]:
+    """sum over `primes` of log[(1-z)^(-beta) (1-w^k)/(1-w)], z = p^(-s),
+    w = alpha*z, at every node of s: exact piece logs up to the series
+    floor, the factor-log series above it.  Returns (log sums, certified
+    bound on the series truncation).  Needs Re(s) > 1/2 at every node."""
+    alpha, beta = complex(alpha), complex(beta)
+    s_nodes = np.atleast_1d(np.asarray(s, dtype=np.complex128))
+    if np.any(s_nodes.real <= 0.5):
+        raise DomainError("need Re(s) > 0.5 for every node")
+    floor, trunc = series_floor(alpha, beta, k, float(np.min(s_nodes.real)), primes.bound)
+    acc = _chunked_piece_sum(partial(_piece_logs, alpha, beta, k), primes.restrict(floor), s_nodes)
+    if floor < primes.bound:
+        coeffs = [_series_coeff(alpha, beta, k, m) for m in range(1, _SERIES_TERMS + 1)]
+        acc = acc + _chunked_piece_sum(partial(_series_pieces, coeffs), _above(primes, floor), s_nodes)
+    return acc, trunc
+
+
+def _require_regular(alpha: complex, s: complex, primes: PrimeSet) -> None:
+    # h's (1-w)^(-1) piece has a pole where alpha * p^(-s) = 1
+    if np.any(np.abs(1.0 - alpha * np.exp(-s * primes.log_primes)) < _POLE_TOL):
+        raise SingularFactor("alpha * p^(-s) = 1: singular Euler factor")
+
+
 def zeta_partial(primes: PrimeSet, s: complex) -> ProductValue:
     """zeta_N(s) = prod_{p<=N} (1 - p^(-s))^(-1), log = -sum Log(1-p^(-s))."""
-    return _point(_chunked_piece_sum(_zeta_piece_logs, primes, complex(s)))
+    return _point(*_factor_log_sum(0.0, 1.0, 1, complex(s), primes))
 
 
 def zeta_partial_values(primes: PrimeSet, s_nodes) -> np.ndarray:
     """Vectorized zeta_N over nodes (no per-node ProductValue wrapping)."""
-    return np.exp(_chunked_piece_sum(_zeta_piece_logs, primes, s_nodes))
+    return np.exp(_factor_log_sum(0.0, 1.0, 1, s_nodes, primes)[0])
 
 
 def g_product(params: SumParams, s: complex) -> ProductValue:
     """g_{alpha,k,N}(s) = prod_{p<=N} (1 + alpha/p^s + ... + alpha^(k-1)/p^((k-1)s))."""
-    piece = partial(_g_piece_logs, params.alpha, params.k)
-    return _point(_chunked_piece_sum(piece, sieve_primes(params.N), complex(s)))
+    return _point(*_factor_log_sum(params.alpha, 0.0, params.k, complex(s), sieve_primes(params.N)))
 
 
 def g_values(params: SumParams, s_nodes, primes: PrimeSet | None = None) -> np.ndarray:
     """Vectorized g_{alpha,k,N} over nodes; `primes` (default: all p <= N)
-    lets repeated callers share one prime set."""
+    lets repeated callers share one prime set.  The series truncation in
+    log g is series_floor(alpha, 0, k, min Re s, N)[1]."""
     primes = primes if primes is not None else sieve_primes(params.N)
-    piece = partial(_g_piece_logs, params.alpha, params.k)
-    return np.exp(_chunked_piece_sum(piece, primes, s_nodes))
+    return np.exp(_factor_log_sum(params.alpha, 0.0, params.k, s_nodes, primes)[0])
 
 
 def g_abs_bound(params: SumParams) -> float:
@@ -161,75 +200,11 @@ def g_abs_bound(params: SumParams) -> float:
     return g_product(params.abs_alpha(), 1.0).value.real
 
 
-_SERIES_FLOOR = 1024  # primes above this use the factor-log power series
-_SERIES_TERMS = 8
-_SERIES_MAX_TRUNC = 1e-16  # ...where its certified truncation is below rounding
-
-
-def _h_series_coeff(alpha: complex, k: int, m: int) -> complex:
-    # log h_p = sum_{m>=2} e_m z^m for |alpha z| < 1 (Mercator of each piece)
-    e = (alpha**m - alpha) / m
-    if m % k == 0:
-        e -= (k / m) * alpha**m
-    return e
-
-
-def h_series_trunc_log_bound(alpha: complex, k: int, sigma: float, floor: float) -> float:
-    """|sum_{p > floor} (log h_p - degree-_SERIES_TERMS series)|, certified.
-
-    Per factor the dropped terms are sum_{m > M} e_m z^m with
-    |e_m| <= (2+k) A^m (A = max(1,|alpha|)), geometrically summed under
-    A|z| <= 1/2; the prime tail uses pi(x) < 1.25506 x/log x.
-    """
-    big = max(1.0, abs(alpha))
-    m1 = _SERIES_TERMS + 1
-    if m1 * sigma <= 1.0 or big / floor**sigma > 0.5:
-        return math.inf
-    return 2.0 * (2.0 + k) * big**m1 * _prime_sum_bound(m1 * sigma, floor)
-
-
-def _above(primes: PrimeSet, floor: int) -> PrimeSet:
-    """The primes of `primes` that exceed floor."""
-    cut = int(np.searchsorted(primes.primes, floor, side="right"))
-    return PrimeSet(primes.bound, primes.primes[cut:], primes.log_primes[cut:])
-
-
-def h_log_values(
-    alpha: complex,
-    k: int,
-    s_nodes,
-    primes: PrimeSet,
-    regularize: bool = False,
-) -> tuple[np.ndarray, float]:
-    """sum_p log h_p over the given primes, per node: exact piece logs for
-    p <= _SERIES_FLOOR, the factor-log power series beyond (complex logs
-    dominate the cost otherwise).  Returns (log sums, certified bound on the
-    series truncation); `regularize` is passed on to `_h_piece_logs`.
-
-    Where the certified series truncation exceeds _SERIES_MAX_TRUNC (large
-    |alpha|, or Re(s) well below 1), every factor takes its exact piece logs
-    instead."""
-    alpha = complex(alpha)
-    s_nodes = np.atleast_1d(np.asarray(s_nodes, dtype=np.complex128))
-    trunc = h_series_trunc_log_bound(alpha, k, float(np.min(s_nodes.real)), _SERIES_FLOOR)
-    floor = _SERIES_FLOOR if trunc <= _SERIES_MAX_TRUNC else primes.bound
-    piece = partial(_h_piece_logs, alpha, k, regularize=regularize)
-    acc = _chunked_piece_sum(piece, primes.restrict(floor), s_nodes)
-    tail_primes = _above(primes, floor)
-    if len(tail_primes) == 0:
-        return acc, 0.0
-    coeffs = [_h_series_coeff(alpha, k, m) for m in range(2, _SERIES_TERMS + 1)]
-
-    def series_pieces(z):
-        zm = z * z
-        out = coeffs[0] * zm
-        for cm in coeffs[1:]:
-            zm = zm * z
-            out = out + cm * zm
-        return out
-
-    acc = acc + _chunked_piece_sum(series_pieces, tail_primes, s_nodes)
-    return acc, trunc
+def h_log_values(alpha: complex, k: int, s_nodes, primes: PrimeSet) -> tuple[np.ndarray, float]:
+    """sum_p log h_p over the given primes, per node, and the certified
+    bound on the series truncation (the kernel at beta = -alpha).  A node
+    with alpha p^(-s) = 1 takes the removable value (1-z)^alpha k."""
+    return _factor_log_sum(alpha, -complex(alpha), k, s_nodes, primes)
 
 
 def h_finite(params: SumParams, s: complex) -> ProductValue:
@@ -239,8 +214,9 @@ def h_finite(params: SumParams, s: complex) -> ProductValue:
     SingularFactor on an exact pole hit alpha*p^(-s) = 1.  tail_bound carries
     the series truncation of the factors above 1024 (0 for N <= 1024).
     """
-    logs, trunc = h_log_values(params.alpha, params.k, complex(s), sieve_primes(params.N))
-    return _point(logs, trunc)
+    s, primes = complex(s), sieve_primes(params.N)
+    _require_regular(params.alpha, s, primes)
+    return _point(*h_log_values(params.alpha, params.k, s, primes))
 
 
 def _prime_sum_bound(a: float, P: float) -> float:
@@ -295,7 +271,7 @@ def _log_zeta_above(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     m_terms = max(20, math.ceil(2.0 * float(np.max(np.abs(u.imag)))))
     a_u, a_err = zeta_engine._euler_maclaurin(u, m_terms)
     zeta_u = a_u / (u - 1.0)
-    head = _chunked_piece_sum(_zeta_piece_logs, primes, u)  # log zeta_Q(u)
+    head, _ = _factor_log_sum(0.0, 1.0, 1, u, primes)  # log zeta_Q(u), exact piece logs
     # rounding, doubled for safety: a term n^(-u) or Log(1-p^(-u)) carries a
     # relative error below (2|u| log n + 3) eps; over either sum,
     # sum |term| <= zeta(2) and sum |term| log n <= -zeta'(2) < 0.94; a naive
@@ -315,12 +291,12 @@ def h_tail_log_values(alpha: complex, k: int, s_nodes) -> tuple[np.ndarray, floa
     """sum_{p > Q} log h_p at every node, Q = _SERIES_FLOOR, through the
     prime zeta function, and a certified bound on its error.
 
-    With e_m the factor-log coefficients (_h_series_coeff), the tail is
+    With e_m the factor-log coefficients at beta = -alpha (_series_coeff), the tail is
     sum_{m>=2} e_m P_{>Q}(m s), and the prime zeta function is
     P_{>Q}(w) = sum_j mu(j)/j log zeta_{>Q}(j w).  The pairs m j <= 8 are
     kept, so the tail needs log zeta_{>Q}(n s) for n = 2..8 only (Ettahri,
     Ramare and Surel, Math. Comp. 2021; H. Cohen, 1998).  The bound covers
-    the terms m > 8 (h_series_trunc_log_bound), the Moebius terms j > 8/m,
+    the terms m > 8 (_series_trunc_bound), the Moebius terms j > 8/m,
     zeta's error estimates and the rounding of the p <= Q subtraction, each
     weighted by sum |e_m|/j.  Needs Re(s) >= 1; raises ToleranceUnachievable
     where max(1,|alpha|)/Q^Re(s) > 1/2, since the series does not certify
@@ -332,7 +308,7 @@ def h_tail_log_values(alpha: complex, k: int, s_nodes) -> tuple[np.ndarray, floa
     if sigma < 1.0:
         raise DomainError("the prime-zeta h tail needs Re(s) >= 1")
     Q = _SERIES_FLOOR
-    bound = h_series_trunc_log_bound(alpha, k, sigma, Q)
+    bound = _series_trunc_bound(alpha, -alpha, k, sigma, Q)
     if math.isinf(bound):
         raise ToleranceUnachievable(
             f"|alpha| = {abs(alpha):.3g} is too large for the h series above p = {Q}"
@@ -341,7 +317,7 @@ def h_tail_log_values(alpha: complex, k: int, s_nodes) -> tuple[np.ndarray, floa
     weights = np.zeros(n_max + 1, dtype=np.complex128)  # of log zeta_{>Q}(n s)
     abs_weights = np.zeros(n_max + 1)
     for m in range(2, n_max + 1):
-        e = _h_series_coeff(alpha, k, m)
+        e = _series_coeff(alpha, -alpha, k, m)
         last = n_max // m
         for j in range(1, last + 1):
             if _MOBIUS[j]:
@@ -363,13 +339,16 @@ def h_infinite(alpha: complex, k: int, s: complex, tol: float) -> ProductValue:
     sieved.  Needs Re(s) >= 1 (the 1-line is the use case).
 
     tail_bound carries the tail's certified bound; ToleranceUnachievable is
-    raised when that bound exceeds tol."""
+    raised when that bound exceeds tol, SingularFactor on an exact pole hit
+    alpha*p^(-s) = 1."""
     s = complex(s)
     if s.real < 1.0:
         raise DomainError("h_infinite is certified for Re(s) >= 1 only")
     if k < 2:
         raise ValueError("k must be >= 2")
-    head, _ = h_log_values(alpha, k, s, sieve_primes(_SERIES_FLOOR))
+    primes = sieve_primes(_SERIES_FLOOR)
+    _require_regular(complex(alpha), s, primes)
+    head, _ = h_log_values(alpha, k, s, primes)
     tail, bound = h_tail_log_values(alpha, k, s)
     if bound > tol:
         raise ToleranceUnachievable(f"h tail bound {bound:.2e} > tol {tol:.2e}")
@@ -419,11 +398,11 @@ def lemma1_check(alpha: complex, k: int, N_values, tau_grid) -> Lemma1Report:
         # sum m |e_m| Q^(-m) per unit of relative error in p^(-s)
         exact_round = 4.0 * _EPS * (abs(alpha) + 2.0)
         size = sum(
-            m * abs(_h_series_coeff(alpha, k, m)) * Q**-m for m in range(2, _SERIES_TERMS + 1)
+            m * abs(_series_coeff(alpha, -alpha, k, m)) * Q**-m for m in range(2, _SERIES_TERMS + 1)
         )
         log_n_max = math.log(max(max(n_values), Q))
         series_round = 4.0 * _EPS * (2.0 * float(np.max(np.abs(s_nodes))) * log_n_max + 3.0) * size
-        if h_series_trunc_log_bound(alpha, k, 1.0, Q) > _SERIES_MAX_TRUNC:
+        if _series_trunc_bound(alpha, -alpha, k, 1.0, Q) > _SERIES_MAX_TRUNC:
             series_round = exact_round  # h_log_values takes exact piece logs
         errs = []
         for n in n_values:

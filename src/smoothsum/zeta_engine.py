@@ -15,7 +15,8 @@ estimate is returned, not assumed).  That estimate covers truncation only:
 for Re s in [0.5, 1.2] and |Im s| up to 1e3 the rounding of the ~2|Im s|
 terms of the sum reaches about 1e-11 relative.  One vectorised sum serves
 every caller: a scalar zeta, the batches of zeta(n s) behind the prime-zeta
-h tail (euler_products.h_tail_log_values), and the nodes of the main term.
+h tail (euler_products.h_tail_log_values), the nodes of the main term and
+the grids of regular_factor_path.
 
 On the main-term contour s = 1 + i tau, |tau| <= 3, A depends on tau alone,
 so log A is one Chebyshev model per process (log_regular_model), built from
@@ -122,15 +123,16 @@ def zeta(s: complex) -> ZetaValue:
 
 
 def _log_regular_vec(xs: np.ndarray, log_n: float) -> np.ndarray:
-    out = np.empty(len(xs), dtype=np.complex128)
-    for i, x in enumerate(xs):
-        out[i] = np.log(zeta(1.0 + 1j * float(x) / log_n).regular)
-    return out
+    s = 1.0 + 1j * np.asarray(xs, dtype=np.float64) / log_n
+    if np.max(np.abs(s.imag)) > MAX_IM:
+        raise PrecisionLoss(f"|Im s| > {MAX_IM:g} exceeds the certified range")
+    return np.log(_euler_maclaurin(s)[0])
 
 
 def regular_factor_path(path_xs, log_n: float) -> BranchedPath:
     """Unwrapped log of A(x) = (s-1)zeta(s), s = 1 + ix/log N, anchored at
-    A(0) = 1.  A is nonvanishing on the path since zeta(1+it) != 0."""
+    A(0) = 1.  A is nonvanishing on the path since zeta(1+it) != 0.  Each
+    grid the unwrapping asks for is one Euler-Maclaurin batch."""
     if log_n <= 0:
         raise ValueError("log N must be positive")
     return build_branched_path(

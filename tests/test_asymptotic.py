@@ -25,8 +25,9 @@ from smoothsum import (
     zeta,
     zeta_partial,
 )
-from smoothsum import zeta_engine
+from smoothsum import asymptotic, zeta_engine
 from smoothsum.asymptotic import _h_contour, log_n_power
+from smoothsum.euler_products import series_floor
 from smoothsum.quadrature import integrate_adaptive
 
 
@@ -78,6 +79,18 @@ def test_exact_integral_matches_brute(f):
         ex = exact_integral(p, f, 1e-7)
         br = brute_S(p, f)
         assert abs(ex.value - br.value) <= ex.quad_error + ex.tail_bound + br.tail_certificate
+
+
+def test_exact_integral_ledger_carries_the_series_truncation(f, monkeypatch):
+    # above p = 1024 log g is a truncated series; its certified truncation
+    # reaches tail_bound as expm1(trunc) times the L1 mass, at least |value|
+    p = SumParams(1, 2, 5000)
+    assert 0 < series_floor(1, 0, 2, 1.0, 5000)[1] <= 1e-16
+    base = exact_integral(p, f, 1e-7)
+    monkeypatch.setattr(asymptotic, "series_floor", lambda *args: (1024, 1e-3))
+    wide = exact_integral(p, f, 1e-7)
+    assert wide.value == base.value
+    assert wide.tail_bound - base.tail_bound >= 0.999 * math.expm1(1e-3) * abs(base.value)
 
 
 def test_exact_integral_refinement_contract(f):

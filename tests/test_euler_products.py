@@ -64,7 +64,10 @@ def direct_products(alpha, k, N, s):
 
 
 def test_zeta_partial_matches_direct_product():
-    for N, s in ((50, 1.0 + 0.8j), (2000, 1.0 - 2.5j), (300, 0.7 + 5.0j)):
+    # N = 5000: the power series above p = 1024; Re s = 0.6, where its
+    # truncation would exceed rounding, takes exact piece logs throughout
+    for N, s in ((50, 1.0 + 0.8j), (2000, 1.0 - 2.5j), (300, 0.7 + 5.0j),
+                 (5000, 1.0 + 1.7j), (3000, 0.6 + 4.0j)):
         zeta_n, _, _ = direct_products(1.0, 2, N, s)
         assert zeta_partial(sieve_primes(N), s).value == pytest.approx(zeta_n, rel=1e-12)
 
@@ -73,7 +76,8 @@ def test_h_finite_matches_direct_product():
     # N = 2000: the power series above p = 1024, and exact pieces throughout
     # at alpha = 12, where the series truncation would exceed rounding
     for alpha, k, N, s in ((1.3 - 0.7j, 3, 50, 1.0 + 0.8j), (0.5 + 0.5j, 2, 2000, 1.0 - 2.5j),
-                           (-1.0, 4, 300, 0.8 + 1.5j), (12.0, 2, 2000, 1.0 + 0.3j)):
+                           (-1.0, 4, 300, 0.8 + 1.5j), (12.0, 2, 2000, 1.0 + 0.3j),
+                           (1.5 - 0.5j, 3, 5000, 1.0 + 2.0j), (-9.0 + 3.0j, 3, 3000, 1.0 - 0.4j)):
         _, _, h = direct_products(alpha, k, N, s)
         hv = h_finite(SumParams(alpha, k, N), s)
         assert hv.value == pytest.approx(h, rel=1e-12)
@@ -118,13 +122,36 @@ def test_g_product_golden():
 
 
 def test_g_product_matches_direct_geometric_product():
-    params = SumParams(1.3 - 0.7j, 3, 50)
-    s = 1.0 + 0.8j
-    direct = 1.0
-    for p in sieve_primes(50).primes:
-        w = params.alpha * p ** (-s)
-        direct *= 1 + w + w**2
-    assert g_product(params, s).value == pytest.approx(direct, rel=1e-12)
+    # N = 5000: the power series above p = 1024; alpha = 10 + 2j, where its
+    # truncation would exceed rounding, takes exact piece logs throughout
+    for alpha, k, N, s in ((1.3 - 0.7j, 3, 50, 1.0 + 0.8j), (0.8 + 0.9j, 4, 5000, 1.0 - 1.1j),
+                           (10.0 + 2.0j, 2, 2000, 1.0 + 0.3j)):
+        direct = 1.0
+        for p in sieve_primes(N).primes:
+            w = alpha * p ** (-s)
+            direct *= sum(w**j for j in range(k))
+        gv = g_product(SumParams(alpha, k, N), s)
+        assert gv.value == pytest.approx(direct, rel=1e-12)
+        assert gv.tail_bound <= 1e-15 * abs(gv.value)
+
+
+def test_log_g_keeps_its_digits_over_a_long_walk():
+    """log g at N = 2^20, alpha = 1, k = 3 against per-prime Mercator sums
+    of log(1 - z^3) - log(1 - z) added exactly by math.fsum (within 1.1e-16
+    of 30-digit mpmath over the primes to 2^14).  A walk of np.log(1 - z)
+    over every prime was 1.0e-12 off here: rounding 1 - z costs eps per
+    prime against a term of size |z|."""
+    logp = np.log(sieve_primes(2**20).primes.astype(np.float64))
+    for tau in (0.75, -0.75):
+        s = 1.0 + 1j * tau
+        z = np.exp(-s * logp)
+        per_p = np.zeros_like(z)
+        for m in range(60, 0, -1):  # 2^-60 / 60 is below eps^3
+            per_p += z**m / m
+            if m <= 20:
+                per_p -= z ** (3 * m) / m
+        ref = complex(math.fsum(per_p.real), math.fsum(per_p.imag))
+        assert abs(g_product(SumParams(1, 3, 2**20), s).log_value - ref) <= 1e-14
 
 
 def test_g_values_vectorized_matches_scalar():
