@@ -238,8 +238,8 @@ def main_term(
     interpolation; comparisons that share the cached h model may relax it
     independently of the quadrature budget.  tol and h_tol must lie in (0, 1e-3].
 
-    quad_error is the 15/7-point Gauss difference of the window integral, an
-    estimate rather than a bound; tail_bound carries the h-model uncertainty
+    quad_error is the G7/K15 Gauss-Kronrod difference of the window integral,
+    an estimate rather than a bound; tail_bound carries the h-model uncertainty
     and the error delta of log A as expm1(|alpha| delta) times the L1 mass:
     the log A model's uniform error on the exp(alpha log) route, the largest
     err_estimate/|A| over the quadrature nodes on the integer-power route.

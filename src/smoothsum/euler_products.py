@@ -8,18 +8,18 @@ For z = p^(-s) and w = alpha*z every product here multiplies the factor
     h_{alpha,k,N}(s)   beta = -alpha:        (1-w)^(-1) (1-z)^alpha (1-w^k)
 
 `_factor_log_sum` sums the factor log over the primes.  For p <= 1024 it
-adds the principal Log of each algebraic piece, never the log of an
-assembled factor (which can cross the principal branch for |alpha| beyond
-~2).  Above 1024 it adds sum_{m<=8} e_m z^m, e_m = (beta + alpha^m)/m -
-[k | m] (k/m) alpha^m: the sum of the Mercator expansions of the same
-piece logs, which neither takes complex logs nor rounds 1 - z (eps per
-prime against a term of size |z|).  Either way g = zeta_N^alpha * h holds
-factor by factor with zeta_N^alpha = exp(alpha * sum_p -Log(1-z)), which
-the grouped powers in `asymptotic` rely on.  The series truncation is
+adds the principal -beta Log(1-z) per prime, so log zeta_N and h's
+alpha Log(1-z) stay principal, and one log per block of primes of the
+product of the geometric sums 1 + w + ... + w^(k-1) (no log of 1 - w, and
+k at w = 1): that ratio part, and with it log g and log h, holds mod 2 pi i
+only, which is all exp and the identity log g = alpha log zeta_N + log h
+(g and h share the blocks) need.  Above 1024 it adds sum_{m<=8} e_m z^m,
+e_m = (beta + alpha^m)/m - [k | m] (k/m) alpha^m: the Mercator expansion of
+the principal piece logs, which neither takes complex logs nor rounds 1 - z
+(eps per prime against a term of size |z|).  The series truncation is
 certified and returned; where it exceeds 1e-16 (|alpha| beyond about 7 on
-the 1-line, or Re(s) well below 1) the piece logs run over every prime.
-At w = 1 the kernel takes the removable value k of (1-w^k)/(1-w);
-`h_finite` and `h_infinite` refuse that point with SingularFactor.
+the 1-line, or Re(s) well below 1) the exact pieces run over every prime.
+`h_finite` and `h_infinite` refuse w = 1 with SingularFactor.
 
 `_chunked_piece_sum` is the one reduction over primes: numpy sums over a
 fixed chunking of the primes, for a whole vector of nodes at once, so every
@@ -45,7 +45,7 @@ from .params import SumParams
 
 _ROSSER = 1.25506  # pi(x) < 1.25506 x / log x for x > 1
 _POLE_TOL = 1e-12  # exact singular-factor hit
-_NEAR_TOL = 1e-6  # below this, (1-w^k)/(1-w) is evaluated as the geometric sum
+_BLOCK_LOG_MAX = 690.0  # log of the largest modulus a block product may reach
 _CHUNK_BUDGET = 4_000_000  # complex scratch entries per prime chunk
 _SERIES_FLOOR = 1024  # primes above this use the factor-log power series
 _SERIES_TERMS = 8
@@ -66,25 +66,34 @@ def _point(log_values: np.ndarray, log_error: float = 0.0) -> ProductValue:
     # a length-1 log sum; log_error bounds |log of the neglected factors|
     log_value = complex(log_values[0])
     value = complex(np.exp(log_value))
-    return ProductValue(value, log_value, abs(value) * math.expm1(log_error))
+    return ProductValue(value, log_value, abs(value) * math.expm1(log_error) if log_error else 0.0)
 
 
-def _piece_logs(alpha: complex, beta: complex, k: int, z: np.ndarray) -> np.ndarray:
-    """Sum of the principal piece logs of (1-z)^(-beta) (1-w^k)/(1-w),
-    w = alpha*z; a piece that is identically 0 (alpha = 0 or beta = 0) is
-    not evaluated.  Within 1e-6 of w = 1 the ratio is the geometric sum
-    1 + w + ... + w^(k-1), close to k."""
-    out = -beta * np.log(1.0 - z) if beta != 0 else np.zeros_like(z)
+def _block_size(k: int, r: float) -> int:
+    """Primes per block product of 1 + w + ... + w^(k-1) with |w| <= r: each
+    has modulus <= k max(1, r)^(k-1), so B such factors stay below
+    e^_BLOCK_LOG_MAX; DomainError where one may not (about 1e300)."""
+    log_m = math.log(max(k, 2)) + (k - 1) * math.log(max(1.0, r))  # > 0 at k = 1 too
+    if log_m > _BLOCK_LOG_MAX:
+        raise DomainError(f"k = {k}, |alpha p^(-s)| up to {r:.3g}: an Euler factor may overflow")
+    return max(1, int(_BLOCK_LOG_MAX / log_m))
+
+
+def _piece_logs(alpha: complex, beta: complex, k: int, block: int, z: np.ndarray) -> np.ndarray:
+    """Sum over the rows of z of log[(1-z)^(-beta) (1-w^k)/(1-w)], w = alpha z:
+    the principal -beta Log(1-z) per prime (none at beta = 0), and one log per
+    `block` primes of the product of the Horner sums 1 + w + ... + w^(k-1), so
+    mod 2 pi i only; k at w = 1, and -inf for a vanishing factor."""
+    out = (-beta * np.log(1.0 - z)).sum(axis=0) if beta != 0 else np.zeros(z.shape[1], z.dtype)
     if alpha == 0:
         return out
-    w = alpha * z
-    # w^k = 1 with w != 1 is a vanishing factor: log 0 = -inf, value 0;
-    # w = 1 gives nan here and takes the geometric sum below
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.log(1.0 - w**k) - np.log(1.0 - w)
-    near = np.abs(1.0 - w) < _NEAR_TOL
-    ratio[near] = np.log(np.polynomial.polynomial.polyval(w[near], np.ones(k)))
-    return out + ratio
+    w, ratio = alpha * z, np.ones_like(z)
+    for _ in range(k - 1):
+        ratio *= w
+        ratio += 1.0
+    prods = np.multiply.reduceat(ratio, np.arange(0, len(ratio), block))
+    with np.errstate(divide="ignore"):  # a vanishing factor: log 0 = -inf
+        return out + np.log(prods).sum(axis=0)
 
 
 def _series_coeff(alpha: complex, beta: complex, k: int, m: int) -> complex:
@@ -96,12 +105,12 @@ def _series_coeff(alpha: complex, beta: complex, k: int, m: int) -> complex:
 
 
 def _series_pieces(coeffs: list, z: np.ndarray) -> np.ndarray:
-    # sum_m coeffs[m-1] z^m, Horner
+    # sum over the rows of sum_m coeffs[m-1] z^m, Horner
     acc = coeffs[-1] * z
     for c in coeffs[-2::-1]:
         acc += c
         acc *= z
-    return acc
+    return acc.sum(axis=0)
 
 
 def _series_trunc_bound(alpha: complex, beta: complex, k: int, sigma: float, floor: float) -> float:
@@ -130,7 +139,7 @@ def series_floor(alpha: complex, beta: complex, k: int, sigma: float, bound: int
 
 
 def _chunked_piece_sum(piece_fn, primes: PrimeSet, s_nodes: np.ndarray) -> np.ndarray:
-    """sum_p piece_fn(p^(-s)) for every node of s, fixed chunking over primes."""
+    """sum_p piece_fn(p^(-s)) per node of s; piece_fn sums a fixed chunk of primes."""
     nodes = len(s_nodes)
     chunk = max(1024, _CHUNK_BUDGET // max(nodes, 1))
     logp = primes.log_primes
@@ -138,7 +147,7 @@ def _chunked_piece_sum(piece_fn, primes: PrimeSet, s_nodes: np.ndarray) -> np.nd
     for lo in range(0, len(logp), chunk):
         lp = logp[lo : lo + chunk]
         z = np.exp(-np.outer(lp, s_nodes))
-        acc = acc + piece_fn(z).sum(axis=0)
+        acc = acc + piece_fn(z)
     return acc
 
 
@@ -157,8 +166,11 @@ def _factor_log_sum(alpha, beta, k: int, s, primes: PrimeSet) -> tuple[np.ndarra
     s_nodes = np.atleast_1d(np.asarray(s, dtype=np.complex128))
     if np.any(s_nodes.real <= 0.5):
         raise DomainError("need Re(s) > 0.5 for every node")
-    floor, trunc = series_floor(alpha, beta, k, float(np.min(s_nodes.real)), primes.bound)
-    acc = _chunked_piece_sum(partial(_piece_logs, alpha, beta, k), primes.restrict(floor), s_nodes)
+    sigma = float(np.min(s_nodes.real))
+    floor, trunc = series_floor(alpha, beta, k, sigma, primes.bound)
+    head = primes.restrict(floor)  # |w| <= |alpha| p^(-sigma) at its smallest prime p
+    block = _block_size(k, abs(alpha) * float(head.primes[0]) ** -sigma) if alpha != 0 and len(head) else 1
+    acc = _chunked_piece_sum(partial(_piece_logs, alpha, beta, k, block), head, s_nodes)
     if floor < primes.bound:
         coeffs = [_series_coeff(alpha, beta, k, m) for m in range(1, _SERIES_TERMS + 1)]
         acc = acc + _chunked_piece_sum(partial(_series_pieces, coeffs), _above(primes, floor), s_nodes)
@@ -355,6 +367,20 @@ def h_infinite(alpha: complex, k: int, s: complex, tol: float) -> ProductValue:
     return _point(head + tail, bound)
 
 
+def _head_round(alpha: complex, k: int, p_min: float) -> float:
+    """Rounding of h's exact piece logs per prime p > p_min on the 1-line, with
+    r = |alpha|/p_min >= |w| and c = (1+r)/((1-r)(1-r^k)) >= sum|w|^j / |sum w^j|
+    and >= e^|log| of a factor's modulus: the beta log 4 eps |alpha|; w = alpha z
+    and k-1 Horner steps 8 k eps c; the block product 3 eps; a log per block of
+    b primes, |log| <= b log c + pi, eps (log c + pi).  Rounding z moves
+    log h_p = O(z^2) by O(|alpha/p|^2) eps only.  Infinite where r >= 1."""
+    r = abs(alpha) / p_min
+    if r >= 1.0:
+        return math.inf
+    c = (1.0 + r) / ((1.0 - r) * (1.0 - r**k))
+    return _EPS * (4.0 * abs(alpha) + 8.0 * k * c + 3.0 + math.log(c) + math.pi)
+
+
 @dataclass(frozen=True)
 class Lemma1Report:
     """Measured agreement of h_{alpha,k,N} with its infinite-product limit."""
@@ -392,18 +418,15 @@ def lemma1_check(alpha: complex, k: int, N_values, tau_grid) -> Lemma1Report:
         Q = _SERIES_FLOOR
         primes = sieve_primes(max(max(n_values), Q))
         above_q, tail_bound = h_tail_log_values(alpha, k, s_nodes)
-        # rounding per prime of the sum over the primes between N and Q: a
-        # few eps for each of the three exact piece logs (one scaled by
-        # alpha), and for a series value a few eps times its size
-        # sum m |e_m| Q^(-m) per unit of relative error in p^(-s)
-        exact_round = 4.0 * _EPS * (abs(alpha) + 2.0)
+        # rounding per prime between N and Q: _head_round for exact piece logs, and for a
+        # series value a few eps times sum m |e_m| Q^(-m) per unit of relative error in p^(-s)
         size = sum(
             m * abs(_series_coeff(alpha, -alpha, k, m)) * Q**-m for m in range(2, _SERIES_TERMS + 1)
         )
         log_n_max = math.log(max(max(n_values), Q))
         series_round = 4.0 * _EPS * (2.0 * float(np.max(np.abs(s_nodes))) * log_n_max + 3.0) * size
         if _series_trunc_bound(alpha, -alpha, k, 1.0, Q) > _SERIES_MAX_TRUNC:
-            series_round = exact_round  # h_log_values takes exact piece logs
+            series_round = _head_round(alpha, k, Q)  # h_log_values takes exact piece logs
         errs = []
         for n in n_values:
             # the series truncation over (Q, N] is part of the one tail_bound
@@ -412,7 +435,7 @@ def lemma1_check(alpha: complex, k: int, N_values, tau_grid) -> Lemma1Report:
             logs, _ = h_log_values(alpha, k, s_nodes, between)
             tail = above_q - logs if n >= Q else above_q + logs
             err = float(np.max(np.abs(np.expm1(-tail))))
-            rounding = len(between) * (series_round if n >= Q else exact_round)
+            rounding = len(between) * (series_round if n >= Q else _head_round(alpha, k, n))
             # a log error d moves h_N/h - 1 by at most |h_N/h| expm1(d)
             with np.errstate(over="ignore"):
                 spread = np.max(np.abs(np.exp(-tail))) * np.expm1(tail_bound + rounding)

@@ -154,6 +154,57 @@ def test_log_g_keeps_its_digits_over_a_long_walk():
         assert abs(g_product(SumParams(1, 3, 2**20), s).log_value - ref) <= 1e-14
 
 
+def test_g_values_match_mpmath_at_1024():
+    """g_values (one principal log of each block product of Horner sums)
+    against a 30-digit product at N = 1024.  Beyond 1e-14 the tolerance
+    admits the rounding of p^(-s) itself, about eps (|s| log p + 1) relative,
+    times each factor's condition |sum j w^j / sum w^j|: near a zero of the
+    p = 2 factor (alpha = 2, k = 3, tau = +-3, where |g| = 0.027) that alone
+    moves g by 1.2e-14."""
+    primes = sieve_primes(1024).primes
+    logp = np.log(primes.astype(np.float64))
+    s_nodes = 1.0 + 1j * np.linspace(-3, 3, 7)
+    eps = np.finfo(np.float64).eps
+    z_mp = [[mpmath.power(int(p), -mpmath.mpc(s)) for p in primes] for s in s_nodes]
+    for alpha in (0.7 + 0.4j, -1.9 + 0.3j, 2, 1.5 - 1.2j, -3 + 2j):
+        for k in (2, 3, 4):
+            got = g_values(SumParams(alpha, k, 1024), s_nodes)
+            for s, g, zs in zip(s_nodes, got, z_mp):
+                ref = mpmath.mpc(1)
+                for z in zs:
+                    w = mpmath.mpc(alpha) * z
+                    ref *= mpmath.fsum(w**j for j in range(k))
+                w = alpha * np.exp(-s * logp)
+                powers = w ** np.arange(k)[:, None]
+                cond = np.abs((np.arange(k)[:, None] * powers).sum(0) / powers.sum(0))
+                kappa = float(np.sum(cond * (abs(s) * logp + 1.0)))
+                assert abs(g - complex(ref)) <= (1e-14 + 2.0 * eps * kappa) * abs(complex(ref))
+
+
+def test_g_product_overflow_guard():
+    """alpha = 12, k = 200: the p = 2 factor reaches 6^199, so every block is
+    one prime, and log g matches a 30-digit sum of factor logs (its imaginary
+    part mod 2 pi).  At k = 400 a factor may pass 1e300: DomainError, no nan."""
+    s = 1.0 + 0.5j
+    with np.errstate(over="ignore"):  # |g| = e^930 is past the double range
+        pv = g_product(SumParams(12, 200, 50), s)
+    ref_re, ref_im = mpmath.mpf(0), mpmath.mpf(0)
+    for p in sieve_primes(50).primes:
+        w = 12 * mpmath.power(int(p), -mpmath.mpc(s))
+        factor = mpmath.fsum(w**j for j in range(200))
+        ref_re += mpmath.log(abs(factor))
+        ref_im += mpmath.arg(factor)
+    assert pv.log_value.real == pytest.approx(float(ref_re), rel=1e-12)
+    turns = (pv.log_value.imag - float(ref_im)) / (2.0 * math.pi)
+    assert abs(turns - round(turns)) <= 1e-10
+    assert not any(math.isnan(x) for x in (pv.log_value.real, pv.log_value.imag, pv.tail_bound))
+    with pytest.raises(DomainError):
+        g_product(SumParams(12, 400, 50), s)
+    # the bound reads the smallest prime summed: above 1024, |w| < 0.012
+    logs, _ = h_log_values(12, 400, s, euler_products._above(sieve_primes(2000), 1024))
+    assert np.all(np.isfinite(logs))
+
+
 def test_g_values_vectorized_matches_scalar():
     params = SumParams(0.5 + 0.5j, 2, 1000)
     s_nodes = 1.0 + 1j * np.linspace(-3, 3, 7)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from smoothsum import ToleranceUnachievable
+from smoothsum import quadrature
 from smoothsum.quadrature import integrate_adaptive
 
 
@@ -40,6 +41,25 @@ def test_deterministic():
     a, _ = integrate_adaptive(f, -5.0, 5.0, 1e-10)
     b, _ = integrate_adaptive(f, -5.0, 5.0, 1e-10)
     assert a.value == b.value and a.node_count == b.node_count
+    assert a.node_count % 15 == 0
+
+
+def test_gauss_kronrod_constants():
+    """The G7/K15 pair: K15 integrates x^d exactly on [-1, 1] for d <= 23,
+    G7 (the Gauss nodes among the Kronrod ones) for d <= 13."""
+    x, k15, g7 = quadrature._NODES, quadrature._K15, quadrature._G7
+    gauss = g7 != 0
+    nodes7, weights7 = np.polynomial.legendre.leggauss(7)
+    assert np.max(np.abs(x[gauss] - nodes7)) <= 1e-15
+    assert np.max(np.abs(g7[gauss] - weights7)) <= 1e-15
+    for d in range(24):
+        exact = 2.0 / (d + 1) if d % 2 == 0 else 0.0
+        assert abs(k15 @ x**d - exact) <= 1e-15
+        if d <= 13:
+            assert abs(g7 @ x**d - exact) <= 1e-15
+    # the pair is no better than its degree: x^24 and x^14 are not exact
+    assert abs(k15 @ x**24 - 2.0 / 25) > 1e-12
+    assert abs(g7 @ x**14 - 2.0 / 15) > 1e-6
 
 
 def test_panel_cap_raises():
