@@ -33,6 +33,7 @@ from . import dickman, zeta_engine
 from .errors import EtaTooSmall, PrecisionLoss, ToleranceUnachievable
 from .euler_products import (
     _SERIES_FLOOR,
+    _moment_bound,
     g_abs_bound,
     g_values,
     h_log_values,
@@ -153,15 +154,18 @@ def exact_integral(
 
     Equals the finite sum up to quadrature error plus tail_bound: the
     certified window tail |fhat| outside [-X, X] times the trivial sup bound
-    on |g|, and the factor-log series truncation trunc in log g as
-    expm1(trunc) times the L1 mass of the integrand.
+    on |g|, and the error trunc in log g of the factor-log series above
+    p = 1024 (its truncation, and the interpolation and rounding of its
+    Chebyshev moments) as expm1(trunc) times the L1 mass of the integrand.
     """
     _require_transform(f)
     if not 0 < tol <= 1e-3:
         raise ValueError("tol must lie in (0, 1e-3]")
     x_max = f.fhat_cutoff
     res, l1 = integrate_adaptive(_g_integrand(params, f), -x_max, x_max, 0.5 * tol)
-    trunc = series_floor(params.alpha, 0.0, params.k, 1.0, params.N)[1]
+    trunc = series_floor(params.alpha, 0.0, params.k, 1.0, params.N)[1] + _moment_bound(
+        params.alpha, 0.0, params.k, 1.0, x_max / params.log_n, sieve_primes(params.N)
+    )
     tail = f.fhat_tail_bound * g_abs_bound(params) + math.expm1(trunc) * l1
     return QuadResult(res.value, res.quad_error, tail, res.node_count)
 

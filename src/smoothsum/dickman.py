@@ -217,8 +217,9 @@ def log_rho_hat_ix(xs) -> np.ndarray:
 
     The power series of Ein serves |x| <= 4; beyond it, -E1(ix) - log(ix)
     with E1 from its continued fraction (modified Lentz, as the acceptance
-    suite's independent oracle).  Ein is entire, so this is the continuous
-    log anchored at rhohat(0) = e^gamma, with no unwrapping.
+    suite's independent oracle), each entry stopped at its own convergence,
+    so an entry has the same bits in any batch.  Ein is entire, so this is
+    the continuous log anchored at rhohat(0) = e^gamma, with no unwrapping.
     """
     x = np.asarray(xs, dtype=np.float64)
     if not np.all(np.isfinite(x)):
@@ -240,14 +241,16 @@ def log_rho_hat_ix(xs) -> np.ndarray:
         c = np.full_like(z, 1e300)
         d = 1.0 / b
         h = d.copy()
+        live = np.ones(len(z), dtype=bool)
         for i in range(1, _CF_MAX_ITER):
             a = -float(i * i)
             b = b + 2.0
             d = 1.0 / (a * d + b)
             c = b + a / c
             delta = c * d
-            h *= delta
-            if np.all(np.abs(delta - 1.0) < 1e-15):
+            h = np.where(live, h * delta, h)
+            live &= np.abs(delta - 1.0) >= 1e-15
+            if not live.any():
                 break
         else:
             raise ToleranceUnachievable("E1 continued fraction did not converge")

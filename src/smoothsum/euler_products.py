@@ -21,9 +21,19 @@ certified and returned; where it exceeds 1e-16 (|alpha| beyond about 7 on
 the 1-line, or Re(s) well below 1) the exact pieces run over every prime.
 `h_finite` and `h_infinite` refuse w = 1 with SingularFactor.
 
-`_chunked_piece_sum` is the one reduction over primes: numpy sums over a
-fixed chunking of the primes, for a whole vector of nodes at once, so every
-product depends only on its arguments, bit for bit.
+`_chunked_piece_sum` is the prime walk: numpy sums along each node's row
+over a fixed chunking of the primes, so every product depends only on its
+arguments, and a node's value not on its batch, bit for bit.
+
+The vector routes (g_values, zeta_partial_values, h_log_values) take the
+series above 1024 without a walk per node when their nodes share one
+Re s = sigma: from the Chebyshev moments of `prime_moments`, O(n) per node
+in place of O(pi(N)).  Each node takes the smallest degree n = 32, 64, ...
+whose certified interpolation error, weighted by |e_m| sum_p p^(-m sigma),
+is <= 1e-16, and walks where n would reach the prime count; the returned
+bound adds that 1e-16 and the route's rounding to the truncation.  The
+point routes (g_product, zeta_partial, h_finite) always walk: they are the
+independent slow route.
 
 The infinite product h_{alpha,k} walks no prime past 1024.  Above it,
 `h_tail_log_values` sums the same series over primes through the prime zeta
@@ -38,7 +48,7 @@ from functools import partial
 
 import numpy as np
 
-from . import zeta_engine
+from . import prime_moments, zeta_engine
 from .arith_core import PrimeSet, sieve_primes
 from .errors import DomainError, SingularFactor, ToleranceUnachievable
 from .params import SumParams
@@ -46,7 +56,8 @@ from .params import SumParams
 _ROSSER = 1.25506  # pi(x) < 1.25506 x / log x for x > 1
 _POLE_TOL = 1e-12  # exact singular-factor hit
 _BLOCK_LOG_MAX = 690.0  # log of the largest modulus a block product may reach
-_CHUNK_BUDGET = 4_000_000  # complex scratch entries per prime chunk
+_CHUNK_BUDGET = 8192  # complex scratch entries per block of nodes and primes
+_PRIME_CHUNK = 4096  # primes per chunk of a walk: a node's sum never depends on its batch
 _SERIES_FLOOR = 1024  # primes above this use the factor-log power series
 _SERIES_TERMS = 8
 _SERIES_MAX_TRUNC = 1e-16  # ...where its certified truncation is below rounding
@@ -80,20 +91,21 @@ def _block_size(k: int, r: float) -> int:
 
 
 def _piece_logs(alpha: complex, beta: complex, k: int, block: int, z: np.ndarray) -> np.ndarray:
-    """Sum over the rows of z of log[(1-z)^(-beta) (1-w^k)/(1-w)], w = alpha z:
-    the principal -beta Log(1-z) per prime (none at beta = 0), and one log per
-    `block` primes of the product of the Horner sums 1 + w + ... + w^(k-1), so
-    mod 2 pi i only; k at w = 1, and -inf for a vanishing factor."""
-    out = (-beta * np.log(1.0 - z)).sum(axis=0) if beta != 0 else np.zeros(z.shape[1], z.dtype)
+    """Sum along each row of z (a node; a column is a prime) of
+    log[(1-z)^(-beta) (1-w^k)/(1-w)], w = alpha z: the principal -beta Log(1-z)
+    per prime (none at beta = 0), and one log per `block` primes of the product
+    of the Horner sums 1 + w + ... + w^(k-1), so mod 2 pi i only; k at w = 1,
+    and -inf for a vanishing factor."""
+    out = (-beta * np.log(1.0 - z)).sum(axis=1) if beta != 0 else np.zeros(len(z), z.dtype)
     if alpha == 0:
         return out
     w, ratio = alpha * z, np.ones_like(z)
     for _ in range(k - 1):
         ratio *= w
         ratio += 1.0
-    prods = np.multiply.reduceat(ratio, np.arange(0, len(ratio), block))
+    prods = np.multiply.reduceat(ratio, np.arange(0, z.shape[1], block), axis=1)
     with np.errstate(divide="ignore"):  # a vanishing factor: log 0 = -inf
-        return out + np.log(prods).sum(axis=0)
+        return out + np.log(prods).sum(axis=1)
 
 
 def _series_coeff(alpha: complex, beta: complex, k: int, m: int) -> complex:
@@ -104,13 +116,17 @@ def _series_coeff(alpha: complex, beta: complex, k: int, m: int) -> complex:
     return e
 
 
-def _series_pieces(coeffs: list, z: np.ndarray) -> np.ndarray:
-    # sum over the rows of sum_m coeffs[m-1] z^m, Horner
+def _series_coeffs(alpha: complex, beta: complex, k: int) -> np.ndarray:
+    return np.array([_series_coeff(alpha, beta, k, m) for m in range(1, _SERIES_TERMS + 1)])
+
+
+def _series_pieces(coeffs, z: np.ndarray) -> np.ndarray:
+    # sum along each row of sum_m coeffs[m-1] z^m, Horner
     acc = coeffs[-1] * z
     for c in coeffs[-2::-1]:
         acc += c
         acc *= z
-    return acc.sum(axis=0)
+    return acc.sum(axis=1)
 
 
 def _series_trunc_bound(alpha: complex, beta: complex, k: int, sigma: float, floor: float) -> float:
@@ -139,15 +155,18 @@ def series_floor(alpha: complex, beta: complex, k: int, sigma: float, bound: int
 
 
 def _chunked_piece_sum(piece_fn, primes: PrimeSet, s_nodes: np.ndarray) -> np.ndarray:
-    """sum_p piece_fn(p^(-s)) per node of s; piece_fn sums a fixed chunk of primes."""
-    nodes = len(s_nodes)
-    chunk = max(1024, _CHUNK_BUDGET // max(nodes, 1))
+    """sum_p piece_fn(p^(-s)) per node of s, node by node: piece_fn sums each
+    row (a node) of a block of z over a fixed chunk of _PRIME_CHUNK primes, so
+    a node's sum has the same bits in any batch of nodes; a block holds about
+    _CHUNK_BUDGET entries."""
     logp = primes.log_primes
-    acc = np.zeros(nodes, dtype=np.complex128)
-    for lo in range(0, len(logp), chunk):
-        lp = logp[lo : lo + chunk]
-        z = np.exp(-np.outer(lp, s_nodes))
-        acc = acc + piece_fn(z)
+    rows = max(1, _CHUNK_BUDGET // max(1, min(len(logp), _PRIME_CHUNK)))
+    acc = np.zeros(len(s_nodes), dtype=np.complex128)
+    for a in range(0, len(s_nodes), rows):
+        s_rows = s_nodes[a : a + rows]
+        for lo in range(0, len(logp), _PRIME_CHUNK):
+            z = np.exp(-np.outer(s_rows, logp[lo : lo + _PRIME_CHUNK]))
+            acc[a : a + rows] += piece_fn(z)
     return acc
 
 
@@ -157,11 +176,46 @@ def _above(primes: PrimeSet, floor: int) -> PrimeSet:
     return PrimeSet(primes.bound, primes.primes[cut:], primes.log_primes[cut:])
 
 
-def _factor_log_sum(alpha, beta, k: int, s, primes: PrimeSet) -> tuple[np.ndarray, float]:
+def _moment_weights(coeffs: np.ndarray, floor: int, sigma: float, primes: PrimeSet):
+    """(weights, count): weights[m-1] = |e_m| S_m over the count primes in
+    (floor, bound]; weights is None where `primes` is not every one of them."""
+    sums, count = prime_moments._power_sums(floor, primes.bound, sigma, _SERIES_TERMS)
+    if count != len(primes) - int(np.searchsorted(primes.primes, floor, side="right")):
+        return None, count
+    return np.abs(coeffs) * sums, count
+
+
+def _moment_bound(alpha, beta, k: int, sigma: float, tau: float, primes: PrimeSet) -> float:
+    """The error the moment route may add to the kernel's sum at any node
+    with Re s = sigma and |Im s| <= tau: _SERIES_MAX_TRUNC for the
+    interpolation, which sets each node's degree, plus the rounding at the
+    largest degree such a node takes; 0 where none takes the moments."""
+    alpha, beta = complex(alpha), complex(beta)
+    floor, _ = series_floor(alpha, beta, k, sigma, primes.bound)
+    if floor >= primes.bound:
+        return 0.0
+    weights, count = _moment_weights(_series_coeffs(alpha, beta, k), floor, sigma, primes)
+    if weights is None:
+        return 0.0
+    half = 0.5 * math.log(primes.bound / floor)
+    n = prime_moments._max_degree(weights, half, tau, count, _SERIES_MAX_TRUNC)
+    if n == 0:
+        return 0.0
+    return _SERIES_MAX_TRUNC + prime_moments._error(weights, n, tau, sigma, primes.bound, count)
+
+
+def _factor_log_sum(alpha, beta, k: int, s, primes: PrimeSet, moments: bool = True):
     """sum over `primes` of log[(1-z)^(-beta) (1-w^k)/(1-w)], z = p^(-s),
     w = alpha*z, at every node of s: exact piece logs up to the series
     floor, the factor-log series above it.  Returns (log sums, certified
-    bound on the series truncation).  Needs Re(s) > 1/2 at every node."""
+    bound on the series truncation, plus on the moment route its
+    interpolation and rounding).  Needs Re(s) > 1/2 at every node.
+
+    With `moments`, where the nodes share one Re s and `primes` holds every
+    prime in (floor, bound], each node takes the series from the Chebyshev
+    moments of its certified degree (prime_moments); a node that needs a
+    degree at the prime count walks the series prime by prime, as every node
+    does without `moments` (the point routes)."""
     alpha, beta = complex(alpha), complex(beta)
     s_nodes = np.atleast_1d(np.asarray(s, dtype=np.complex128))
     if np.any(s_nodes.real <= 0.5):
@@ -171,9 +225,27 @@ def _factor_log_sum(alpha, beta, k: int, s, primes: PrimeSet) -> tuple[np.ndarra
     head = primes.restrict(floor)  # |w| <= |alpha| p^(-sigma) at its smallest prime p
     block = _block_size(k, abs(alpha) * float(head.primes[0]) ** -sigma) if alpha != 0 and len(head) else 1
     acc = _chunked_piece_sum(partial(_piece_logs, alpha, beta, k, block), head, s_nodes)
-    if floor < primes.bound:
-        coeffs = [_series_coeff(alpha, beta, k, m) for m in range(1, _SERIES_TERMS + 1)]
-        acc = acc + _chunked_piece_sum(partial(_series_pieces, coeffs), _above(primes, floor), s_nodes)
+    if floor >= primes.bound:
+        return acc, trunc
+    coeffs, taus = _series_coeffs(alpha, beta, k), s_nodes.imag
+    degrees = np.zeros(len(s_nodes), dtype=np.int64)
+    if moments and np.all(s_nodes.real == sigma):
+        weights, count = _moment_weights(coeffs, floor, sigma, primes)
+        if weights is not None:
+            half = 0.5 * math.log(primes.bound / floor)
+            degrees = prime_moments._degrees(weights, half, taus, count, _SERIES_MAX_TRUNC)
+    walk = degrees == 0
+    if walk.any():
+        series = _above(primes, floor)
+        acc[walk] += _chunked_piece_sum(partial(_series_pieces, coeffs), series, s_nodes[walk])
+    for n in sorted(set(degrees[~walk].tolist())):  # np.unique would import numpy.ma
+        sel = degrees == n
+        w_v = prime_moments._moments(floor, primes.bound, sigma, _SERIES_TERMS, n)
+        acc[sel] += prime_moments._series(coeffs, *w_v, taus[sel])
+    if not walk.all():
+        tau = float(np.max(np.abs(taus[~walk])))
+        n = int(degrees.max())
+        trunc += _SERIES_MAX_TRUNC + prime_moments._error(weights, n, tau, sigma, primes.bound, count)
     return acc, trunc
 
 
@@ -185,7 +257,7 @@ def _require_regular(alpha: complex, s: complex, primes: PrimeSet) -> None:
 
 def zeta_partial(primes: PrimeSet, s: complex) -> ProductValue:
     """zeta_N(s) = prod_{p<=N} (1 - p^(-s))^(-1), log = -sum Log(1-p^(-s))."""
-    return _point(*_factor_log_sum(0.0, 1.0, 1, complex(s), primes))
+    return _point(*_factor_log_sum(0.0, 1.0, 1, complex(s), primes, moments=False))
 
 
 def zeta_partial_values(primes: PrimeSet, s_nodes) -> np.ndarray:
@@ -195,13 +267,15 @@ def zeta_partial_values(primes: PrimeSet, s_nodes) -> np.ndarray:
 
 def g_product(params: SumParams, s: complex) -> ProductValue:
     """g_{alpha,k,N}(s) = prod_{p<=N} (1 + alpha/p^s + ... + alpha^(k-1)/p^((k-1)s))."""
-    return _point(*_factor_log_sum(params.alpha, 0.0, params.k, complex(s), sieve_primes(params.N)))
+    primes = sieve_primes(params.N)
+    return _point(*_factor_log_sum(params.alpha, 0.0, params.k, complex(s), primes, moments=False))
 
 
 def g_values(params: SumParams, s_nodes, primes: PrimeSet | None = None) -> np.ndarray:
     """Vectorized g_{alpha,k,N} over nodes; `primes` (default: all p <= N)
-    lets repeated callers share one prime set.  The series truncation in
-    log g is series_floor(alpha, 0, k, min Re s, N)[1]."""
+    lets repeated callers share one prime set.  The error in log g is at
+    most series_floor(alpha, 0, k, sigma, N)[1] + _moment_bound(alpha, 0, k,
+    sigma, max |Im s|, primes) when every node has Re s = sigma."""
     primes = primes if primes is not None else sieve_primes(params.N)
     return np.exp(_factor_log_sum(params.alpha, 0.0, params.k, s_nodes, primes)[0])
 
@@ -214,7 +288,8 @@ def g_abs_bound(params: SumParams) -> float:
 
 def h_log_values(alpha: complex, k: int, s_nodes, primes: PrimeSet) -> tuple[np.ndarray, float]:
     """sum_p log h_p over the given primes, per node, and the certified
-    bound on the series truncation (the kernel at beta = -alpha).  A node
+    bound on the series truncation and the moments' interpolation and
+    rounding (the kernel at beta = -alpha).  A node
     with alpha p^(-s) = 1 takes the removable value (1-z)^alpha k."""
     return _factor_log_sum(alpha, -complex(alpha), k, s_nodes, primes)
 
@@ -228,7 +303,8 @@ def h_finite(params: SumParams, s: complex) -> ProductValue:
     """
     s, primes = complex(s), sieve_primes(params.N)
     _require_regular(params.alpha, s, primes)
-    return _point(*h_log_values(params.alpha, params.k, s, primes))
+    alpha = complex(params.alpha)
+    return _point(*_factor_log_sum(alpha, -alpha, params.k, s, primes, moments=False))
 
 
 def _prime_sum_bound(a: float, P: float) -> float:
@@ -419,7 +495,8 @@ def lemma1_check(alpha: complex, k: int, N_values, tau_grid) -> Lemma1Report:
         primes = sieve_primes(max(max(n_values), Q))
         above_q, tail_bound = h_tail_log_values(alpha, k, s_nodes)
         # rounding per prime between N and Q: _head_round for exact piece logs, and for a
-        # series value a few eps times sum m |e_m| Q^(-m) per unit of relative error in p^(-s)
+        # series value a few eps times sum m |e_m| Q^(-m) per unit of relative error in p^(-s);
+        # above Q a node may take the moments instead, whose error _moment_bound adds
         size = sum(
             m * abs(_series_coeff(alpha, -alpha, k, m)) * Q**-m for m in range(2, _SERIES_TERMS + 1)
         )
@@ -436,6 +513,9 @@ def lemma1_check(alpha: complex, k: int, N_values, tau_grid) -> Lemma1Report:
             tail = above_q - logs if n >= Q else above_q + logs
             err = float(np.max(np.abs(np.expm1(-tail))))
             rounding = len(between) * (series_round if n >= Q else _head_round(alpha, k, n))
+            if n >= Q:
+                tau_max = float(np.max(np.abs(taus)))
+                rounding += _moment_bound(alpha, -alpha, k, 1.0, tau_max, between)
             # a log error d moves h_N/h - 1 by at most |h_N/h| expm1(d)
             with np.errstate(over="ignore"):
                 spread = np.max(np.abs(np.exp(-tail))) * np.expm1(tail_bound + rounding)

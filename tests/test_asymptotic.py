@@ -93,6 +93,34 @@ def test_exact_integral_ledger_carries_the_series_truncation(f, monkeypatch):
     assert wide.tail_bound - base.tail_bound >= 0.999 * math.expm1(1e-3) * abs(base.value)
 
 
+def _unbatched(integrate):
+    """integrate_adaptive fed its nodes 15 (one panel) at a time."""
+
+    def run(fn, *args, **kwargs):
+        def per_panel(xs):
+            return np.concatenate([fn(xs[i : i + 15]) for i in range(0, len(xs), 15)])
+
+        return integrate(per_panel, *args, **kwargs)
+
+    return run
+
+
+def test_batched_panels_change_no_bit(f, monkeypatch):
+    runs = (
+        lambda: exact_integral(SumParams(0.7 + 0.4j, 3, 30000), f, 1e-7),
+        lambda: exact_integral(SumParams(-1, 2, 1500), f, 1e-7),
+        lambda: main_term(SumParams(1, 3, 10**4), f, 1e-6),
+        lambda: main_term(SumParams(0.5 - 0.5j, 2, 300), f, 1e-7),
+        lambda: main_term(SumParams(2, 2, 1000), f, 1e-6, use_integer_powers=True),
+    )
+    batched = [run() for run in runs]
+    monkeypatch.setattr(asymptotic, "integrate_adaptive", _unbatched(integrate_adaptive))
+    for got, run in zip(batched, runs):
+        ref = run()
+        assert got.value == ref.value and got.quad_error == ref.quad_error
+        assert got.node_count == ref.node_count
+
+
 def test_exact_integral_refinement_contract(f):
     p = SumParams(1, 2, 100)
     coarse = exact_integral(p, f, 1e-5)

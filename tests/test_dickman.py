@@ -192,3 +192,12 @@ def test_rho_hat_pow_decay_envelope():
 def test_rho_hat_pow_phase_steps_below_half_pi():
     path = rho_hat_path(np.linspace(-40, 40, 81))
     assert path.max_phase_step() < math.pi / 2
+
+
+def test_log_rho_hat_ix_entries_match_singletons():
+    # each continued-fraction entry stops at its own convergence, so a batch
+    # mixing the series (|x| <= 4) and fraction (|x| > 4) sides changes no bit
+    xs = np.concatenate((np.linspace(-40.0, 40.0, 61), [4.0, -4.0, 4.0 + 1e-12, 4.5, 1e3]))
+    batch = log_rho_hat_ix(xs)
+    for x, got in zip(xs, batch):
+        assert log_rho_hat_ix(np.array([x]))[0] == got

@@ -20,7 +20,7 @@ from smoothsum import (
     zeta_partial,
     zeta,
 )
-from smoothsum import euler_products
+from smoothsum import euler_products, prime_moments
 from smoothsum.dickman import EXP_EULER_GAMMA
 from smoothsum.euler_products import (
     g_abs_bound,
@@ -484,3 +484,92 @@ def test_g_abs_bound_dominates_on_line():
     bound = g_abs_bound(params)
     for tau in np.linspace(-20, 20, 41):
         assert abs(g_product(params, 1 + 1j * tau).value) <= bound + 1e-12
+
+
+@pytest.mark.parametrize("N", [3000, 10**5])
+def test_vector_products_are_batch_invariant(N):
+    """A node's value has the same bits in any batch of nodes: the vector
+    routes over a node vector equal the concatenation over its two halves,
+    and single-node calls.  alpha = 9 takes exact piece logs over every
+    prime (a walk)."""
+    primes = sieve_primes(N)
+    s = 1.0 + 1j * np.linspace(-19.0, 19.0, 41) / math.log(N)
+    halves = (s[:17], s[17:])
+    for alpha, k in ((0.7 + 0.4j, 3), (9.0, 2)):
+        params = SumParams(alpha, k, N)
+        calls = (
+            lambda nodes: g_values(params, nodes, primes),
+            lambda nodes: euler_products.zeta_partial_values(primes, nodes),
+            lambda nodes: h_log_values(alpha, k, nodes, primes)[0],
+        )
+        for call in calls:
+            whole = call(s)
+            assert np.array_equal(whole, np.concatenate([call(h) for h in halves]))
+            assert all(call(s[i : i + 1])[0] == whole[i] for i in (0, 20, 33))
+
+
+def _series_size(alpha, beta, k, sigma, N):
+    # sum_m |e_m| m S_m over the primes in (1024, N]: the condition of the series side
+    logp = euler_products._above(sieve_primes(N), 1024).log_primes
+    return sum(
+        m * abs(euler_products._series_coeff(alpha, beta, k, m)) * np.exp(-m * sigma * logp).sum()
+        for m in range(1, 9)
+    )
+
+
+@pytest.mark.parametrize("N", [10**4, 10**5, 10**6])
+def test_moment_route_matches_the_walks(N):
+    """g_values and zeta_partial_values (Chebyshev moments above p = 1024)
+    against the point walks g_product and zeta_partial, within the returned
+    certificate plus the rounding of the walk's p^(-s), a few eps times
+    |s| log N times the series' condition."""
+    primes = sieve_primes(N)
+    s = 1.0 + 1j * np.linspace(-19.0, 19.0, 9) / math.log(N)
+    params = SumParams(0.7 + 0.4j, 3, N)
+    zeta_values = euler_products.zeta_partial_values(primes, s)
+    for alpha, beta, k, values, point in (
+        (params.alpha, 0.0, 3, g_values(params, s, primes), lambda x: g_product(params, x)),
+        (0.0, 1.0, 1, zeta_values, lambda x: zeta_partial(primes, x)),
+    ):
+        _, trunc = euler_products._factor_log_sum(alpha, beta, k, s, primes)
+        assert 1e-16 < trunc < 1e-11  # the interpolation and rounding are in it
+        size = _series_size(alpha, beta, k, 1.0, N)
+        for x, got in zip(s, values):
+            ref = point(x).value
+            allowed = trunc + 4 * np.finfo(float).eps * (abs(x) * math.log(N) + 3) * size
+            assert abs(got / ref - 1) <= allowed
+
+
+def test_moment_interpolation_error_is_certified():
+    """At degree 8, where interpolation dominates rounding, the series side
+    of log zeta_N from the moments is within the Chebyshev certificate
+    sum_m |e_m| S_m 4 rho^(-n) e^(omega (rho - 1/rho)/2)/(rho - 1)."""
+    N, n = 10**5, 8
+    above = euler_products._above(sieve_primes(N), 1024)
+    taus = np.linspace(-3.0, 3.0, 13)
+    coeffs = euler_products._series_coeffs(0.0, 1.0, 1)
+    walk = euler_products._chunked_piece_sum(
+        lambda z: euler_products._series_pieces(coeffs, z), above, 1.0 + 1j * taus
+    )
+    got = prime_moments._series(coeffs, *prime_moments._moments(1024, N, 1.0, 8, n), taus)
+    sums, count = prime_moments._power_sums(1024, N, 1.0, 8)
+    assert count == len(above)
+    half = 0.5 * math.log(N / 1024)
+    bound = sum(
+        abs(c) * sums[m - 1] * prime_moments._interp_error(n, m * half * np.abs(taus))
+        for m, c in enumerate(coeffs, 1)
+    )
+    err = np.abs(got - walk)
+    assert np.all(err <= bound + 1e-14)
+    assert np.max(err) > 1e-6  # the interpolation error is the one measured
+
+
+def test_lemma1_takes_either_route_within_its_rounding(monkeypatch):
+    """lemma1 at N = 10^4 and 10^5 sums h over (1024, N] by the moments;
+    with every node on the walk its measured maxima move by < 1e-13 relative."""
+    taus = np.linspace(-3.0, 3.0, 25)
+    moments = lemma1_check(0.5 + 0.5j, 2, [10**4, 10**5], taus)
+    monkeypatch.setattr(prime_moments, "_MIN_DEGREE", 10**9)
+    walk = lemma1_check(0.5 + 0.5j, 2, [10**4, 10**5], taus)
+    for a, b in zip(moments.max_errors, walk.max_errors):
+        assert abs(a - b) <= 1e-13 * b

@@ -71,3 +71,18 @@ def test_panel_cap_raises():
 def test_bad_interval():
     with pytest.raises(ValueError):
         integrate_adaptive(lambda x: x, 1.0, 0.0, 1e-6)
+
+
+def test_panels_share_calls_of_f():
+    # every seed panel in one call of f, and both halves of a split in one
+    calls = []
+
+    def f(x):
+        calls.append(len(x))
+        return np.exp(-np.abs(x)) * np.cos(7 * x)
+
+    res, _ = integrate_adaptive(f, -5.0, 5.0, 1e-10)
+    seeds = calls[0] // 15
+    assert calls[0] == 15 * seeds and seeds >= 8
+    assert all(n == 30 for n in calls[1:])
+    assert res.node_count == 15 * (2 * (seeds + len(calls) - 1) - seeds)
