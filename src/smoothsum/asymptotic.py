@@ -33,12 +33,10 @@ from . import dickman, zeta_engine
 from .errors import EtaTooSmall, PrecisionLoss, ToleranceUnachievable
 from .euler_products import (
     _SERIES_FLOOR,
-    _moment_bound,
     g_abs_bound,
     g_values,
     h_log_values,
     h_tail_log_values,
-    series_floor,
     zeta_partial_values,
 )
 from .euler_products import h_cutoff  # noqa: F401 -- perfbench/layers.py patches this binding
@@ -133,16 +131,23 @@ def _require_transform(f: TestFunction) -> None:
         raise ValueError("this operation needs a test function with a transform")
 
 
-def _g_integrand(params: SumParams, f: TestFunction):
-    """x -> fhat(x) g(1 + ix/log N), the integrand of the exact route."""
+def _g_integral(params: SumParams, f: TestFunction, x_max: float, tol: float) -> QuadResult:
+    """int_{|x| <= x_max} fhat(x) g(1 + ix/log N) dx to quadrature tolerance
+    tol.  tail_bound carries the largest error in log g that g_values
+    returned over the nodes as expm1(that) times the L1 mass; the caller adds
+    any window tail."""
     primes = sieve_primes(params.N)
     log_n = params.log_n
+    log_err = 0.0
 
     def integrand(xs):
-        s_nodes = 1.0 + 1j * np.asarray(xs) / log_n
-        return f.eval_fhat(xs) * g_values(params, s_nodes, primes)
+        nonlocal log_err
+        values, err = g_values(params, 1.0 + 1j * np.asarray(xs) / log_n, primes)
+        log_err = max(log_err, err)
+        return f.eval_fhat(xs) * values
 
-    return integrand
+    res, l1 = integrate_adaptive(integrand, -x_max, x_max, tol)
+    return QuadResult(res.value, res.quad_error, math.expm1(log_err) * l1, res.node_count)
 
 
 def exact_integral(
@@ -154,19 +159,17 @@ def exact_integral(
 
     Equals the finite sum up to quadrature error plus tail_bound: the
     certified window tail |fhat| outside [-X, X] times the trivial sup bound
-    on |g|, and the error trunc in log g of the factor-log series above
-    p = 1024 (its truncation, and the interpolation and rounding of its
-    Chebyshev moments) as expm1(trunc) times the L1 mass of the integrand.
+    on |g|, and the error in log g that the Euler-product kernel returns
+    with g_values (the truncation of the factor-log series above p = 1024,
+    and the interpolation and rounding of its Chebyshev moments) as
+    expm1(its largest value over the nodes) times the L1 mass of the
+    integrand.
     """
     _require_transform(f)
     if not 0 < tol <= 1e-3:
         raise ValueError("tol must lie in (0, 1e-3]")
-    x_max = f.fhat_cutoff
-    res, l1 = integrate_adaptive(_g_integrand(params, f), -x_max, x_max, 0.5 * tol)
-    trunc = series_floor(params.alpha, 0.0, params.k, 1.0, params.N)[1] + _moment_bound(
-        params.alpha, 0.0, params.k, 1.0, x_max / params.log_n, sieve_primes(params.N)
-    )
-    tail = f.fhat_tail_bound * g_abs_bound(params) + math.expm1(trunc) * l1
+    res = _g_integral(params, f, f.fhat_cutoff, 0.5 * tol)
+    tail = f.fhat_tail_bound * g_abs_bound(params) + res.tail_bound
     return QuadResult(res.value, res.quad_error, tail, res.node_count)
 
 
@@ -388,7 +391,7 @@ def tenenbaum_check(N_values, tau_grid, eps: float = 0.1) -> list:
         if N < 1000:
             raise ValueError("tenenbaum_check expects N >= 1000")
         log_n = math.log(N)
-        lhs = zeta_partial_values(sieve_primes(N), s_nodes)
+        lhs, _ = zeta_partial_values(sieve_primes(N), s_nodes)
         rho = np.array([dickman.rho_hat(float(tau) * log_n).value for tau in taus])
         rel = np.abs(lhs / (regular * log_n * rho) - 1.0)
         j = int(np.argmax(rel))
@@ -421,21 +424,14 @@ def error_decomposition(
     I2 is the mass outside the window (computed as full minus restricted);
     E2 is the effect of replacing h_{alpha,k,N} by h_{alpha,k} inside the
     main term (the step lemma1_check measures), reported against
-    (log N)^{Re alpha - 1} / N.
+    (log N)^{Re alpha - 1} / N.  full is exact_integral, whose ledger
+    carries the window tail and the error in log g; restricted's ledger
+    carries the latter.
     """
-    _require_transform(f)
     log_n = params.log_n
-    x_max = f.fhat_cutoff
-    window = 3.0 * log_n
-    integrand = _g_integrand(params, f)
-    full, _ = integrate_adaptive(integrand, -x_max, x_max, 0.5 * tol)
-    r = min(window, x_max)
-    restricted, _ = integrate_adaptive(integrand, -r, r, 0.5 * tol)
+    full = exact_integral(params, f, tol)
+    restricted = _g_integral(params, f, min(3.0 * log_n, f.fhat_cutoff), 0.5 * tol)
     i2 = abs(full.value - restricted.value)
-    if window < x_max:
-        i2_note_tail = 0.0
-    else:
-        i2_note_tail = f.fhat_tail_bound * g_abs_bound(params)
     i2_shape = predicted_envelope(params.alpha, f.eta, params.N)
 
     # E2 itself is ~ (log N)^{Re a - 1} / N; 1e-7 main terms resolve it amply
@@ -451,6 +447,6 @@ def error_decomposition(
         e2,
         e2_shape,
         e2 / e2_shape if e2_shape > 0 else math.inf,
-        QuadResult(full.value, full.quad_error, i2_note_tail, full.node_count),
+        full,
         restricted,
     )

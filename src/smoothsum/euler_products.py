@@ -30,10 +30,15 @@ series above 1024 without a walk per node when their nodes share one
 Re s = sigma: from the Chebyshev moments of `prime_moments`, O(n) per node
 in place of O(pi(N)).  Each node takes the smallest degree n = 32, 64, ...
 whose certified interpolation error, weighted by |e_m| sum_p p^(-m sigma),
-is <= 1e-16, and walks where n would reach the prime count; the returned
-bound adds that 1e-16 and the route's rounding to the truncation.  The
+is <= 1e-16, and walks where n would reach the prime count.
+`_factor_log_sum` is the one owner of the error of a log sum: it returns
+the series truncation, plus on the moment route that 1e-16 and the
+rounding at the largest degree a node took.  The vector routes return
+(values, log_err) with that bound, and their callers (asymptotic's exact
+route, lemma1_check, the h contour) read it instead of rebuilding it.  The
 point routes (g_product, zeta_partial, h_finite) always walk: they are the
-independent slow route.
+independent slow route; they carry the bound in tail_bound and raise
+DomainError where the product's value is past the double range.
 
 The infinite product h_{alpha,k} walks no prime past 1024.  Above it,
 `h_tail_log_values` sums the same series over primes through the prime zeta
@@ -61,6 +66,7 @@ _PRIME_CHUNK = 4096  # primes per chunk of a walk: a node's sum never depends on
 _SERIES_FLOOR = 1024  # primes above this use the factor-log power series
 _SERIES_TERMS = 8
 _SERIES_MAX_TRUNC = 1e-16  # ...where its certified truncation is below rounding
+_LOG_DOUBLE_MAX = math.log(np.finfo(np.float64).max)
 
 
 @dataclass(frozen=True)
@@ -76,6 +82,8 @@ class ProductValue:
 def _point(log_values: np.ndarray, log_error: float = 0.0) -> ProductValue:
     # a length-1 log sum; log_error bounds |log of the neglected factors|
     log_value = complex(log_values[0])
+    if log_value.real > _LOG_DOUBLE_MAX:
+        raise DomainError(f"|product| = e^{log_value.real:.4g} is past the double range")
     value = complex(np.exp(log_value))
     return ProductValue(value, log_value, abs(value) * math.expm1(log_error) if log_error else 0.0)
 
@@ -185,25 +193,6 @@ def _moment_weights(coeffs: np.ndarray, floor: int, sigma: float, primes: PrimeS
     return np.abs(coeffs) * sums, count
 
 
-def _moment_bound(alpha, beta, k: int, sigma: float, tau: float, primes: PrimeSet) -> float:
-    """The error the moment route may add to the kernel's sum at any node
-    with Re s = sigma and |Im s| <= tau: _SERIES_MAX_TRUNC for the
-    interpolation, which sets each node's degree, plus the rounding at the
-    largest degree such a node takes; 0 where none takes the moments."""
-    alpha, beta = complex(alpha), complex(beta)
-    floor, _ = series_floor(alpha, beta, k, sigma, primes.bound)
-    if floor >= primes.bound:
-        return 0.0
-    weights, count = _moment_weights(_series_coeffs(alpha, beta, k), floor, sigma, primes)
-    if weights is None:
-        return 0.0
-    half = 0.5 * math.log(primes.bound / floor)
-    n = prime_moments._max_degree(weights, half, tau, count, _SERIES_MAX_TRUNC)
-    if n == 0:
-        return 0.0
-    return _SERIES_MAX_TRUNC + prime_moments._error(weights, n, tau, sigma, primes.bound, count)
-
-
 def _factor_log_sum(alpha, beta, k: int, s, primes: PrimeSet, moments: bool = True):
     """sum over `primes` of log[(1-z)^(-beta) (1-w^k)/(1-w)], z = p^(-s),
     w = alpha*z, at every node of s: exact piece logs up to the series
@@ -260,9 +249,11 @@ def zeta_partial(primes: PrimeSet, s: complex) -> ProductValue:
     return _point(*_factor_log_sum(0.0, 1.0, 1, complex(s), primes, moments=False))
 
 
-def zeta_partial_values(primes: PrimeSet, s_nodes) -> np.ndarray:
-    """Vectorized zeta_N over nodes (no per-node ProductValue wrapping)."""
-    return np.exp(_factor_log_sum(0.0, 1.0, 1, s_nodes, primes)[0])
+def zeta_partial_values(primes: PrimeSet, s_nodes) -> tuple[np.ndarray, float]:
+    """Vectorized zeta_N over nodes, and the bound on the error in log zeta_N
+    that the kernel returns (no per-node ProductValue wrapping)."""
+    logs, log_err = _factor_log_sum(0.0, 1.0, 1, s_nodes, primes)
+    return np.exp(logs), log_err
 
 
 def g_product(params: SumParams, s: complex) -> ProductValue:
@@ -271,13 +262,13 @@ def g_product(params: SumParams, s: complex) -> ProductValue:
     return _point(*_factor_log_sum(params.alpha, 0.0, params.k, complex(s), primes, moments=False))
 
 
-def g_values(params: SumParams, s_nodes, primes: PrimeSet | None = None) -> np.ndarray:
-    """Vectorized g_{alpha,k,N} over nodes; `primes` (default: all p <= N)
-    lets repeated callers share one prime set.  The error in log g is at
-    most series_floor(alpha, 0, k, sigma, N)[1] + _moment_bound(alpha, 0, k,
-    sigma, max |Im s|, primes) when every node has Re s = sigma."""
+def g_values(params: SumParams, s_nodes, primes: PrimeSet | None = None) -> tuple[np.ndarray, float]:
+    """Vectorized g_{alpha,k,N} over nodes, and the bound on the error in
+    log g that the kernel returns; `primes` (default: all p <= N) lets
+    repeated callers share one prime set."""
     primes = primes if primes is not None else sieve_primes(params.N)
-    return np.exp(_factor_log_sum(params.alpha, 0.0, params.k, s_nodes, primes)[0])
+    logs, log_err = _factor_log_sum(params.alpha, 0.0, params.k, s_nodes, primes)
+    return np.exp(logs), log_err
 
 
 def g_abs_bound(params: SumParams) -> float:
@@ -356,8 +347,7 @@ def _log_zeta_above(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Euler-Maclaurin engine.  Re u >= 2 keeps |log zeta(u)| <= log zeta(2) < pi,
     so the principal log is the prime sum, and |zeta(u)| >= zeta(4)/zeta(2)."""
     primes = sieve_primes(_SERIES_FLOOR)
-    m_terms = max(20, math.ceil(2.0 * float(np.max(np.abs(u.imag)))))
-    a_u, a_err = zeta_engine._euler_maclaurin(u, m_terms)
+    a_u, a_err = zeta_engine._euler_maclaurin(u)
     zeta_u = a_u / (u - 1.0)
     head, _ = _factor_log_sum(0.0, 1.0, 1, u, primes)  # log zeta_Q(u), exact piece logs
     # rounding, doubled for safety: a term n^(-u) or Log(1-p^(-u)) carries a
@@ -368,7 +358,7 @@ def _log_zeta_above(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # series by u-1 and dividing A by it again adds below 8 eps times zeta(2)
     rounding = 2.0 * _EPS * (
         2.0 * (1.88 * np.abs(u) + 3.0 * _ZETA_2)
-        + (m_terms + 8) * _ZETA_2
+        + (zeta_engine._cutoffs(u) + 8) * _ZETA_2
         + len(primes) * _LOG_ZETA_2
     )
     zeta_err = a_err / np.abs(u - 1.0) + rounding
@@ -418,7 +408,8 @@ def h_tail_log_values(alpha: complex, k: int, s_nodes) -> tuple[np.ndarray, floa
     logs = logs.reshape(len(ns), -1)
     errs = errs.reshape(len(ns), -1)
     bound += float(np.max(abs_weights[2:] @ errs))
-    return weights[2:] @ logs, bound
+    # a sum over n per node, not a matrix product, whose bits may depend on the batch
+    return sum(w * row for w, row in zip(weights[2:], logs)), bound
 
 
 def h_infinite(alpha: complex, k: int, s: complex, tol: float) -> ProductValue:
@@ -495,27 +486,23 @@ def lemma1_check(alpha: complex, k: int, N_values, tau_grid) -> Lemma1Report:
         primes = sieve_primes(max(max(n_values), Q))
         above_q, tail_bound = h_tail_log_values(alpha, k, s_nodes)
         # rounding per prime between N and Q: _head_round for exact piece logs, and for a
-        # series value a few eps times sum m |e_m| Q^(-m) per unit of relative error in p^(-s);
-        # above Q a node may take the moments instead, whose error _moment_bound adds
+        # series value a few eps times sum m |e_m| Q^(-m) per unit of relative error in p^(-s)
         size = sum(
             m * abs(_series_coeff(alpha, -alpha, k, m)) * Q**-m for m in range(2, _SERIES_TERMS + 1)
         )
         log_n_max = math.log(max(max(n_values), Q))
         series_round = 4.0 * _EPS * (2.0 * float(np.max(np.abs(s_nodes))) * log_n_max + 3.0) * size
-        if _series_trunc_bound(alpha, -alpha, k, 1.0, Q) > _SERIES_MAX_TRUNC:
+        if series_floor(alpha, -alpha, k, 1.0, primes.bound)[0] >= primes.bound:
             series_round = _head_round(alpha, k, Q)  # h_log_values takes exact piece logs
         errs = []
         for n in n_values:
-            # the series truncation over (Q, N] is part of the one tail_bound
-            # covers over p > Q, so tail_bound holds for tail_{>N} as well
             between = _above(primes.restrict(max(n, Q)), min(n, Q))
-            logs, _ = h_log_values(alpha, k, s_nodes, between)
+            # log_err: the series truncation and, on the moment route, its
+            # interpolation and rounding; the walk's rounding is per prime
+            logs, log_err = h_log_values(alpha, k, s_nodes, between)
             tail = above_q - logs if n >= Q else above_q + logs
             err = float(np.max(np.abs(np.expm1(-tail))))
-            rounding = len(between) * (series_round if n >= Q else _head_round(alpha, k, n))
-            if n >= Q:
-                tau_max = float(np.max(np.abs(taus)))
-                rounding += _moment_bound(alpha, -alpha, k, 1.0, tau_max, between)
+            rounding = log_err + len(between) * (series_round if n >= Q else _head_round(alpha, k, n))
             # a log error d moves h_N/h - 1 by at most |h_N/h| expm1(d)
             with np.errstate(over="ignore"):
                 spread = np.max(np.abs(np.exp(-tail))) * np.expm1(tail_bound + rounding)

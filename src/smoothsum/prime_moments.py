@@ -105,17 +105,6 @@ def _degrees(weights: np.ndarray, half: float, taus, count: int, target: float) 
     return degrees
 
 
-def _max_degree(weights: np.ndarray, half: float, tau: float, count: int, target: float) -> int:
-    """The largest degree _degrees gives any |Im s| <= tau (it grows with
-    |Im s|): tau's own, or where tau walks the top rung below count; 0 if none."""
-    n = int(_degrees(weights, half, np.array([tau]), count, target)[0])
-    if n == 0:
-        n = _MIN_DEGREE
-        while 2 * n < count:
-            n *= 2
-    return n if n < count else 0
-
-
 def _error(weights: np.ndarray, n: int, tau: float, sigma: float, bound: int, count: int) -> float:
     """Rounding of sum_m e_m sum_p p^(-m s) by _series at degree <= n and
     |Im s| <= tau, weights[m-1] = |e_m| S_m.  With lam >= sum_j |l_j| the

@@ -16,7 +16,8 @@ for Re s in [0.5, 1.2] and |Im s| up to 1e3 the rounding of the ~2|Im s|
 terms of the sum reaches about 1e-11 relative.  One vectorised sum serves
 every caller: a scalar zeta, the batches of zeta(n s) behind the prime-zeta
 h tail (euler_products.h_tail_log_values), the nodes of the main term and
-the grids of regular_factor_path.
+the grids of regular_factor_path.  Each entry takes its own M and its sum
+runs over a fixed chunking of n, so an entry has the same bits in any batch.
 
 On the main-term contour s = 1 + i tau, |tau| <= 3, A depends on tau alone,
 so log A is one Chebyshev model per process (log_regular_model), built from
@@ -40,7 +41,8 @@ _N_CORRECTIONS = 6
 MAX_IM = 1.0e7
 FORD_VK_CONSTANT = 76.2
 
-_CHUNK = 1_000_000
+_TERM_CHUNK = 4096  # terms n per chunk of the sum: an entry's sum never depends on its batch
+_CHUNK_BUDGET = 1 << 16  # complex scratch entries per block of entries and terms
 
 _LOG_A_DEGREE = 64  # Chebyshev degree of the log A model on |tau| <= 3
 _ZETA_ERR_MAX = 1e-13  # largest A err_estimate a sample may carry
@@ -61,19 +63,30 @@ class ZetaValue:
     err_estimate: float
 
 
+def _cutoffs(s: np.ndarray) -> np.ndarray:
+    """The Euler-Maclaurin cutoff M = max(20, ceil(2 |Im s|)) of each entry."""
+    return np.maximum(20, np.ceil(2.0 * np.abs(s.imag))).astype(np.int64)
+
+
 def _euler_maclaurin(s, m_terms: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """A(s) = (s-1) zeta(s) at every entry of the 1-d array s (Re s > 0),
-    all at one cutoff M = m_terms (default max(20, 2 max|Im s|)), with |s-1|
-    times the first omitted Bernoulli term of each entry as its error
-    estimate."""
+    each at its own cutoff M (_cutoffs, or m_terms for every entry), with
+    |s-1| times the first omitted Bernoulli term of each entry as its error
+    estimate.  The entries of one M sum n^(-s) over fixed chunks of
+    _TERM_CHUNK terms, so an entry has the same bits in any batch."""
     s = np.atleast_1d(np.asarray(s, dtype=np.complex128))
-    M = m_terms or max(20, math.ceil(2.0 * float(np.max(np.abs(s.imag)))))
+    cutoffs = np.full(len(s), m_terms) if m_terms else _cutoffs(s)
     total = np.zeros(len(s), dtype=np.complex128)
-    chunk = max(1, _CHUNK // len(s))
-    for lo in range(1, M, chunk):
-        log_n = np.log(np.arange(lo, min(lo + chunk, M), dtype=np.float64))
-        total += np.exp(-np.outer(s, log_n)).sum(axis=1)
-    lm = math.log(M)
+    lm = np.empty(len(s))
+    for M in sorted(set(cutoffs.tolist())):
+        sel = np.flatnonzero(cutoffs == M)
+        lm[sel] = math.log(M)
+        rows = max(1, _CHUNK_BUDGET // min(M, _TERM_CHUNK))
+        for lo in range(1, M, _TERM_CHUNK):
+            log_n = np.log(np.arange(lo, min(lo + _TERM_CHUNK, M), dtype=np.float64))
+            for a in range(0, len(sel), rows):
+                block = sel[a : a + rows]
+                total[block] += np.exp(-np.outer(s[block], log_n)).sum(axis=1)
     total += 0.5 * np.exp(-s * lm)
     # Bernoulli corrections: B_{2j}/(2j)! * s(s+1)...(s+2j-2) * M^{-s-2j+1}
     rising = s

@@ -25,9 +25,9 @@ from smoothsum import (
     zeta,
     zeta_partial,
 )
-from smoothsum import asymptotic, zeta_engine
+from smoothsum import asymptotic, euler_products, zeta_engine
+from smoothsum.euler_products import g_abs_bound
 from smoothsum.asymptotic import _h_contour, log_n_power
-from smoothsum.euler_products import series_floor
 from smoothsum.quadrature import integrate_adaptive
 
 
@@ -82,15 +82,24 @@ def test_exact_integral_matches_brute(f):
 
 
 def test_exact_integral_ledger_carries_the_series_truncation(f, monkeypatch):
-    # above p = 1024 log g is a truncated series; its certified truncation
-    # reaches tail_bound as expm1(trunc) times the L1 mass, at least |value|
+    # above p = 1024 log g is a truncated series; the kernel returns its
+    # certified truncation with g_values, and it reaches tail_bound as
+    # expm1(trunc) times the L1 mass, at least |value|, in exact_integral and
+    # in both ledgers of error_decomposition
     p = SumParams(1, 2, 5000)
-    assert 0 < series_floor(1, 0, 2, 1.0, 5000)[1] <= 1e-16
+    assert 0 < euler_products.series_floor(1, 0, 2, 1.0, 5000)[1] <= 1e-16
     base = exact_integral(p, f, 1e-7)
-    monkeypatch.setattr(asymptotic, "series_floor", lambda *args: (1024, 1e-3))
-    wide = exact_integral(p, f, 1e-7)
-    assert wide.value == base.value
-    assert wide.tail_bound - base.tail_bound >= 0.999 * math.expm1(1e-3) * abs(base.value)
+    base_restricted = error_decomposition(p, f, 1e-7).restricted
+    monkeypatch.setattr(euler_products, "series_floor", lambda *args: (1024, 1e-3))
+    try:
+        wide = exact_integral(p, f, 1e-7)
+        wide_restricted = error_decomposition(p, f, 1e-7).restricted
+    finally:
+        _h_contour.cache_clear()  # h_{alpha,k,N} was built under the patch
+    least = 0.999 * math.expm1(1e-3)
+    for b, w in ((base, wide), (base_restricted, wide_restricted)):
+        assert w.value == b.value
+        assert w.tail_bound - b.tail_bound >= least * abs(b.value)
 
 
 def _unbatched(integrate):
@@ -259,6 +268,15 @@ def test_error_decomposition_gaussian_window(f):
     d = error_decomposition(SumParams(1, 2, 1000), f)
     assert d.i2_abs <= 1e-10  # super-polynomial fhat decay
     assert d.e2_abs > 0
+
+
+def test_error_decomposition_full_ledger_carries_the_window_tail():
+    # sigma = 0.1 puts the fhat window X = 77 past 3 log N = 20.7, so full and
+    # restricted differ; full is the exact integral and keeps its window tail
+    f, p = make_gaussian(1, 0.1), SumParams(1, 2, 1000)
+    d = error_decomposition(p, f, 1e-7)
+    assert d.i2_abs > 1e-3
+    assert d.full.tail_bound >= f.fhat_tail_bound * g_abs_bound(p) > 0
 
 
 def test_error_decomposition_e2_shrinks(f):

@@ -168,7 +168,7 @@ def test_g_values_match_mpmath_at_1024():
     z_mp = [[mpmath.power(int(p), -mpmath.mpc(s)) for p in primes] for s in s_nodes]
     for alpha in (0.7 + 0.4j, -1.9 + 0.3j, 2, 1.5 - 1.2j, -3 + 2j):
         for k in (2, 3, 4):
-            got = g_values(SumParams(alpha, k, 1024), s_nodes)
+            got, _ = g_values(SumParams(alpha, k, 1024), s_nodes)
             for s, g, zs in zip(s_nodes, got, z_mp):
                 ref = mpmath.mpc(1)
                 for z in zs:
@@ -184,20 +184,24 @@ def test_g_values_match_mpmath_at_1024():
 def test_g_product_overflow_guard():
     """alpha = 12, k = 200: the p = 2 factor reaches 6^199, so every block is
     one prime, and log g matches a 30-digit sum of factor logs (its imaginary
-    part mod 2 pi).  At k = 400 a factor may pass 1e300: DomainError, no nan."""
+    part mod 2 pi); g itself, e^930, is past the double range: DomainError.
+    At k = 400 a factor may pass 1e300: DomainError, no nan."""
     s = 1.0 + 0.5j
-    with np.errstate(over="ignore"):  # |g| = e^930 is past the double range
-        pv = g_product(SumParams(12, 200, 50), s)
+    logs, _ = euler_products._factor_log_sum(12, 0.0, 200, s, sieve_primes(50), moments=False)
+    log_g = complex(logs[0])
     ref_re, ref_im = mpmath.mpf(0), mpmath.mpf(0)
     for p in sieve_primes(50).primes:
         w = 12 * mpmath.power(int(p), -mpmath.mpc(s))
         factor = mpmath.fsum(w**j for j in range(200))
         ref_re += mpmath.log(abs(factor))
         ref_im += mpmath.arg(factor)
-    assert pv.log_value.real == pytest.approx(float(ref_re), rel=1e-12)
-    turns = (pv.log_value.imag - float(ref_im)) / (2.0 * math.pi)
+    assert log_g.real == pytest.approx(float(ref_re), rel=1e-12)
+    turns = (log_g.imag - float(ref_im)) / (2.0 * math.pi)
     assert abs(turns - round(turns)) <= 1e-10
-    assert not any(math.isnan(x) for x in (pv.log_value.real, pv.log_value.imag, pv.tail_bound))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            g_product(SumParams(12, 200, 50), s)
     with pytest.raises(DomainError):
         g_product(SumParams(12, 400, 50), s)
     # the bound reads the smallest prime summed: above 1024, |w| < 0.012
@@ -208,7 +212,7 @@ def test_g_product_overflow_guard():
 def test_g_values_vectorized_matches_scalar():
     params = SumParams(0.5 + 0.5j, 2, 1000)
     s_nodes = 1.0 + 1j * np.linspace(-3, 3, 7)
-    vec = g_values(params, s_nodes)
+    vec, _ = g_values(params, s_nodes)
     for i, s in enumerate(s_nodes):
         _, direct, _ = direct_products(params.alpha, params.k, params.N, complex(s))
         assert vec[i] == pytest.approx(direct, rel=1e-12)
@@ -489,18 +493,19 @@ def test_g_abs_bound_dominates_on_line():
 @pytest.mark.parametrize("N", [3000, 10**5])
 def test_vector_products_are_batch_invariant(N):
     """A node's value has the same bits in any batch of nodes: the vector
-    routes over a node vector equal the concatenation over its two halves,
-    and single-node calls.  alpha = 9 takes exact piece logs over every
-    prime (a walk)."""
+    routes and the prime-zeta h tail over a node vector equal the
+    concatenation over its two halves, and single-node calls.  alpha = 9
+    takes exact piece logs over every prime (a walk)."""
     primes = sieve_primes(N)
     s = 1.0 + 1j * np.linspace(-19.0, 19.0, 41) / math.log(N)
     halves = (s[:17], s[17:])
     for alpha, k in ((0.7 + 0.4j, 3), (9.0, 2)):
         params = SumParams(alpha, k, N)
         calls = (
-            lambda nodes: g_values(params, nodes, primes),
-            lambda nodes: euler_products.zeta_partial_values(primes, nodes),
+            lambda nodes: g_values(params, nodes, primes)[0],
+            lambda nodes: euler_products.zeta_partial_values(primes, nodes)[0],
             lambda nodes: h_log_values(alpha, k, nodes, primes)[0],
+            lambda nodes: h_tail_log_values(alpha, k, nodes)[0],
         )
         for call in calls:
             whole = call(s)
@@ -527,11 +532,10 @@ def test_moment_route_matches_the_walks(N):
     s = 1.0 + 1j * np.linspace(-19.0, 19.0, 9) / math.log(N)
     params = SumParams(0.7 + 0.4j, 3, N)
     zeta_values = euler_products.zeta_partial_values(primes, s)
-    for alpha, beta, k, values, point in (
+    for alpha, beta, k, (values, trunc), point in (
         (params.alpha, 0.0, 3, g_values(params, s, primes), lambda x: g_product(params, x)),
         (0.0, 1.0, 1, zeta_values, lambda x: zeta_partial(primes, x)),
     ):
-        _, trunc = euler_products._factor_log_sum(alpha, beta, k, s, primes)
         assert 1e-16 < trunc < 1e-11  # the interpolation and rounding are in it
         size = _series_size(alpha, beta, k, 1.0, N)
         for x, got in zip(s, values):

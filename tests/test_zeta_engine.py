@@ -88,6 +88,14 @@ def test_euler_maclaurin_array_matches_scalar_and_mpmath():
         assert abs(vals[i] - zeta(complex(si)).regular) <= 8 * eps * abs(ref)
 
 
+def test_euler_maclaurin_entry_bits_do_not_depend_on_batch():
+    # each entry takes its own cutoff: A(1+2i) has the same bits beside 1+40i,
+    # whose cutoff is 80 against 20
+    alone, alone_err = _euler_maclaurin(np.array([1 + 2j]))
+    both, both_err = _euler_maclaurin(np.array([1 + 2j, 1 + 40j]))
+    assert alone[0] == both[0] and alone_err[0] == both_err[0]
+
+
 def test_stieltjes_against_literature():
     known = (
         0.5772156649015329,
