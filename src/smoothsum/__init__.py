@@ -23,7 +23,6 @@ from .asymptotic import (
     tenenbaum_check,
     theorem2_report,
 )
-from .branching import BranchedPath, build_branched_path
 from .dickman import (
     DickmanTable,
     EULER_GAMMA,
@@ -32,7 +31,6 @@ from .dickman import (
     build_rho,
     expint_J,
     rho_hat,
-    rho_hat_path,
 )
 from .errors import (
     CountCapExceeded,
@@ -56,6 +54,6 @@ from .euler_products import (
 from .oracle import BruteResult, brute_S
 from .params import SumParams
 from .quadrature import QuadResult
-from .zeta_engine import ZetaValue, regular_factor_path, vk_check, zeta
+from .zeta_engine import ZetaValue, vk_check, zeta
 
 __version__ = "0.1.0"

@@ -336,9 +336,9 @@ def check_branch_robustness() -> CheckResult:
     rows, ok = [], True
     for alpha in (1, 2):
         p = SumParams(alpha, 2, 1000)
-        a = main_term(p, f, 1e-9, h_tol=1e-7)
-        b = main_term(p, f, 1e-9, h_tol=1e-7, use_integer_powers=True)
-        c = main_term(p, f, 1e-9, h_tol=1e-7, min_panels=16)
+        a = main_term(p, f, 1e-9)
+        b = main_term(p, f, 1e-9, use_integer_powers=True)
+        c = main_term(p, f, 1e-9, min_panels=16)
         route_gap = abs(a.value - b.value)
         node_move = abs(a.value - c.value)
         good = route_gap <= 1e-9 and node_move <= a.quad_error

@@ -15,10 +15,11 @@ The zeta^alpha (ix/log N)^alpha grouping is evaluated as A(x)^alpha with
 A = (s-1) zeta(s): both A and rhohat are nonvanishing on the contour, and
 each complex power is exp(alpha log) with the log continuous from the
 real-positive anchors A(0) = 1 and rhohat(0) = e^gamma.  log rhohat(ix) is
-the closed form gamma - Ein(ix) (dickman.log_rho_hat_ix); log A depends on
-tau = x/log N alone and is one Chebyshev model on |tau| <= 3 per process
-(zeta_engine.log_regular_model), as h is.  The integer-power route through
-rho_hat and zeta cross-checks both.
+the closed form gamma - Ein(ix) (dickman.log_rho_hat_ix); A is evaluated
+at each quadrature node, where |arg A| < pi/2 makes its principal log the
+continuous one (checked).  The integer-power route through rho_hat and the
+same A cross-checks the powers.  Both routes' integrands return a bound on
+their error at every node, which the quadrature integrates into tail_bound.
 (log N)^alpha always means exp(alpha log log N), the real-positive branch.
 """
 
@@ -30,7 +31,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as cheb
 
 from . import dickman, zeta_engine
-from .errors import EtaTooSmall, PrecisionLoss, ToleranceUnachievable
+from .errors import EtaTooSmall, PrecisionLoss, ToleranceUnachievable, UnwrapError
 from .euler_products import (
     _SERIES_FLOOR,
     g_abs_bound,
@@ -133,21 +134,24 @@ def _require_transform(f: TestFunction) -> None:
 
 def _g_integral(params: SumParams, f: TestFunction, x_max: float, tol: float) -> QuadResult:
     """int_{|x| <= x_max} fhat(x) g(1 + ix/log N) dx to quadrature tolerance
-    tol.  tail_bound carries the largest error in log g that g_values
-    returned over the nodes as expm1(that) times the L1 mass; the caller adds
-    any window tail."""
+    tol.  A node's error is |fhat g| expm1(log_err), log_err the bound on
+    the error in log g that g_values returns with it; tail_bound is their
+    integral, and the caller adds any window tail."""
     primes = sieve_primes(params.N)
     log_n = params.log_n
-    log_err = 0.0
 
     def integrand(xs):
-        nonlocal log_err
-        values, err = g_values(params, 1.0 + 1j * np.asarray(xs) / log_n, primes)
-        log_err = max(log_err, err)
-        return f.eval_fhat(xs) * values
+        values, log_err = g_values(params, 1.0 + 1j * np.asarray(xs) / log_n, primes)
+        y = f.eval_fhat(xs) * values
+        return y, np.abs(y) * math.expm1(log_err)
 
-    res, l1 = integrate_adaptive(integrand, -x_max, x_max, tol)
-    return QuadResult(res.value, res.quad_error, math.expm1(log_err) * l1, res.node_count)
+    return integrate_adaptive(integrand, -x_max, x_max, tol)[0]
+
+
+def _check_ledger(res: QuadResult, tol: float) -> QuadResult:
+    if not res.quad_error + res.tail_bound <= tol:
+        raise ToleranceUnachievable(f"ledger {res.quad_error + res.tail_bound:.2e} > tol {tol:.2e}")
+    return res
 
 
 def exact_integral(
@@ -159,18 +163,18 @@ def exact_integral(
 
     Equals the finite sum up to quadrature error plus tail_bound: the
     certified window tail |fhat| outside [-X, X] times the trivial sup bound
-    on |g|, and the error in log g that the Euler-product kernel returns
-    with g_values (the truncation of the factor-log series above p = 1024,
-    and the interpolation and rounding of its Chebyshev moments) as
-    expm1(its largest value over the nodes) times the L1 mass of the
-    integrand.
+    on |g|, and the integral of each node's error, |fhat g| expm1 of the
+    bound on the error in log g that the Euler-product kernel returns with
+    g_values (the truncation of the factor-log series above p = 1024, and
+    the interpolation and rounding of its Chebyshev moments).  Raises
+    ToleranceUnachievable when quad_error + tail_bound exceeds tol.
     """
     _require_transform(f)
     if not 0 < tol <= 1e-3:
         raise ValueError("tol must lie in (0, 1e-3]")
     res = _g_integral(params, f, f.fhat_cutoff, 0.5 * tol)
     tail = f.fhat_tail_bound * g_abs_bound(params) + res.tail_bound
-    return QuadResult(res.value, res.quad_error, tail, res.node_count)
+    return _check_ledger(QuadResult(res.value, res.quad_error, tail, res.node_count), tol)
 
 
 # --- main-term machinery ----------------------------------------------------
@@ -230,26 +234,24 @@ def main_term(
     min_panels: int = 8,
     use_integer_powers: bool = False,
     h_variant: str = "infinite",
-    h_tol: float | None = None,
 ) -> QuadResult:
     """C_f(alpha,k;N): the restricted integral whose (log N)^alpha multiple is
     the dominant behaviour of the sum.
 
-    Requires eta > max(1, 1 - Re alpha) and N >= MAIN_TERM_MIN_N.  With
-    use_integer_powers=True (integer alpha only) the power factors are
-    evaluated by plain repeated multiplication of rho_hat and zeta values
-    instead of exp(alpha log) -- the cross-route oracle for the branch
-    convention.  h_variant="finite" substitutes h_{alpha,k,N}, which
+    Requires eta > max(1, 1 - Re alpha), N >= MAIN_TERM_MIN_N and tol in
+    (0, 1e-3].  With use_integer_powers=True (integer alpha only) the power
+    factors are evaluated by plain repeated multiplication of rho_hat and A
+    values instead of exp(alpha log) -- the cross-route oracle for the
+    branch convention.  h_variant="finite" substitutes h_{alpha,k,N}, which
     the error-decomposition report uses to measure the h_N -> h substitution
-    step.  h_tol (default tol/10) bounds the h tail and the h model's
-    interpolation; comparisons that share the cached h model may relax it
-    independently of the quadrature budget.  tol and h_tol must lie in (0, 1e-3].
+    step.  The h model (tail and interpolation) is built to tol/10.
 
     quad_error is the G7/K15 Gauss-Kronrod difference of the window integral,
-    an estimate rather than a bound; tail_bound carries the h-model uncertainty
-    and the error delta of log A as expm1(|alpha| delta) times the L1 mass:
-    the log A model's uniform error on the exp(alpha log) route, the largest
-    err_estimate/|A| over the quadrature nodes on the integer-power route.
+    an estimate rather than a bound.  tail_bound integrates each node's
+    error |fhat P| (h_unc + c (|h| + h_unc)), with P = rhohat^alpha A^alpha,
+    h_unc the h model's uniform error and c = expm1(-|alpha| log(1 - r)),
+    r A's relative error.  Raises ToleranceUnachievable when quad_error +
+    tail_bound exceeds tol, and UnwrapError where |arg A| >= pi/2 at a node.
     """
     _require_transform(f)
     alpha, k = params.alpha, params.k
@@ -260,51 +262,38 @@ def main_term(
         )
     if params.N < MAIN_TERM_MIN_N:
         raise ValueError(f"main_term needs N >= {MAIN_TERM_MIN_N}")
-    if h_tol is None:
-        h_tol = tol / 10.0
-    if not (0 < tol <= 1e-3 and 0 < h_tol <= 1e-3):
-        raise ValueError("tol and h_tol must lie in (0, 1e-3]")
+    if not 0 < tol <= 1e-3:
+        raise ValueError("tol must lie in (0, 1e-3]")
     if h_variant not in ("infinite", "finite"):
         raise ValueError("h_variant must be 'infinite' or 'finite'")
-    log_n = params.log_n
-    half = 3.0 * log_n
-    variant_N = params.N if h_variant == "finite" else 0
-    h_coeffs, h_unc = _h_contour(alpha, k, variant_N, h_tol)
-
-    def h_at(xs):
-        return cheb.chebval(np.asarray(xs) / half, h_coeffs)
-
     if use_integer_powers:
         m = round(alpha.real)
         if abs(alpha - m) > 1e-12:
             raise ValueError("use_integer_powers needs integer alpha")
-        # a relative error r in A moves log A^m by about |m| r: a_err is the
-        # largest err_estimate/|A| over the nodes the quadrature evaluates
-        a_err = 0.0
-
-        def powers(xs):
-            nonlocal a_err
-            av, av_err = zeta_engine._euler_maclaurin(1.0 + 1j * xs / log_n)
-            a_err = max(a_err, float(np.max(av_err / np.abs(av))))
-            rv = np.array([dickman.rho_hat(float(x)).value for x in xs])
-            return rv**m * av**m
-
-    else:
-        a_coeffs, a_err = zeta_engine.log_regular_model()
-
-        def powers(xs):
-            logs = dickman.log_rho_hat_ix(xs) + cheb.chebval(xs / half, a_coeffs)
-            return np.exp(alpha * logs)
+    log_n = params.log_n
+    half = 3.0 * log_n
+    variant_N = params.N if h_variant == "finite" else 0
+    h_coeffs, h_unc = _h_contour(alpha, k, variant_N, tol / 10.0)
 
     def integrand(xs):
         xs = np.asarray(xs, dtype=np.float64)
-        return f.eval_fhat(xs) * powers(xs) * h_at(xs)
+        a, a_err = zeta_engine._euler_maclaurin(1.0 + 1j * xs / log_n)
+        log_a = np.log(a)
+        if np.any(np.abs(log_a.imag) >= 0.5 * math.pi):
+            raise UnwrapError("|arg A| reaches pi/2 on |tau| <= 3")
+        if use_integer_powers:
+            rv = np.array([dickman.rho_hat(float(x)).value for x in xs])
+            powers = rv**m * a**m
+        else:
+            powers = np.exp(alpha * (dickman.log_rho_hat_ix(xs) + log_a))
+        fp = f.eval_fhat(xs) * powers
+        h = cheb.chebval(xs / half, h_coeffs)
+        # A = a (1 + v), |v| <= r, moves A^alpha by a factor within 1 + this
+        grow = np.expm1(-abs(alpha) * np.log1p(-a_err / np.abs(a)))
+        return fp * h, np.abs(fp) * (h_unc + grow * (np.abs(h) + h_unc))
 
-    res, l1 = integrate_adaptive(integrand, -half, half, 0.5 * tol, min_panels=min_panels)
-    # uniform h uncertainty converts to an additive bound via the L1 mass
-    h_floor = max(float(np.min(np.abs(cheb.chebval(np.linspace(-1, 1, 65), h_coeffs)))), 1e-9)
-    tail = h_unc * l1 / h_floor + math.expm1(abs(alpha) * a_err) * l1
-    return QuadResult(res.value, res.quad_error, tail, res.node_count)
+    res, _ = integrate_adaptive(integrand, -half, half, 0.5 * tol, min_panels=min_panels)
+    return _check_ledger(res, tol)
 
 
 def log_n_power(alpha: complex, N: int) -> complex:

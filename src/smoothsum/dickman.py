@@ -166,8 +166,8 @@ def expint_J(s: complex, tol: float = 1e-13) -> complex:
         rot = np.exp(1j * math.copysign(math.pi / 4.0, s.imag))
         upper = 85.0  # e^{-85 cos(pi/4)} < 1e-26
 
-    def f(t):
-        return rot * np.exp(-rot * t) / (s + rot * t)
+    def f(t):  # a closed form, exact up to rounding: its error term is 0
+        return rot * np.exp(-rot * t) / (s + rot * t), np.zeros_like(t)
 
     res, _ = integrate_adaptive(f, 0.0, upper, tol, split_points=(), min_panels=16)
     return np.exp(-s) * res.value
@@ -198,14 +198,10 @@ def rho_hat(x: float) -> RhoHatValue:
     return RhoHatValue(1j * x, complex(np.exp(lv)), lv)
 
 
-def _log_rho_hat_vec(xs: np.ndarray) -> np.ndarray:
-    return np.array([_log_rho_hat(float(x)) for x in np.atleast_1d(xs)])
-
-
 def rho_hat_path(path_xs) -> BranchedPath:
     """Unwrapped log of rhohat(ix) along a grid, anchored at rhohat(0)=e^gamma."""
     return build_branched_path(
-        _log_rho_hat_vec,
+        lambda xs: np.array([_log_rho_hat(float(x)) for x in np.atleast_1d(xs)]),
         path_xs,
         anchor_x=0.0,
         anchor_log=complex(EULER_GAMMA),

@@ -343,25 +343,20 @@ def _log_zeta_above(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     _SERIES_FLOOR, at every entry of the 1-d array u (Re u >= 2), with a
     bound on the error of each entry.
 
-    zeta = A/(u-1) with error err_A/|u-1|, A from one array call of the
-    Euler-Maclaurin engine.  Re u >= 2 keeps |log zeta(u)| <= log zeta(2) < pi,
-    so the principal log is the prime sum, and |zeta(u)| >= zeta(4)/zeta(2)."""
+    zeta = A/(u-1) with error err_A/|u-1|, A and its error (truncation and
+    rounding) from one array call of the Euler-Maclaurin engine.  Re u >= 2
+    keeps |log zeta(u)| <= log zeta(2) < pi, so the principal log is the
+    prime sum, and |zeta(u)| >= zeta(4)/zeta(2)."""
     primes = sieve_primes(_SERIES_FLOOR)
     a_u, a_err = zeta_engine._euler_maclaurin(u)
     zeta_u = a_u / (u - 1.0)
     head, _ = _factor_log_sum(0.0, 1.0, 1, u, primes)  # log zeta_Q(u), exact piece logs
-    # rounding, doubled for safety: a term n^(-u) or Log(1-p^(-u)) carries a
-    # relative error below (2|u| log n + 3) eps; over either sum,
-    # sum |term| <= zeta(2) and sum |term| log n <= -zeta'(2) < 0.94; a naive
-    # sum of n terms adds n eps times its absolute sum, which is below zeta(2)
-    # for the zeta series and log zeta(2) for the primes; multiplying the
-    # series by u-1 and dividing A by it again adds below 8 eps times zeta(2)
-    rounding = 2.0 * _EPS * (
-        2.0 * (1.88 * np.abs(u) + 3.0 * _ZETA_2)
-        + (zeta_engine._cutoffs(u) + 8) * _ZETA_2
-        + len(primes) * _LOG_ZETA_2
-    )
-    zeta_err = a_err / np.abs(u - 1.0) + rounding
+    # rounding of the head, doubled for safety: a term Log(1-p^(-u)) carries
+    # a relative error below (2|u| log p + 3) eps; sum |term| <= log zeta(2)
+    # and sum |term| log p <= -zeta'(2) < 0.94; a naive sum of n terms adds
+    # n eps times log zeta(2).  Dividing A by u-1 adds below 8 eps zeta(2).
+    rounding = 2.0 * _EPS * (2.0 * (0.94 * np.abs(u) + 1.5 * _LOG_ZETA_2) + len(primes) * _LOG_ZETA_2)
+    zeta_err = a_err / np.abs(u - 1.0) + 8.0 * _EPS * _ZETA_2
     return np.log(zeta_u) - head, zeta_err / (np.abs(zeta_u) - zeta_err) + rounding
 
 

@@ -1,6 +1,8 @@
 """The (alpha, k, N) triple that parameterizes every sum in the library."""
 
+import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 
@@ -14,6 +16,10 @@ class SumParams:
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", complex(self.alpha))
+        if not cmath.isfinite(self.alpha):
+            raise ValueError("alpha must be finite")
+        if not (isinstance(self.k, numbers.Integral) and isinstance(self.N, numbers.Integral)):
+            raise ValueError("k and N must be integers")
         if self.k < 2:
             raise ValueError("k must be >= 2")
         if self.N < 2:

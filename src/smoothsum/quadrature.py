@@ -6,6 +6,14 @@ those of the 7-point Gauss rule (Piessens et al., QUADPACK, 1983, qk15);
 the summed estimate meets the budget; a budget still unmet at MAX_PANELS
 panels raises ToleranceUnachievable.  Panels never straddle a caller-listed
 split point (the integrands here have their one delicate point at x = 0).
+
+The integrand returns (values, errors), errors[i] a bound on how far
+values[i] is from the exact integrand at node i.  The K15 weights are
+positive, so half * sum K15_i errors_i over the final panels bounds how far
+the computed rule is from the same rule applied to the exact integrand:
+that sum is the tail_bound returned, and the one place where an integrand's
+error reaches a ledger.
+
 Every seed panel is evaluated in one call of the integrand, and both halves
 of a split panel in one call; the integrands of the exact route and the
 main term give each node the same bits in any batch, so for them batching
@@ -42,8 +50,8 @@ class QuadResult:
 
     quad_error estimates the quadrature discretization error: it is the
     summed |K15 - G7| Gauss-Kronrod difference over the panels, not a proven
-    bound.  tail_bound is the certified truncation outside the
-    integration window (0 when none).
+    bound.  tail_bound bounds the rest: the K15 rule applied to the
+    integrand's per-node errors, plus any window truncation the caller adds.
     """
 
     value: complex
@@ -57,21 +65,23 @@ class PanelIntegral:
     a: float
     b: float
     value: complex
-    abs_value: float
     error: float
+    integrand_error: float
 
 
 def _eval_panels(f, segs) -> list:
     """G7/K15 over each (a, b) of segs, with every node in one call of f."""
     halves = [0.5 * (b - a) for a, b in segs]
     xs = np.concatenate([0.5 * (a + b) + half * _NODES for (a, b), half in zip(segs, halves)])
-    ys = np.asarray(f(xs), dtype=np.complex128).reshape(len(segs), len(_NODES))
+    ys, es = f(xs)
+    ys = np.asarray(ys, dtype=np.complex128).reshape(len(segs), len(_NODES))
+    es = np.asarray(es, dtype=np.float64).reshape(len(segs), len(_NODES))
     panels = []
-    for (a, b), half, y in zip(segs, halves, ys):
+    for (a, b), half, y, e in zip(segs, halves, ys, es):
         hi = half * np.sum(_K15 * y)
         lo = half * np.sum(_G7 * y)
-        abs_hi = half * float(np.sum(_K15 * np.abs(y)))
-        panels.append(PanelIntegral(a, b, complex(hi), abs_hi, abs(hi - lo)))
+        e_hi = half * float(np.sum(_K15 * e))
+        panels.append(PanelIntegral(a, b, complex(hi), abs(hi - lo), e_hi))
     return panels
 
 
@@ -85,11 +95,12 @@ def integrate_adaptive(
 ) -> tuple[QuadResult, float]:
     """Integrate vectorized `f` over [a, b] to absolute tolerance `tol`.
 
-    Returns (QuadResult, L1) where L1 estimates the integral of |f|; the
-    caller uses it to convert multiplicative integrand perturbations into an
-    additive tail bound.  QuadResult.tail_bound is 0 here; window truncation
-    is the caller's ledger.  Raises ToleranceUnachievable when MAX_PANELS
-    panels leave the summed error estimate above `tol`.
+    f maps a node array to (values, errors), errors bounding each value's
+    distance from the exact integrand.  Returns (QuadResult, E), where E is
+    the K15 rule applied to the errors over the final panels; tail_bound is
+    E here, and a caller adds its window truncation to it.  Raises
+    ToleranceUnachievable when MAX_PANELS panels leave the summed error
+    estimate above `tol`.
     """
     if not b > a:
         raise ValueError("need b > a")
@@ -131,7 +142,7 @@ def integrate_adaptive(
         raise ToleranceUnachievable(
             f"{MAX_PANELS} panels leave quadrature error {err:.2e} above tol {tol:.2e}"
         )
-    l1 = math.fsum(p.abs_value for p in panels)
+    integrand_err = math.fsum(p.integrand_error for p in panels)
     # each split replaced one evaluated panel by two
     n_nodes = len(_NODES) * (2 * len(panels) - len(seeds))
-    return QuadResult(value, err, 0.0, n_nodes), l1
+    return QuadResult(value, err, integrand_err, n_nodes), integrand_err

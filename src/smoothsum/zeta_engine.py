@@ -9,20 +9,16 @@ multiplied by (s-1) before it is evaluated, reads
     A(s) = (s-1) [ sum_{n<M} n^{-s} + M^{-s}/2 + Bernoulli terms ] + M^{1-s},
 
 which has no pole and equals 1 exactly at s = 1; zeta = A/(s-1) wherever
-s != 1.  Its error estimate is |s-1| times the first omitted Bernoulli
-term, below 1e-12 * |A| for M = max(20, 2|Im s|) and |Im s| <= 1e6 (the
-estimate is returned, not assumed).  That estimate covers truncation only:
-for Re s in [0.5, 1.2] and |Im s| up to 1e3 the rounding of the ~2|Im s|
-terms of the sum reaches about 1e-11 relative.  One vectorised sum serves
-every caller: a scalar zeta, the batches of zeta(n s) behind the prime-zeta
-h tail (euler_products.h_tail_log_values), the nodes of the main term and
-the grids of regular_factor_path.  Each entry takes its own M and its sum
-runs over a fixed chunking of n, so an entry has the same bits in any batch.
-
-On the main-term contour s = 1 + i tau, |tau| <= 3, A depends on tau alone,
-so log A is one Chebyshev model per process (log_regular_model), built from
-one batch of A values.  regular_factor_path, the per-N unwrapped path, is
-its reference route.
+s != 1.  The returned error bounds truncation and rounding together: |s-1|
+times the first omitted Bernoulli term, below 1e-12 * |A| for
+M = max(20, 2|Im s|) and |Im s| <= 1e6, plus a bound on the rounding of
+the ~M terms, their sum and the assembly, which sets the error on the
+1-line (about 4e-14 relative at s = 1 + 3i and 2e-11 at 1 + 1000i).  One
+vectorised sum serves every caller: a scalar zeta, the batches of zeta(n s)
+behind the prime-zeta h tail (euler_products.h_tail_log_values), the nodes
+of the main term and the grids of regular_factor_path, the unwrapped
+reference path.  Each entry takes its own M and its sum runs over a fixed
+chunking of n, so an entry has the same bits in any batch.
 """
 
 import math
@@ -32,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .branching import BranchedPath, build_branched_path
-from .errors import PrecisionLoss, ToleranceUnachievable, UnwrapError
+from .errors import PrecisionLoss
 
 # B_{2j} for j = 1..7; B14 only feeds the error estimate
 _BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)
@@ -44,17 +40,16 @@ FORD_VK_CONSTANT = 76.2
 _TERM_CHUNK = 4096  # terms n per chunk of the sum: an entry's sum never depends on its batch
 _CHUNK_BUDGET = 1 << 16  # complex scratch entries per block of entries and terms
 
-_LOG_A_DEGREE = 64  # Chebyshev degree of the log A model on |tau| <= 3
 _ZETA_ERR_MAX = 1e-13  # largest A err_estimate a sample may carry
-_MODEL_TAIL_MAX = 1e-13  # largest trailing Chebyshev coefficient of the model
+_UNIT = 2.0**-53  # unit roundoff of a double
 
 
 @dataclass(frozen=True)
 class ZetaValue:
     """zeta(s) together with the regular factor A = (s-1)*zeta(s).
 
-    err_estimate is A's truncation estimate (zeta's is err_estimate/|s-1|);
-    at s = 1 exactly only `regular` is defined (zeta is nan).
+    err_estimate bounds A's truncation and rounding (zeta's error is
+    err_estimate/|s-1|); at s = 1 exactly only `regular` is defined (zeta is nan).
     """
 
     s: complex
@@ -70,13 +65,15 @@ def _cutoffs(s: np.ndarray) -> np.ndarray:
 
 def _euler_maclaurin(s, m_terms: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """A(s) = (s-1) zeta(s) at every entry of the 1-d array s (Re s > 0),
-    each at its own cutoff M (_cutoffs, or m_terms for every entry), with
-    |s-1| times the first omitted Bernoulli term of each entry as its error
-    estimate.  The entries of one M sum n^(-s) over fixed chunks of
-    _TERM_CHUNK terms, so an entry has the same bits in any batch."""
+    each at its own cutoff M (_cutoffs, or m_terms for every entry), with a
+    bound on each entry's error: |s-1| times the first omitted Bernoulli
+    term, plus the rounding.  The entries of one M sum n^(-s) over fixed
+    chunks of _TERM_CHUNK terms, so an entry has the same bits in any batch."""
     s = np.atleast_1d(np.asarray(s, dtype=np.complex128))
     cutoffs = np.full(len(s), m_terms) if m_terms else _cutoffs(s)
     total = np.zeros(len(s), dtype=np.complex128)
+    mass = np.zeros(len(s))  # sum of n^(-Re s) over n < M
+    moment = np.zeros(len(s))  # sum of n^(-Re s) log n over n < M
     lm = np.empty(len(s))
     for M in sorted(set(cutoffs.tolist())):
         sel = np.flatnonzero(cutoffs == M)
@@ -87,20 +84,37 @@ def _euler_maclaurin(s, m_terms: int | None = None) -> tuple[np.ndarray, np.ndar
             for a in range(0, len(sel), rows):
                 block = sel[a : a + rows]
                 total[block] += np.exp(-np.outer(s[block], log_n)).sum(axis=1)
+                size = np.exp(-np.outer(s[block].real, log_n))
+                mass[block] += size.sum(axis=1)
+                moment[block] += (size * log_n).sum(axis=1)
     total += 0.5 * np.exp(-s * lm)
+    ends = 0.5 * np.exp(-s.real * lm)  # modulus of the half term and the corrections
     # Bernoulli corrections: B_{2j}/(2j)! * s(s+1)...(s+2j-2) * M^{-s-2j+1}
     rising = s
     fact = 1.0
     for j in range(1, _N_CORRECTIONS + 1):
         fact *= (2 * j - 1) * (2 * j)
-        total += _BERNOULLI[j - 1] / fact * rising * np.exp((-s - 2 * j + 1) * lm)
+        term = _BERNOULLI[j - 1] / fact * rising * np.exp((-s - 2 * j + 1) * lm)
+        total += term
+        ends += np.abs(term)
         rising = rising * (s + 2 * j - 1) * (s + 2 * j)
     fact *= (2 * _N_CORRECTIONS + 1) * (2 * _N_CORRECTIONS + 2)
     ds = s - 1.0
     tail = np.abs(ds * _BERNOULLI[_N_CORRECTIONS] / fact * rising) * np.exp(
         (-s.real - 2 * _N_CORRECTIONS - 1) * lm
     )
-    return ds * total + np.exp(-ds * lm), tail
+    # rounding, first order in the unit roundoff u, with numpy's log, exp,
+    # cos and sin within one ulp: a term n^(-s) is off by below
+    # (5|s| log n + 6) u relative, the half term or a correction by below
+    # ((5|s| + 33) log M + 50) u, and each passes through at most M + 6
+    # additions; the product with s-1 and the last addition add 4 u, and
+    # M^(1-s) carries below (6|s-1| log M + 6) u.  At s = 1 the assembly
+    # 0 * total + e^0 = 1 is exact.
+    sums = 5.0 * np.abs(s) * (moment + lm * ends) + (cutoffs + 16) * (mass + ends)
+    sums += (33.0 * lm + 50.0) * ends
+    far = np.exp(-ds.real * lm)  # |M^(1-s)|
+    rounding = np.where(ds == 0, 0.0, _UNIT * (np.abs(ds) * (sums + 6.0 * lm * far) + 6.0 * far))
+    return ds * total + np.exp(-ds * lm), tail + rounding
 
 
 @lru_cache(maxsize=1)
@@ -135,69 +149,20 @@ def zeta(s: complex) -> ZetaValue:
     return ZetaValue(s, z, a, float(err[0]))
 
 
-def _log_regular_vec(xs: np.ndarray, log_n: float) -> np.ndarray:
-    s = 1.0 + 1j * np.asarray(xs, dtype=np.float64) / log_n
-    if np.max(np.abs(s.imag)) > MAX_IM:
-        raise PrecisionLoss(f"|Im s| > {MAX_IM:g} exceeds the certified range")
-    return np.log(_euler_maclaurin(s)[0])
-
-
 def regular_factor_path(path_xs, log_n: float) -> BranchedPath:
     """Unwrapped log of A(x) = (s-1)zeta(s), s = 1 + ix/log N, anchored at
     A(0) = 1.  A is nonvanishing on the path since zeta(1+it) != 0.  Each
     grid the unwrapping asks for is one Euler-Maclaurin batch."""
     if log_n <= 0:
         raise ValueError("log N must be positive")
-    return build_branched_path(
-        lambda xs: _log_regular_vec(xs, log_n),
-        path_xs,
-        anchor_x=0.0,
-        anchor_log=0.0 + 0.0j,
-    )
 
+    def log_a(xs):
+        s = 1.0 + 1j * np.asarray(xs, dtype=np.float64) / log_n
+        if np.max(np.abs(s.imag)) > MAX_IM:
+            raise PrecisionLoss(f"|Im s| > {MAX_IM:g} exceeds the certified range")
+        return np.log(_euler_maclaurin(s)[0])
 
-@lru_cache(maxsize=1)
-def log_regular_model() -> tuple[np.ndarray, float]:
-    """Chebyshev model of t -> log A(1 + 3it) on [-1, 1], A = (s-1) zeta(s).
-
-    Query at t = tau / 3 = x / (3 log N).  The principal log is the
-    continuous one: every sample has |arg A| < pi/2 (the maximum on the
-    segment is 1.40), checked here.  Returns (coeffs, uniform_abs_error),
-    the error being the coefficient tail plus the samples' A error estimates
-    carried to log A and amplified by the Lebesgue constant.  The 65 samples
-    are one Euler-Maclaurin batch.  Raises PrecisionLoss when a sample's
-    error estimate exceeds _ZETA_ERR_MAX and ToleranceUnachievable when the
-    coefficient tail exceeds _MODEL_TAIL_MAX.
-    """
-    # first-kind nodes t_j = cos theta_j, with cos(k theta_j) from angles
-    # reduced mod 2 pi in integers: numpy's chebinterpolate builds T_k(t_j)
-    # by recurrence, which left 8e-14 of noise at the ends of the model
-    n = _LOG_A_DEGREE + 1
-    j = np.arange(n)
-    cos_kj = np.cos(np.pi * (np.outer(j, 2 * j + 1) % (4 * n)) / (2 * n))
-    ts = cos_kj[1]
-    a_vals, a_err = _euler_maclaurin(1.0 + 3j * ts)
-    worst = int(np.argmax(a_err))
-    if not a_err[worst] <= _ZETA_ERR_MAX:
-        raise PrecisionLoss(
-            f"A error estimate {a_err[worst]:.1e} at tau = {3.0 * ts[worst]:.3f} exceeds "
-            f"{_ZETA_ERR_MAX:.0e}"
-        )
-    log_err = float(np.max(a_err / np.abs(a_vals)))
-    logs = np.log(a_vals)
-    if np.max(np.abs(logs.imag)) >= 0.5 * math.pi:
-        raise UnwrapError("|arg A| reaches pi/2 on |tau| <= 3")
-    coeffs = (2.0 / n) * (cos_kj @ logs)
-    coeffs[0] *= 0.5
-    tail = float(np.max(np.abs(coeffs[-4:])))
-    if tail > _MODEL_TAIL_MAX:
-        raise ToleranceUnachievable(
-            f"log A model tail {tail:.1e} exceeds {_MODEL_TAIL_MAX:.0e} at degree "
-            f"{_LOG_A_DEGREE}"
-        )
-    lebesgue = 2.0 / math.pi * math.log(n) + 1.0
-    coeffs.setflags(write=False)
-    return coeffs, float(np.sum(np.abs(coeffs[-4:]))) + lebesgue * log_err
+    return build_branched_path(log_a, path_xs, anchor_x=0.0, anchor_log=0.0 + 0.0j)
 
 
 @dataclass(frozen=True)

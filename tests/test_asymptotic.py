@@ -9,6 +9,7 @@ from smoothsum import (
     EtaTooSmall,
     PrecisionLoss,
     EXP_EULER_GAMMA,
+    SmoothsumError,
     SumParams,
     brute_S,
     error_decomposition,
@@ -18,14 +19,16 @@ from smoothsum import (
     make_test_constant,
     rho_hat,
     sieve_primes,
-    regular_factor_path,
-    rho_hat_path,
     tenenbaum_check,
     theorem2_report,
+    ToleranceUnachievable,
+    UnwrapError,
     zeta,
     zeta_partial,
 )
 from smoothsum import asymptotic, euler_products, zeta_engine
+from smoothsum.dickman import rho_hat_path
+from smoothsum.zeta_engine import regular_factor_path
 from smoothsum.euler_products import g_abs_bound
 from smoothsum.asymptotic import _h_contour, log_n_power
 from smoothsum.quadrature import integrate_adaptive
@@ -37,10 +40,12 @@ def f():
 
 
 def test_sum_params_validation():
-    with pytest.raises(ValueError):
-        SumParams(1, 1, 100)
-    with pytest.raises(ValueError):
-        SumParams(1, 2, 1)
+    # integer k and N, finite alpha: refused up front, not deep in a kernel
+    for args in ((1, 1, 100), (1, 2, 1), (1, 2.5, 100), (1, 2, 100.5),
+                 (math.nan, 2, 100), (complex(1, math.inf), 2, 100)):
+        with pytest.raises(ValueError):
+            SumParams(*args)
+    assert SumParams(1, np.int64(2), np.int64(100)).N == 100
 
 
 def test_gaussian_basics():
@@ -83,21 +88,20 @@ def test_exact_integral_matches_brute(f):
 
 def test_exact_integral_ledger_carries_the_series_truncation(f, monkeypatch):
     # above p = 1024 log g is a truncated series; the kernel returns its
-    # certified truncation with g_values, and it reaches tail_bound as
-    # expm1(trunc) times the L1 mass, at least |value|, in exact_integral and
-    # in both ledgers of error_decomposition
+    # certified truncation with g_values, and each node's |fhat g| expm1(trunc)
+    # integrates into tail_bound, at least expm1(trunc) |value|, over the
+    # full window and the restricted one; exact_integral raises on the
+    # ledger that misses tol
     p = SumParams(1, 2, 5000)
     assert 0 < euler_products.series_floor(1, 0, 2, 1.0, 5000)[1] <= 1e-16
-    base = exact_integral(p, f, 1e-7)
-    base_restricted = error_decomposition(p, f, 1e-7).restricted
+    windows = (f.fhat_cutoff, 3.0 * p.log_n)
+    base = [asymptotic._g_integral(p, f, x, 0.5e-7) for x in windows]
     monkeypatch.setattr(euler_products, "series_floor", lambda *args: (1024, 1e-3))
-    try:
-        wide = exact_integral(p, f, 1e-7)
-        wide_restricted = error_decomposition(p, f, 1e-7).restricted
-    finally:
-        _h_contour.cache_clear()  # h_{alpha,k,N} was built under the patch
+    wide = [asymptotic._g_integral(p, f, x, 0.5e-7) for x in windows]
+    with pytest.raises(ToleranceUnachievable):
+        exact_integral(p, f, 1e-7)
     least = 0.999 * math.expm1(1e-3)
-    for b, w in ((base, wide), (base_restricted, wide_restricted)):
+    for b, w in zip(base, wide):
         assert w.value == b.value
         assert w.tail_bound - b.tail_bound >= least * abs(b.value)
 
@@ -107,7 +111,8 @@ def _unbatched(integrate):
 
     def run(fn, *args, **kwargs):
         def per_panel(xs):
-            return np.concatenate([fn(xs[i : i + 15]) for i in range(0, len(xs), 15)])
+            parts = [fn(xs[i : i + 15]) for i in range(0, len(xs), 15)]
+            return tuple(np.concatenate(part) for part in zip(*parts))
 
         return integrate(per_panel, *args, **kwargs)
 
@@ -168,26 +173,55 @@ def test_main_term_n_floor(f):
 
 def test_main_term_tol_validation(f):
     # refused up front, not after walking the h cutoff up to its cap
-    for tol, h_tol in ((math.nan, None), (1e-2, None), (1e-6, math.nan),
-                       (1e-6, -1e-7), (1e-6, 0.0)):
+    for tol in (math.nan, 1e-2, -1e-7, 0.0):
         with pytest.raises(ValueError):
-            main_term(SumParams(1, 2, 100), f, tol, h_tol=h_tol)
+            main_term(SumParams(1, 2, 100), f, tol)
+
+
+def test_main_term_meets_tol_or_raises(f):
+    # every return has quad_error + tail_bound <= tol; where the h model's
+    # uncertainty alone passes tol (alpha = -3 and 5) the call raises.  At
+    # alpha = -2, k = 2 the p = 2 factor of h vanishes at s = 1, which the
+    # ledger once divided by
+    grid = [(a, k, N, tol) for a in (1, -1, 2, -2, 0.5 + 0.5j, 0.5 - 0.5j, 1.5)
+            for k in (2, 3) for N in (10**2, 10**4) for tol in (1e-6, 1e-8)]
+    grid += [(a, k, 1000, tol) for a in (-3, 5) for k in (2, 3) for tol in (1e-6, 1e-8)]
+    raised = []
+    for alpha, k, N, tol in grid:
+        try:
+            res = main_term(SumParams(alpha, k, N), f, tol)
+        except SmoothsumError:
+            raised.append((alpha, k, N, tol))
+            continue
+        assert res.quad_error + res.tail_bound <= tol, (alpha, k, N, tol)
+    assert {r[0] for r in raised} >= {-3, 5}
+
+
+def test_main_term_checks_the_branch_of_a_at_the_nodes(f, monkeypatch):
+    # the principal log A is the continuous one only while |arg A| < pi/2
+    p = SumParams(0.5, 2, 100)
+    main_term(p, f, 1e-6)  # builds the h model with the true A
+    em = zeta_engine._euler_maclaurin
+    monkeypatch.setattr(zeta_engine, "_euler_maclaurin", lambda s: (-em(s)[0], em(s)[1]))
+    with pytest.raises(UnwrapError):
+        main_term(p, f, 1e-6)
 
 
 def test_main_term_integer_power_route(f):
     p = SumParams(1, 2, 100)
-    a = main_term(p, f, 1e-8, h_tol=1e-7)
-    b = main_term(p, f, 1e-8, h_tol=1e-7, use_integer_powers=True)
+    a = main_term(p, f, 1e-8)
+    b = main_term(p, f, 1e-8, use_integer_powers=True)
     assert abs(a.value - b.value) <= 1e-9
     with pytest.raises(ValueError):
         main_term(SumParams(0.5, 2, 100), f, 1e-6, use_integer_powers=True)
 
 
 def test_zeta_error_estimate_is_read(f, monkeypatch):
-    # an inflated A error estimate widens the integer route's tail_bound and
-    # stops tenenbaum_check
+    # an inflated A error estimate widens tail_bound on both power routes,
+    # makes main_term raise where the ledger then misses tol, and stops
+    # tenenbaum_check
     p = SumParams(1, 2, 100)
-    base = main_term(p, f, 1e-8, h_tol=1e-7, use_integer_powers=True)
+    base = [main_term(p, f, 1e-4, use_integer_powers=b) for b in (False, True)]
     em = zeta_engine._euler_maclaurin
 
     def inflated(s, m_terms=None):
@@ -195,20 +229,24 @@ def test_zeta_error_estimate_is_read(f, monkeypatch):
         return vals, errs + 1e-6
 
     monkeypatch.setattr(zeta_engine, "_euler_maclaurin", inflated)
-    got = main_term(p, f, 1e-8, h_tol=1e-7, use_integer_powers=True)
-    assert got.value == base.value
-    assert got.tail_bound >= base.tail_bound + 1e-7
+    for b, integer in zip(base, (False, True)):
+        got = main_term(p, f, 1e-4, use_integer_powers=integer)
+        assert got.value == b.value
+        assert got.tail_bound >= b.tail_bound + 1e-7
+        with pytest.raises(ToleranceUnachievable):
+            main_term(p, f, 1e-8, use_integer_powers=integer)
     with pytest.raises(PrecisionLoss):
         tenenbaum_check([10**3], np.linspace(-3, 3, 13))
 
 
 def test_main_term_non_integer_alpha_matches_path_route(f):
-    # the closed-form log rhohat and the log A model against the same integral
-    # built on the phase-unwrapped reference paths, on the same quadrature
-    alpha, k, tol, h_tol = 0.5 + 0.5j, 3, 1e-8, 1e-5
-    h_coeffs, _ = _h_contour(alpha, k, 0, h_tol)
+    # the closed-form log rhohat and the principal log A at the nodes
+    # against the same integral built on the phase-unwrapped reference
+    # paths, on the same quadrature
+    alpha, k, tol = 0.5 + 0.5j, 3, 1e-8
+    h_coeffs, _ = _h_contour(alpha, k, 0, tol / 10.0)
     for N in (10**2, 10**4):
-        got = main_term(SumParams(alpha, k, N), f, tol, h_tol=h_tol)
+        got = main_term(SumParams(alpha, k, N), f, tol)
         half = 3.0 * math.log(N)
         grid = np.linspace(-half, half, 2 * int(half) + 129)
         rho_path = rho_hat_path(grid)
@@ -216,7 +254,8 @@ def test_main_term_non_integer_alpha_matches_path_route(f):
 
         def integrand(xs):
             logs = rho_path.log_at(xs) + a_path.log_at(xs)
-            return f.eval_fhat(xs) * np.exp(alpha * logs) * cheb.chebval(xs / half, h_coeffs)
+            y = f.eval_fhat(xs) * np.exp(alpha * logs) * cheb.chebval(xs / half, h_coeffs)
+            return y, np.zeros_like(xs)
 
         ref, _ = integrate_adaptive(integrand, -half, half, 0.5 * tol)
         assert got.node_count == ref.node_count

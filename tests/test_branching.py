@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import smoothsum.branching as branching
-from smoothsum import UnwrapError, build_branched_path
+from smoothsum import UnwrapError
+from smoothsum.branching import build_branched_path
 
 
 def winding_log(rate):

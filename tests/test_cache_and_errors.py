@@ -14,8 +14,8 @@ from smoothsum import (
     build_rho,
     make_gaussian,
     make_test_constant,
-    rho_hat_path,
 )
+from smoothsum.dickman import rho_hat_path
 from smoothsum.cli import build_parser
 
 

@@ -12,9 +12,8 @@ from smoothsum import (
     build_rho,
     expint_J,
     rho_hat,
-    rho_hat_path,
 )
-from smoothsum.dickman import default_table, log_rho_hat_ix
+from smoothsum.dickman import default_table, log_rho_hat_ix, rho_hat_path
 
 # independent marching-Simpson solve of u rho'(u) + rho(u-1) = 0 (h = 1/4096)
 RHO_3_ORACLE = 0.04860838829113197

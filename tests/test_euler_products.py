@@ -447,11 +447,11 @@ def test_lemma1_refuses_uncertified_measurements():
     # alpha = -1, k = 2: every h_p is 1, so h_N/h - 1 is 0 and no bound is 1% of it
     with pytest.raises(ToleranceUnachievable):
         lemma1_check(-1.0, 2, [2000], taus)
-    # alpha = 8: the tail bound 5.8e-7 is 0.2% of |h_N/h - 1| at N = 10^4,
-    # but more than 1% of it at N = 10^5
+    # alpha = 8: the tail bound 1.7e-7 is 0.05% of |h_N/h - 1| at N = 10^4,
+    # but more than 1% of it at N = 10^6
     lemma1_check(8.0, 2, [10**4], taus)
     with pytest.raises(ToleranceUnachievable):
-        lemma1_check(8.0, 2, [10**4, 10**5], taus)
+        lemma1_check(8.0, 2, [10**4, 10**6], taus)
     # alpha = 200: a log bound of 7.7e4 certifies nothing, though |h_N/h - 1|
     # reads 2.4e33 and the bound is below 1% of that
     with pytest.raises(ToleranceUnachievable):

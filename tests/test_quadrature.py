@@ -8,36 +8,51 @@ from smoothsum import quadrature
 from smoothsum.quadrature import integrate_adaptive
 
 
+def exact(fn):
+    """An integrand with no error of its own: (values, zeros)."""
+    return lambda x: (fn(x), np.zeros_like(x))
+
+
 def test_gaussian_integral():
-    res, l1 = integrate_adaptive(
-        lambda x: np.exp(-(x**2) / 2.0), -10.0, 10.0, 1e-12
+    res, integrand_err = integrate_adaptive(
+        exact(lambda x: np.exp(-(x**2) / 2.0)), -10.0, 10.0, 1e-12
     )
     assert res.value.real == pytest.approx(math.sqrt(2.0 * math.pi), abs=1e-12)
     assert abs(res.value.real - math.sqrt(2 * math.pi)) <= res.quad_error + 1e-13
-    assert l1 == pytest.approx(math.sqrt(2.0 * math.pi), rel=1e-10)
+    assert res.tail_bound == integrand_err == 0.0
+
+
+def test_integrand_errors_are_integrated():
+    # errors 1e-9 |x| (linear on each side of the split at 0, so K15 is
+    # exact on every panel) integrate to 1e-9 in tail_bound
+    res, integrand_err = integrate_adaptive(
+        lambda x: (np.cos(x), 1e-9 * np.abs(x)), -1.0, 1.0, 1e-12
+    )
+    assert res.tail_bound == integrand_err == pytest.approx(1e-9, rel=1e-13)
+    assert res.value.real == pytest.approx(2.0 * math.sin(1.0), abs=1e-12)
 
 
 def test_oscillatory_complex():
-    res, _ = integrate_adaptive(lambda x: np.exp(25j * x), 0.0, 1.0, 1e-12, split_points=())
-    exact = (np.exp(25j) - 1.0) / 25j
-    assert abs(res.value - exact) <= max(res.quad_error, 1e-12)
+    res, _ = integrate_adaptive(exact(lambda x: np.exp(25j * x)), 0.0, 1.0, 1e-12, split_points=())
+    ref = (np.exp(25j) - 1.0) / 25j
+    assert abs(res.value - ref) <= max(res.quad_error, 1e-12)
 
 
 def test_split_point_respected():
     # |x| has a kink at 0; a panel straddling it would stall convergence
-    res, _ = integrate_adaptive(lambda x: np.abs(x), -1.0, 1.0, 1e-13)
+    res, _ = integrate_adaptive(exact(np.abs), -1.0, 1.0, 1e-13)
     assert res.value.real == pytest.approx(1.0, abs=1e-13)
 
 
 def test_refinement_tolerance_contract():
-    f = lambda x: 1.0 / (1.0 + 50.0 * x**2)
+    f = exact(lambda x: 1.0 / (1.0 + 50.0 * x**2))
     coarse, _ = integrate_adaptive(f, -3.0, 3.0, 1e-6)
     fine, _ = integrate_adaptive(f, -3.0, 3.0, 1e-7)
     assert abs(coarse.value - fine.value) <= coarse.quad_error + coarse.tail_bound
 
 
 def test_deterministic():
-    f = lambda x: np.exp(-np.abs(x)) * np.cos(7 * x)
+    f = exact(lambda x: np.exp(-np.abs(x)) * np.cos(7 * x))
     a, _ = integrate_adaptive(f, -5.0, 5.0, 1e-10)
     b, _ = integrate_adaptive(f, -5.0, 5.0, 1e-10)
     assert a.value == b.value and a.node_count == b.node_count
@@ -65,12 +80,12 @@ def test_gauss_kronrod_constants():
 def test_panel_cap_raises():
     # 1.6e5 oscillations: MAX_PANELS panels cannot resolve them to 1e-14
     with pytest.raises(ToleranceUnachievable):
-        integrate_adaptive(lambda x: np.exp(1e4j * x), -50.0, 50.0, 1e-14)
+        integrate_adaptive(exact(lambda x: np.exp(1e4j * x)), -50.0, 50.0, 1e-14)
 
 
 def test_bad_interval():
     with pytest.raises(ValueError):
-        integrate_adaptive(lambda x: x, 1.0, 0.0, 1e-6)
+        integrate_adaptive(exact(lambda x: x), 1.0, 0.0, 1e-6)
 
 
 def test_panels_share_calls_of_f():
@@ -79,7 +94,7 @@ def test_panels_share_calls_of_f():
 
     def f(x):
         calls.append(len(x))
-        return np.exp(-np.abs(x)) * np.cos(7 * x)
+        return np.exp(-np.abs(x)) * np.cos(7 * x), np.zeros_like(x)
 
     res, _ = integrate_adaptive(f, -5.0, 5.0, 1e-10)
     seeds = calls[0] // 15

@@ -7,18 +7,8 @@ import pytest
 from numpy.polynomial import chebyshev as cheb
 
 import smoothsum.zeta_engine as zeta_engine
-from smoothsum import (
-    PrecisionLoss,
-    ToleranceUnachievable,
-    regular_factor_path,
-    vk_check,
-    zeta,
-)
-from smoothsum.zeta_engine import (
-    _euler_maclaurin,
-    log_regular_model,
-    stieltjes_constants,
-)
+from smoothsum import PrecisionLoss, vk_check, zeta
+from smoothsum.zeta_engine import _euler_maclaurin, regular_factor_path, stieltjes_constants
 
 mpmath.mp.dps = 30
 
@@ -148,32 +138,15 @@ def test_regular_factor_path_validation():
         regular_factor_path([-1.0, 0.0, 1.0], 0.0)
 
 
-def test_log_regular_model_matches_path_and_mpmath():
-    coeffs, err = log_regular_model()
-    assert 0 < err <= 1e-13
-    taus = np.linspace(-3.0, 3.0, 200)
-    model = cheb.chebval(taus / 3.0, coeffs)
-    for n in (10**2, 10**5):
-        log_n = math.log(n)
-        xs = np.linspace(-3 * log_n, 3 * log_n, 2 * int(3 * log_n) + 129)
-        path = regular_factor_path(xs, log_n)
-        assert np.max(np.abs(model - path.log_at(taus * log_n))) <= 1e-12
-    for tau, m in zip(taus, model):
-        s = mpmath.mpc(1, tau)
-        ref = complex(mpmath.log((s - 1) * mpmath.zeta(s)))
-        assert abs(m - ref) <= 1e-12
-
-
-def test_log_regular_model_guards(monkeypatch):
-    log_regular_model.cache_clear()
-    try:
-        monkeypatch.setattr(zeta_engine, "_ZETA_ERR_MAX", 1e-20)
-        with pytest.raises(PrecisionLoss):
-            log_regular_model()
-        monkeypatch.undo()
-        monkeypatch.setattr(zeta_engine, "_MODEL_TAIL_MAX", 1e-20)
-        with pytest.raises(ToleranceUnachievable):
-            log_regular_model()
-    finally:
-        monkeypatch.undo()
-        log_regular_model.cache_clear()
+def test_regular_factor_error_covers_rounding():
+    # the returned error bounds truncation and rounding: against 30 digits on
+    # the main-term segment |tau| <= 3 and at |Im s| = 10^3, where the ~2000
+    # terms' rounding is 1e4 times the truncation
+    s = np.concatenate((1 + 1j * np.linspace(-3.0, 3.0, 61), [0.5 + 1e3j, 1 - 1e3j, 2 + 1e3j]))
+    vals, errs = _euler_maclaurin(s)
+    for si, v, e in zip(s, vals, errs):
+        ms = mpmath.mpc(si)
+        ref = complex((ms - 1) * mpmath.zeta(ms)) if ms != 1 else 1.0
+        assert abs(v - ref) <= e
+    # the main-term nodes read it as a relative error: 3.9e-14 at tau = 3
+    assert np.max(errs[:61] / np.abs(vals[:61])) <= 1e-13
