@@ -1,9 +1,10 @@
-"""Primes and k-free smooth-integer enumeration.
+"""Primes, k-free smooth-integer enumeration, and the block sum.
 
 A "k-free N-smooth" integer has every prime factor <= N and every exponent
 <= k-1.  The enumeration never materializes an integer: it emits numpy
 blocks of (log n, Omega(n)), since those are all that downstream sums need
-and n itself can exceed 10^300.
+and n itself can exceed 10^300.  split_sum sums one block of terms as an
+exact head plus a residual with a bound on its rounding.
 """
 
 import math
@@ -12,10 +13,11 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import CountCapExceeded
+from .errors import CountCapExceeded, DomainError
 
 DEFAULT_COUNT_CAP = 200_000_000
 BLOCK_TERMS = 4096  # blocks this large are split; larger ones raised peak memory
+UNIT = 2.0**-53  # unit roundoff of a double
 
 
 @dataclass(frozen=True)
@@ -116,3 +118,34 @@ def enumerate_kfree_smooth(
             raise CountCapExceeded(f"enumeration exceeded count cap {count_cap}")
         yield log_n, omega
 
+
+def split_sum(block: np.ndarray) -> tuple[complex, complex, float]:
+    """(head, residual, bound) for the sum of a non-empty 1-d complex block.
+
+    Rump, Ogita and Oishi's ExtractVector ("Accurate floating-point
+    summation part I", SIAM J. Sci. Comput. 31, 2008), on the real and
+    imaginary parts at once: for n terms with every part below 2^e in
+    modulus, sigma = 2^(bitlen(n+2) + e) makes hi = (x + sigma) - sigma and
+    lo = x - hi exact, puts every hi on the grid of 2^-53 sigma with
+    |sum hi| < sigma, so head = sum hi is exact in any order.  Each
+    |lo| <= 2^-53 sigma, so residual = sum lo is off by at most
+    gamma_(n-1) n 2^-53 sigma per part; bound is twice that, covering the
+    modulus.  Raises DomainError on a non-finite term or where sigma would
+    overflow.
+    """
+    x = np.ascontiguousarray(block, dtype=np.complex128).view(np.float64)
+    n = len(x) // 2
+    top = float(np.max(np.abs(x)))
+    if not math.isfinite(top):
+        raise DomainError("a term of the sum is not finite")
+    shift = (n + 2).bit_length() + math.frexp(top)[1]
+    if shift > 1023:
+        raise DomainError(f"terms up to {top:.3e} leave no room to split {n} of them")
+    sigma = math.ldexp(1.0, shift)
+    hi = x + sigma
+    hi -= sigma
+    lo = x - hi
+    head = complex(hi.view(np.complex128).sum())
+    residual = complex(lo.view(np.complex128).sum())
+    gamma = (n - 1) * UNIT / (1.0 - (n - 1) * UNIT)
+    return head, residual, 2.0 * gamma * n * UNIT * sigma

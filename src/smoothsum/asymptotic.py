@@ -363,17 +363,14 @@ def tenenbaum_check(N_values, tau_grid, eps: float = 0.1) -> list:
         zeta_N(1+i tau)  vs  zeta(s)(s-1) (log N) rhohat(i tau log N),
 
     together with L_eps(N) = exp((log N)^{3/5-eps}), the scale on which the
-    factorization's error term shrinks.  Raises PrecisionLoss when an A
-    sample's error estimate exceeds zeta_engine._ZETA_ERR_MAX."""
+    factorization's error term shrinks.  Raises PrecisionLoss when A's error
+    estimate relative to |A|, at any tau, exceeds a tenth of a row's
+    measured error: the row would then not measure the factorization."""
     taus = np.asarray(list(tau_grid), dtype=np.float64)
     s_nodes = 1.0 + 1j * taus
     regular, reg_err = zeta_engine._euler_maclaurin(s_nodes)
-    worst = int(np.argmax(reg_err))
-    if not reg_err[worst] <= zeta_engine._ZETA_ERR_MAX:
-        raise PrecisionLoss(
-            f"A error estimate {reg_err[worst]:.1e} at tau = {taus[worst]:g} exceeds "
-            f"{zeta_engine._ZETA_ERR_MAX:.0e}"
-        )
+    reg_rel = reg_err / np.abs(regular)
+    worst = int(np.argmax(reg_rel))
     rows = []
     for N in N_values:
         N = int(N)
@@ -384,6 +381,11 @@ def tenenbaum_check(N_values, tau_grid, eps: float = 0.1) -> list:
         rho = np.array([dickman.rho_hat(float(tau) * log_n).value for tau in taus])
         rel = np.abs(lhs / (regular * log_n * rho) - 1.0)
         j = int(np.argmax(rel))
+        if not reg_rel[worst] <= 0.1 * rel[j]:
+            raise PrecisionLoss(
+                f"A relative error estimate {reg_rel[worst]:.1e} at tau = {taus[worst]:g} "
+                f"exceeds a tenth of the measured {rel[j]:.1e} at N = {N}"
+            )
         l_eps = math.exp(log_n ** (0.6 - eps))
         rows.append(TenenbaumRow(N, float(rel[j]), float(taus[j]), l_eps))
     return rows

@@ -40,7 +40,6 @@ FORD_VK_CONSTANT = 76.2
 _TERM_CHUNK = 4096  # terms n per chunk of the sum: an entry's sum never depends on its batch
 _CHUNK_BUDGET = 1 << 16  # complex scratch entries per block of entries and terms
 
-_ZETA_ERR_MAX = 1e-13  # largest A err_estimate a sample may carry
 _UNIT = 2.0**-53  # unit roundoff of a double
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from smoothsum import (
     CountCapExceeded,
+    DomainError,
     arith_core,
     enumerate_kfree_smooth,
     sieve_primes,
@@ -202,3 +203,54 @@ def test_hildebrand_shape():
     assert ratios[1] == pytest.approx(PSI_1E6_100 / (10**6 * r3))
     # Hildebrand's relative error at (1e6, 100) is ~1.6 * log(4)/log(100)
     assert ratios[1] - 1.0 < 2.0 * math.log(4.0) / math.log(100.0)
+
+
+def _check_split_sum(block):
+    """split_sum's head + residual is within its bound plus the last
+    rounding of the exactly rounded sum, part by part."""
+    block = np.asarray(block, dtype=np.complex128)
+    head, residual, bound = arith_core.split_sum(block)
+    for part in ("real", "imag"):
+        got = math.fsum([getattr(head, part), getattr(residual, part)])
+        ref = math.fsum(getattr(block, part).tolist())
+        assert abs(got - ref) <= bound + arith_core.UNIT * abs(ref), (part, got, ref)
+    return head, residual, bound
+
+
+def test_split_sum_cancellation():
+    # plain summation gives 0 or 2 here; the extraction keeps both ones
+    x = np.array([1e16, 1.0, -1e16, 1.0] * 64)
+    assert x.sum() != 128.0
+    head, residual, _ = _check_split_sum(x + 1j * x[::-1])
+    assert head + residual == 128.0 + 128.0j
+
+
+def test_split_sum_mixed_magnitudes():
+    rng = np.random.default_rng(5)
+    n = 5000
+    mags = 10.0 ** rng.uniform(-30, 30, size=(2, n))
+    signs = rng.choice([-1.0, 1.0], size=(2, n))
+    x = mags[0] * signs[0] + 1j * mags[1] * signs[1]
+    _check_split_sum(x)
+    _check_split_sum(x * 1e-290)  # near the bottom of the range
+    _check_split_sum(x * 1e270)  # sigma near the top
+
+
+def test_split_sum_edge_sizes():
+    head, residual, _ = _check_split_sum(np.zeros(17))
+    assert head == residual == 0j
+    head, residual, bound = _check_split_sum([math.pi - 1j / 3])
+    assert head + residual == math.pi - 1j / 3
+    assert bound == 0.0  # one term: its residual is summed without rounding
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal(2**16) + 1j * rng.standard_normal(2**16)
+    _, _, bound = _check_split_sum(x)
+    assert 0.0 < bound < 1e-15  # a plain sum: about 4e-7 a priori
+
+
+def test_split_sum_refuses_nonfinite_and_overflow():
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError):
+            arith_core.split_sum(np.array([1.0, bad * 1j]))
+    with pytest.raises(DomainError):
+        arith_core.split_sum(np.full(8, 1e308 + 0j))

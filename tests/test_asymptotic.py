@@ -219,14 +219,15 @@ def test_main_term_integer_power_route(f):
 def test_zeta_error_estimate_is_read(f, monkeypatch):
     # an inflated A error estimate widens tail_bound on both power routes,
     # makes main_term raise where the ledger then misses tol, and stops
-    # tenenbaum_check
+    # tenenbaum_check once it reaches a tenth of the error a row measures
     p = SumParams(1, 2, 100)
     base = [main_term(p, f, 1e-4, use_integer_powers=b) for b in (False, True)]
     em = zeta_engine._euler_maclaurin
+    extra = 1e-6
 
     def inflated(s, m_terms=None):
         vals, errs = em(s, m_terms)
-        return vals, errs + 1e-6
+        return vals, errs + extra
 
     monkeypatch.setattr(zeta_engine, "_euler_maclaurin", inflated)
     for b, integer in zip(base, (False, True)):
@@ -235,8 +236,22 @@ def test_zeta_error_estimate_is_read(f, monkeypatch):
         assert got.tail_bound >= b.tail_bound + 1e-7
         with pytest.raises(ToleranceUnachievable):
             main_term(p, f, 1e-8, use_integer_powers=integer)
+    # the N = 10^3 row measures 3.9e-3 at tau = 0, where |A| = 1
+    taus = np.linspace(-3, 3, 13)
+    tenenbaum_check([10**3], taus)
+    extra = 1e-3
     with pytest.raises(PrecisionLoss):
-        tenenbaum_check([10**3], np.linspace(-3, 3, 13))
+        tenenbaum_check([10**3], taus)
+
+
+def test_tenenbaum_guard_is_relative_to_the_row():
+    # at tau = +-4 A's absolute error estimate passes 1e-13, but relative to
+    # |A| it stays far below the 1e-3 errors the rows measure
+    rows = tenenbaum_check([10**3, 10**4], np.linspace(-4, 4, 5))
+    assert [r.N for r in rows] == [10**3, 10**4]
+    assert all(1e-5 < r.max_rel_err < 1e-2 for r in rows)
+    _, err = zeta_engine._euler_maclaurin(np.array([1 - 4j, 1 + 4j]))
+    assert np.all(err > 1e-13)
 
 
 def test_main_term_non_integer_alpha_matches_path_route(f):

@@ -1,15 +1,19 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from smoothsum import (
+    DomainError,
     SumParams,
     brute_S,
     g_product,
     make_gaussian,
     make_test_constant,
+    sieve_primes,
 )
+from smoothsum.arith_core import enumerate_kfree_smooth
 
 
 @pytest.fixture(scope="module")
@@ -86,3 +90,41 @@ def test_thread_counts_bitwise_identical(f_gauss):
     with pytest.raises(ValueError):
         brute_S(p, f_gauss, threads=2)
 
+
+
+def _fsum_of_every_term(p, f, u_cutoff):
+    """The exactly rounded sum of brute_S's terms, from one list per part."""
+    primes = sieve_primes(p.N)
+    pows = np.cumprod(np.append(1.0 + 0j, np.full((p.k - 1) * len(primes), p.alpha)))
+    log_cap = u_cutoff * p.log_n
+    re, im = [], []
+    for log_n, omega in enumerate_kfree_smooth(primes, p.k, log_cap):
+        block = np.asarray(f.eval_f(log_n / p.log_n), dtype=np.complex128)
+        block = block * pows[omega] * np.exp(-log_n)
+        re += block.real.tolist()
+        im += block.imag.tolist()
+    return complex(math.fsum(re), math.fsum(im))
+
+
+def test_sum_is_exactly_rounded(f_gauss):
+    for alpha in (1, -1, 0.5 + 0.5j, 1.7 - 0.4j):
+        for k, N in ((2, 30), (2, 60), (3, 30), (3, 45)):
+            p = SumParams(alpha, k, N)
+            r = brute_S(p, f_gauss)
+            assert r.value == _fsum_of_every_term(p, f_gauss, r.u_cutoff), (alpha, k, N)
+
+
+def test_full_sum_certificate_is_the_summation(f_const):
+    # with no tail, the certificate is the summation's rounding alone
+    r = brute_S(SumParams(0.5 + 0.5j, 3, 30), f_const, math.inf)
+    assert 0.0 < r.tail_certificate < 1e-12
+
+
+def test_out_of_range_raises_before_enumerating(f_gauss):
+    p = SumParams(1e20, 3, 30)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="past the double range"):
+            brute_S(p, f_gauss)
+        with pytest.raises(DomainError, match="not finite"):
+            brute_S(p, f_gauss, math.inf)

@@ -150,3 +150,15 @@ def test_regular_factor_error_covers_rounding():
         assert abs(v - ref) <= e
     # the main-term nodes read it as a relative error: 3.9e-14 at tau = 3
     assert np.max(errs[:61] / np.abs(vals[:61])) <= 1e-13
+
+
+def test_euler_maclaurin_error_covers_a_at_im_s_1000():
+    # s = 1 +- 1000i: a 2000-term sum whose rounding dominates the estimate;
+    # the observed error, 1.2e-10 against |A| = 942, lies within it
+    s = np.array([1 + 1e3j, 1 - 1e3j])
+    vals, errs = _euler_maclaurin(s)
+    for si, v, e in zip(s, vals, errs):
+        ms = mpmath.mpc(si)
+        ref = complex((ms - 1) * mpmath.zeta(ms))
+        assert abs(v - ref) <= e
+        assert e <= 1e-10 * abs(ref)
