@@ -6,7 +6,9 @@ the convention f(t) = int fhat(x) e^{-ixt} dx),
 
     int fhat(x) g_{alpha,k,N}(1 + ix/log N) dx,
 
-and asymptotically C_f(alpha,k;N) (log N)^alpha with
+whose integrand is entire (g is a finite Euler product), so one
+trapezoidal sum over the real line evaluates it with a certified error
+(exact_integral); and asymptotically C_f(alpha,k;N) (log N)^alpha with
 
     C_f = int_{|x|<=3 log N} fhat(x) rhohat(ix)^alpha
           [ (s-1) zeta(s) ]^alpha  h_{alpha,k}(s) dx,     s = 1 + ix/log N.
@@ -19,7 +21,7 @@ the closed form gamma - Ein(ix) (dickman.log_rho_hat_ix); A is evaluated
 at each quadrature node, where |arg A| < pi/2 makes its principal log the
 continuous one (checked).  The integer-power route through rho_hat and the
 same A cross-checks the powers.  Both routes' integrands return a bound on
-their error at every node, which the quadrature integrates into tail_bound.
+their error at every node, which the rule integrates into tail_bound.
 (log N)^alpha always means exp(alpha log log N), the real-positive branch.
 """
 
@@ -35,6 +37,7 @@ from .errors import EtaTooSmall, PrecisionLoss, ToleranceUnachievable, UnwrapErr
 from .euler_products import (
     _SERIES_FLOOR,
     g_abs_bound,
+    g_abs_log_bound,
     g_values,
     h_log_values,
     h_tail_log_values,
@@ -43,14 +46,17 @@ from .euler_products import (
 from .euler_products import h_cutoff  # noqa: F401 -- perfbench/layers.py patches this binding
 from .params import SumParams
 from .quadrature import QuadResult, integrate_adaptive
-from .arith_core import sieve_primes
+from .arith_core import UNIT, sieve_primes, split_sum
 
 
 @dataclass(frozen=True)
 class TestFunction:
     """A pair (f, fhat) under f(t) = int fhat(x) e^{-ixt} dx, with a certified
     decay exponent eta for fhat and a window [-X, X] holding all but
-    `fhat_tail_bound` of the mass of |fhat|."""
+    `fhat_tail_bound` of the mass of |fhat|.  A transform |fhat| that
+    decreases in |x| and is entire carries `log_strip_bound`, a -> log S_f(a)
+    with S_f(a) >= sup_{|y| <= a} int |fhat(x + iy)| dx; the exact route
+    needs it."""
 
     eval_f: object
     eval_fhat: object
@@ -59,6 +65,7 @@ class TestFunction:
     fhat_tail_bound: float
     sup_tail: object  # u -> sup_{u' > u} |f(u')|
     default_u_cutoff: float
+    log_strip_bound: object
 
 
 def _erfc_threshold(target: float) -> float:
@@ -77,7 +84,9 @@ def make_gaussian(mu: float, sigma: float, eta: float = 6.0) -> TestFunction:
     convention is fhat(x) = sigma/sqrt(2 pi) exp(-sigma^2 x^2 / 2) e^{i mu x}.
 
     Decay is super-polynomial, so any requested eta is certified; the window
-    cutoff puts the |fhat| tail below 1e-14 (closed form erfc).
+    cutoff puts the |fhat| tail below 1e-14 (closed form erfc).  On the line
+    Im x = y, int |fhat(x + iy)| dx = exp(sigma^2 y^2 / 2 - mu y), so the
+    strip bound is log S_f(a) = sigma^2 a^2 / 2 + |mu| a.
     """
     mu, sigma, eta = float(mu), float(sigma), float(eta)
     if not all(map(math.isfinite, (mu, sigma, eta))):
@@ -110,6 +119,7 @@ def make_gaussian(mu: float, sigma: float, eta: float = 6.0) -> TestFunction:
         fhat_tail_bound=tail,
         sup_tail=sup_tail,
         default_u_cutoff=mu + sigma * math.sqrt(60.0),
+        log_strip_bound=lambda a: 0.5 * sigma**2 * a**2 + abs(mu) * a,
     )
 
 
@@ -124,6 +134,7 @@ def make_test_constant() -> TestFunction:
         fhat_tail_bound=math.inf,
         sup_tail=lambda u: 0.0 if math.isinf(u) else 1.0,
         default_u_cutoff=math.inf,
+        log_strip_bound=None,
     )
 
 
@@ -132,20 +143,77 @@ def _require_transform(f: TestFunction) -> None:
         raise ValueError("this operation needs a test function with a transform")
 
 
-def _g_integral(params: SumParams, f: TestFunction, x_max: float, tol: float) -> QuadResult:
-    """int_{|x| <= x_max} fhat(x) g(1 + ix/log N) dx to quadrature tolerance
-    tol.  A node's error is |fhat g| expm1(log_err), log_err the bound on
-    the error in log g that g_values returns with it; tail_bound is their
-    integral, and the caller adds any window tail."""
+def _g_integral(params: SumParams, f: TestFunction, lo: float, hi: float, tol: float) -> QuadResult:
+    """int_lo^hi fhat(x) g(1 + ix/log N) dx to quadrature tolerance tol, by
+    the adaptive rule: a finite window, where the trapezoidal rule is not
+    spectral.  A node's error is |fhat g| expm1(log_err), log_err the
+    per-node bound on the error in log g that g_values returns with it;
+    tail_bound is their integral, and the caller adds any window tail."""
     primes = sieve_primes(params.N)
     log_n = params.log_n
 
     def integrand(xs):
         values, log_err = g_values(params, 1.0 + 1j * np.asarray(xs) / log_n, primes)
         y = f.eval_fhat(xs) * values
-        return y, np.abs(y) * math.expm1(log_err)
+        return y, np.abs(y) * np.expm1(log_err)
 
-    return integrate_adaptive(integrand, -x_max, x_max, tol)[0]
+    return integrate_adaptive(integrand, lo, hi, tol)[0]
+
+
+# strip half-widths a the exact route tries, climbing from a = 3: for
+# |alpha| <= 2 the best lies near 3 from N = 10^3 to 10^7; the wide ones
+# serve alpha near 0
+_STRIP_WIDTHS = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 5.0, 7.0, 10.0, 14.0)
+_STRIP_START = 5
+
+
+def _strip_rule(params: SumParams, f: TestFunction, budget: float) -> tuple[float, int, float]:
+    """(h, J, bound) for the trapezoidal rule h sum_{|j| <= J} F(jh) of
+    F(x) = fhat(x) g(1 + ix/log N), bound >= its error when J is infinite.
+
+    g is a finite Euler product, entire in s, with |g| <= G(1 - a/log N) on
+    the strip |Im x| <= a (g_abs_log_bound), so int |F(x + iy)| dx <= M =
+    S_f(a) G(1 - a/log N) there and the rule is off by at most
+    2M/(e^{2 pi a/h} - 1) (Trefethen and Weideman, SIAM Review 56, 2014,
+    Thm 5.1).  Budget is met up to h = 2 pi a / log(1 + 2M/budget), which
+    is unimodal in a because log M is convex in a (log G sums logs of sums
+    of exponentials affine in a; the Gaussian's log S_f is a quadratic), so
+    a climb over _STRIP_WIDTHS finds the width of the set with the largest
+    h, one pass over the primes per width tried.  Then h = X/n with
+    n = ceil(X/h), X = fhat_cutoff, and J = n + 1, so every dropped node
+    lies beyond X + h.  M stays in logs, so it never overflows."""
+    log_n, log_q = params.log_n, math.log(2.0 / budget)
+
+    def reach(i):
+        a = _STRIP_WIDTHS[i]
+        log_m = f.log_strip_bound(a) + g_abs_log_bound(params, 1.0 - a / log_n)
+        return 2.0 * math.pi * a / float(np.logaddexp(0.0, log_q + log_m)), a, log_m
+
+    i, best = _STRIP_START, reach(_STRIP_START)
+    for step in (1, -1):
+        while 0 <= i + step < len(_STRIP_WIDTHS) and (trial := reach(i + step))[0] > best[0]:
+            i, best = i + step, trial
+    h_max, a, log_m = best
+    if not h_max > 0.0:
+        raise ToleranceUnachievable("|g| overflows on every strip the exact route tries")
+    n = math.ceil(f.fhat_cutoff / h_max)
+    h = f.fhat_cutoff / n
+    c = 2.0 * math.pi * a / h
+    return h, n + 1, math.exp(math.log(2.0) + log_m - c - math.log(-math.expm1(-c)))
+
+
+def _trapezoid(params: SumParams, f: TestFunction, h: float, J: int) -> tuple[complex, float]:
+    """h sum_{|j| <= J} fhat(jh) g(1 + ijh/log N), from one g_values call,
+    and a bound on its distance from the same sum of exact terms: each
+    node's |fhat g| expm1(log_err), the rounding of the sum (split_sum), and
+    one rounding each for adding its head and residual and scaling by h."""
+    xs = h * np.arange(-J, J + 1)
+    values, log_err = g_values(params, 1.0 + 1j * xs / params.log_n, sieve_primes(params.N))
+    y = f.eval_fhat(xs) * values
+    head, residual, rounding = split_sum(y)
+    value = h * (head + residual)
+    node_err = float(np.sum(np.abs(y) * np.expm1(log_err)))
+    return value, h * (node_err + rounding) + 3.0 * UNIT * abs(value)
 
 
 def _check_ledger(res: QuadResult, tol: float) -> QuadResult:
@@ -159,22 +227,26 @@ def exact_integral(
     f: TestFunction,
     tol: float = 1e-7,
 ) -> QuadResult:
-    """S(alpha,k;N) as the exact window integral of fhat(x) g(1 + ix/log N).
+    """S(alpha,k;N) = int fhat(x) g(1 + ix/log N) dx as one trapezoidal sum
+    over the real line, with 2J + 1 nodes.
 
-    Equals the finite sum up to quadrature error plus tail_bound: the
-    certified window tail |fhat| outside [-X, X] times the trivial sup bound
-    on |g|, and the integral of each node's error, |fhat g| expm1 of the
-    bound on the error in log g that the Euler-product kernel returns with
-    g_values (the truncation of the factor-log series above p = 1024, and
-    the interpolation and rounding of its Chebyshev moments).  Raises
-    ToleranceUnachievable when quad_error + tail_bound exceeds tol.
+    quad_error is the rule's Trefethen-Weideman bound (_strip_rule, held to
+    tol/2), not an estimate.  tail_bound bounds the rest: the dropped nodes
+    beyond the window [-X, X], at most the certified |fhat| mass outside it
+    times G(1) >= |g|; each node's |fhat g| expm1 of the bound on the error
+    in log g that the Euler-product kernel returns with g_values (the
+    truncation of the factor-log series above p = 1024, and the
+    interpolation and rounding of its Chebyshev moments); and the rounding
+    of the sum.  Raises ToleranceUnachievable when quad_error + tail_bound
+    exceeds tol.
     """
     _require_transform(f)
     if not 0 < tol <= 1e-3:
         raise ValueError("tol must lie in (0, 1e-3]")
-    res = _g_integral(params, f, f.fhat_cutoff, 0.5 * tol)
-    tail = f.fhat_tail_bound * g_abs_bound(params) + res.tail_bound
-    return _check_ledger(QuadResult(res.value, res.quad_error, tail, res.node_count), tol)
+    h, J, quad_error = _strip_rule(params, f, 0.5 * tol)
+    value, node_err = _trapezoid(params, f, h, J)
+    tail = f.fhat_tail_bound * g_abs_bound(params) + node_err
+    return _check_ledger(QuadResult(value, quad_error, tail, 2 * J + 1), tol)
 
 
 # --- main-term machinery ----------------------------------------------------
@@ -208,7 +280,7 @@ def _h_contour(alpha: complex, k: int, variant_N: int, h_tol: float):
             if err > h_tol:
                 raise ToleranceUnachievable(f"h tail bound {err:.2e} > h_tol {h_tol:.2e}")
             logs = logs + tail
-        log_err[0] = max(log_err[0], err)
+        log_err[0] = max(log_err[0], float(np.max(err)))
         return np.exp(logs)
 
     deg = 64
@@ -412,7 +484,9 @@ def error_decomposition(
 ) -> ErrorDecomposition:
     """Split the exact integral at |x| = 3 log N and measure both residuals.
 
-    I2 is the mass outside the window (computed as full minus restricted);
+    I2 is the mass outside the window, integrated over 3 log N < |x| <= X
+    (0 where the fhat window [-X, X] ends first): full and restricted come
+    from different rules, so their difference would carry both their errors.
     E2 is the effect of replacing h_{alpha,k,N} by h_{alpha,k} inside the
     main term (the step lemma1_check measures), reported against
     (log N)^{Re alpha - 1} / N.  full is exact_integral, whose ledger
@@ -420,9 +494,13 @@ def error_decomposition(
     carries the latter.
     """
     log_n = params.log_n
+    w, x_max = 3.0 * log_n, f.fhat_cutoff
     full = exact_integral(params, f, tol)
-    restricted = _g_integral(params, f, min(3.0 * log_n, f.fhat_cutoff), 0.5 * tol)
-    i2 = abs(full.value - restricted.value)
+    restricted = _g_integral(params, f, -min(w, x_max), min(w, x_max), 0.5 * tol)
+    i2 = 0.0
+    if w < x_max:
+        sides = ((-x_max, -w), (w, x_max))
+        i2 = abs(sum(_g_integral(params, f, lo, hi, 0.25 * tol).value for lo, hi in sides))
     i2_shape = predicted_envelope(params.alpha, f.eta, params.N)
 
     # E2 itself is ~ (log N)^{Re a - 1} / N; 1e-7 main terms resolve it amply

@@ -31,11 +31,12 @@ Re s = sigma: from the Chebyshev moments of `prime_moments`, O(n) per node
 in place of O(pi(N)).  Each node takes the smallest degree n = 32, 64, ...
 whose certified interpolation error, weighted by |e_m| sum_p p^(-m sigma),
 is <= 1e-16, and walks where n would reach the prime count.
-`_factor_log_sum` is the one owner of the error of a log sum: it returns
-the series truncation, plus on the moment route that 1e-16 and the
-rounding at the largest degree a node took.  The vector routes return
-(values, log_err) with that bound, and their callers (asymptotic's exact
-route, lemma1_check, the h contour) read it instead of rebuilding it.  The
+`_factor_log_sum` is the one owner of the error of a log sum: it returns,
+per node, the series truncation, plus on the moment route that 1e-16 and
+the rounding at the node's own degree and tau, so a node's error does not
+depend on its batch either.  The vector routes return (values, log_err)
+with that per-node bound, and their callers (asymptotic's exact route,
+lemma1_check, the h contour) read it instead of rebuilding it.  The
 point routes (g_product, zeta_partial, h_finite) always walk: they are the
 independent slow route; they carry the bound in tail_bound and raise
 DomainError where the product's value is past the double range.
@@ -67,6 +68,7 @@ _SERIES_FLOOR = 1024  # primes above this use the factor-log power series
 _SERIES_TERMS = 8
 _SERIES_MAX_TRUNC = 1e-16  # ...where its certified truncation is below rounding
 _LOG_DOUBLE_MAX = math.log(np.finfo(np.float64).max)
+_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -79,13 +81,14 @@ class ProductValue:
     tail_bound: float
 
 
-def _point(log_values: np.ndarray, log_error: float = 0.0) -> ProductValue:
-    # a length-1 log sum; log_error bounds |log of the neglected factors|
+def _point(log_values: np.ndarray, log_error) -> ProductValue:
+    # a length-1 log sum; log_error (a float or its length-1 array) bounds
+    # |log of the neglected factors|
     log_value = complex(log_values[0])
     if log_value.real > _LOG_DOUBLE_MAX:
         raise DomainError(f"|product| = e^{log_value.real:.4g} is past the double range")
     value = complex(np.exp(log_value))
-    return ProductValue(value, log_value, abs(value) * math.expm1(log_error) if log_error else 0.0)
+    return ProductValue(value, log_value, abs(value) * math.expm1(float(np.max(log_error))))
 
 
 def _block_size(k: int, r: float) -> int:
@@ -196,9 +199,11 @@ def _moment_weights(coeffs: np.ndarray, floor: int, sigma: float, primes: PrimeS
 def _factor_log_sum(alpha, beta, k: int, s, primes: PrimeSet, moments: bool = True):
     """sum over `primes` of log[(1-z)^(-beta) (1-w^k)/(1-w)], z = p^(-s),
     w = alpha*z, at every node of s: exact piece logs up to the series
-    floor, the factor-log series above it.  Returns (log sums, certified
-    bound on the series truncation, plus on the moment route its
-    interpolation and rounding).  Needs Re(s) > 1/2 at every node.
+    floor, the factor-log series above it.  Returns (log sums, log errors):
+    per node a certified bound on the series truncation, plus on the moment
+    route the interpolation and rounding at the node's own degree and tau,
+    so a node's error, like its value, does not depend on its batch.  Needs
+    Re(s) > 1/2 at every node.
 
     With `moments`, where the nodes share one Re s and `primes` holds every
     prime in (floor, bound], each node takes the series from the Chebyshev
@@ -214,8 +219,9 @@ def _factor_log_sum(alpha, beta, k: int, s, primes: PrimeSet, moments: bool = Tr
     head = primes.restrict(floor)  # |w| <= |alpha| p^(-sigma) at its smallest prime p
     block = _block_size(k, abs(alpha) * float(head.primes[0]) ** -sigma) if alpha != 0 and len(head) else 1
     acc = _chunked_piece_sum(partial(_piece_logs, alpha, beta, k, block), head, s_nodes)
+    log_err = np.full(len(s_nodes), trunc)
     if floor >= primes.bound:
-        return acc, trunc
+        return acc, log_err
     coeffs, taus = _series_coeffs(alpha, beta, k), s_nodes.imag
     degrees = np.zeros(len(s_nodes), dtype=np.int64)
     if moments and np.all(s_nodes.real == sigma):
@@ -232,10 +238,9 @@ def _factor_log_sum(alpha, beta, k: int, s, primes: PrimeSet, moments: bool = Tr
         w_v = prime_moments._moments(floor, primes.bound, sigma, _SERIES_TERMS, n)
         acc[sel] += prime_moments._series(coeffs, *w_v, taus[sel])
     if not walk.all():
-        tau = float(np.max(np.abs(taus[~walk])))
-        n = int(degrees.max())
-        trunc += _SERIES_MAX_TRUNC + prime_moments._error(weights, n, tau, sigma, primes.bound, count)
-    return acc, trunc
+        rounding = prime_moments._error(weights, degrees[~walk], np.abs(taus[~walk]), sigma, primes.bound, count)
+        log_err[~walk] += _SERIES_MAX_TRUNC + rounding
+    return acc, log_err
 
 
 def _require_regular(alpha: complex, s: complex, primes: PrimeSet) -> None:
@@ -249,9 +254,9 @@ def zeta_partial(primes: PrimeSet, s: complex) -> ProductValue:
     return _point(*_factor_log_sum(0.0, 1.0, 1, complex(s), primes, moments=False))
 
 
-def zeta_partial_values(primes: PrimeSet, s_nodes) -> tuple[np.ndarray, float]:
-    """Vectorized zeta_N over nodes, and the bound on the error in log zeta_N
-    that the kernel returns (no per-node ProductValue wrapping)."""
+def zeta_partial_values(primes: PrimeSet, s_nodes) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized zeta_N over nodes, and per node the bound on the error in
+    log zeta_N that the kernel returns (no per-node ProductValue wrapping)."""
     logs, log_err = _factor_log_sum(0.0, 1.0, 1, s_nodes, primes)
     return np.exp(logs), log_err
 
@@ -262,25 +267,55 @@ def g_product(params: SumParams, s: complex) -> ProductValue:
     return _point(*_factor_log_sum(params.alpha, 0.0, params.k, complex(s), primes, moments=False))
 
 
-def g_values(params: SumParams, s_nodes, primes: PrimeSet | None = None) -> tuple[np.ndarray, float]:
-    """Vectorized g_{alpha,k,N} over nodes, and the bound on the error in
-    log g that the kernel returns; `primes` (default: all p <= N) lets
-    repeated callers share one prime set."""
+def g_values(params: SumParams, s_nodes, primes: PrimeSet | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized g_{alpha,k,N} over nodes, and per node the bound on the
+    error in log g that the kernel returns; `primes` (default: all p <= N)
+    lets repeated callers share one prime set."""
     primes = primes if primes is not None else sieve_primes(params.N)
     logs, log_err = _factor_log_sum(params.alpha, 0.0, params.k, s_nodes, primes)
     return np.exp(logs), log_err
 
 
+def g_abs_log_bound(params: SumParams, sigma: float = 1.0) -> float:
+    """log G(sigma), rounded up, with G(sigma) = g_{|alpha|,k,N}(sigma) =
+    prod_{p<=N} sum_{j<k} (|alpha| p^(-sigma))^j: |g_{alpha,k,N}(s)| <= G(Re s)
+    <= G(sigma) wherever Re s >= sigma.  A real log-sum over chunks of the
+    primes; inf where a factor overflows.
+
+    Rounding: a term log sum_j r^j, r = |alpha| p^(-sigma), is off by at most
+    ((k-1)(|sigma| log N + 2) + 2k + 1) eps (r to (|sigma| log p + 2) eps
+    relative, the Horner sum of k positive terms, the log), and a sum of n
+    terms adds n eps times the total."""
+    primes = sieve_primes(params.N)
+    r_abs, k = abs(params.alpha), params.k
+    total = 0.0
+    with np.errstate(over="ignore"):
+        for lo in range(0, len(primes), _PRIME_CHUNK):
+            r = r_abs * np.exp(-sigma * primes.log_primes[lo : lo + _PRIME_CHUNK])
+            geo = np.ones_like(r)
+            for _ in range(k - 1):
+                geo *= r
+                geo += 1.0
+            total += float(np.log(geo).sum())
+    n = len(primes)
+    per_term = (k - 1) * (abs(sigma) * params.log_n + 2.0) + 2.0 * k + 1.0
+    return total + _EPS * (n * per_term + (n + 1) * total)
+
+
 def g_abs_bound(params: SumParams) -> float:
-    """prod_{p<=N} (1 + |alpha|/p + ... + |alpha|^(k-1)/p^(k-1)) = g_{|alpha|,k,N}(1):
-    the trivial envelope sup_x |g(1+ix/log N)| used by tail certificates."""
-    return g_product(params.abs_alpha(), 1.0).value.real
+    """G(1) = prod_{p<=N} (1 + |alpha|/p + ... + |alpha|^(k-1)/p^(k-1)), rounded
+    up: the trivial envelope sup_x |g(1+ix/log N)| used by tail certificates.
+    Raises DomainError past the double range."""
+    log_g = g_abs_log_bound(params)
+    if log_g > _LOG_DOUBLE_MAX:
+        raise DomainError(f"|g| envelope e^{log_g:.4g} is past the double range")
+    return math.exp(log_g)
 
 
-def h_log_values(alpha: complex, k: int, s_nodes, primes: PrimeSet) -> tuple[np.ndarray, float]:
-    """sum_p log h_p over the given primes, per node, and the certified
-    bound on the series truncation and the moments' interpolation and
-    rounding (the kernel at beta = -alpha).  A node
+def h_log_values(alpha: complex, k: int, s_nodes, primes: PrimeSet) -> tuple[np.ndarray, np.ndarray]:
+    """sum_p log h_p over the given primes, per node, and per node the
+    certified bound on the series truncation and the moments' interpolation
+    and rounding (the kernel at beta = -alpha).  A node
     with alpha p^(-s) = 1 takes the removable value (1-z)^alpha k."""
     return _factor_log_sum(alpha, -complex(alpha), k, s_nodes, primes)
 
@@ -333,7 +368,6 @@ def h_cutoff(alpha: complex, k: int, sigma: float, tol: float) -> tuple[int, flo
 
 
 _MOBIUS = (0, 1, -1, -1, 0)  # mu(j) for j <= _SERIES_TERMS // 2
-_EPS = float(np.finfo(np.float64).eps)
 _ZETA_2 = math.pi**2 / 6.0
 _LOG_ZETA_2 = math.log(_ZETA_2)
 
@@ -500,7 +534,7 @@ def lemma1_check(alpha: complex, k: int, N_values, tau_grid) -> Lemma1Report:
             rounding = log_err + len(between) * (series_round if n >= Q else _head_round(alpha, k, n))
             # a log error d moves h_N/h - 1 by at most |h_N/h| expm1(d)
             with np.errstate(over="ignore"):
-                spread = np.max(np.abs(np.exp(-tail))) * np.expm1(tail_bound + rounding)
+                spread = np.max(np.abs(np.exp(-tail)) * np.expm1(tail_bound + rounding))
             if not spread <= 0.01 * err:
                 raise ToleranceUnachievable(
                     f"lemma1 at N = {n}: certified error {spread:.2e} exceeds 1% of "

@@ -28,7 +28,3 @@ class SumParams:
     @property
     def log_n(self) -> float:
         return math.log(self.N)
-
-    def abs_alpha(self) -> "SumParams":
-        """The companion parameters with alpha replaced by |alpha| (envelopes)."""
-        return SumParams(complex(abs(self.alpha)), self.k, self.N)

@@ -105,19 +105,21 @@ def _degrees(weights: np.ndarray, half: float, taus, count: int, target: float) 
     return degrees
 
 
-def _error(weights: np.ndarray, n: int, tau: float, sigma: float, bound: int, count: int) -> float:
-    """Rounding of sum_m e_m sum_p p^(-m s) by _series at degree <= n and
-    |Im s| <= tau, weights[m-1] = |e_m| S_m.  With lam >= sum_j |l_j| the
-    Lebesgue constant it is sum_m weights[m-1] lam eps times: n + 6 for a
-    basis row and its denominator; 4 m (sigma + tau) log(bound) for
-    p^(-m sigma), the map to [-1, 1] and the phases e^(-i m tau v_j); the
-    count of build chunks; 2 (M + n + 8) for the Horner sum and the sum over
-    the n + 1 points."""
-    lam = 2.0 / math.pi * math.log(n + 1) + 1.0
+def _error(weights: np.ndarray, n, tau, sigma: float, bound: int, count: int) -> np.ndarray:
+    """Rounding of sum_m e_m sum_p p^(-m s) by _series at degree n and
+    |Im s| = tau (arrays, one entry per s), weights[m-1] = |e_m| S_m.  With
+    lam >= sum_j |l_j| the Lebesgue constant it is sum_m weights[m-1] lam
+    eps times: n + 6 for a basis row and its denominator; 4 m (sigma + tau)
+    log(bound) for p^(-m sigma), the map to [-1, 1] and the phases
+    e^(-i m tau v_j); the count of build chunks; 2 (M + n + 8) for the
+    Horner sum and the sum over the n + 1 points."""
+    n, tau = np.asarray(n, dtype=np.float64), np.asarray(tau, dtype=np.float64)
+    lam = 2.0 / math.pi * np.log(n + 1) + 1.0
     chunks = -(-count // _CHUNK)
     ms = np.arange(1, len(weights) + 1)
-    factor = 3 * n + 2 * len(weights) + 22 + chunks + 4.0 * ms * (sigma + tau) * math.log(bound)
-    return _EPS * lam * float(np.sum(weights * factor))
+    flat = (3 * n + 2 * len(weights) + 22 + chunks) * float(np.sum(weights))
+    slope = 4.0 * math.log(bound) * float(np.sum(weights * ms))
+    return _EPS * lam * (flat + slope * (sigma + tau))
 
 
 def _series(coeffs: np.ndarray, moments: np.ndarray, v: np.ndarray, taus: np.ndarray) -> np.ndarray:

@@ -15,9 +15,9 @@ that sum is the tail_bound returned, and the one place where an integrand's
 error reaches a ledger.
 
 Every seed panel is evaluated in one call of the integrand, and both halves
-of a split panel in one call; the integrands of the exact route and the
-main term give each node the same bits in any batch, so for them batching
-changes neither panels nor bits.
+of a split panel in one call; the integrands of the restricted exact
+window and the main term give each node the same bits, and the same error
+bound, in any batch, so for them batching changes neither panels nor bits.
 Final accumulation is an exactly-rounded fsum over panels sorted by left
 endpoint, so node budget and scheduling cannot change the result bits.
 """
@@ -48,10 +48,13 @@ MAX_PANELS = 4096
 class QuadResult:
     """Integral value with separated error budget.
 
-    quad_error estimates the quadrature discretization error: it is the
-    summed |K15 - G7| Gauss-Kronrod difference over the panels, not a proven
-    bound.  tail_bound bounds the rest: the K15 rule applied to the
-    integrand's per-node errors, plus any window truncation the caller adds.
+    quad_error is the discretization error.  From integrate_adaptive (the
+    main term, the restricted window, dickman) it is the summed |K15 - G7|
+    Gauss-Kronrod difference over the panels, an estimate, not a proven
+    bound; from asymptotic.exact_integral's trapezoidal sum it is the
+    Trefethen-Weideman bound, a theorem's.  tail_bound bounds the rest: the
+    rule applied to the integrand's per-node errors, plus any window
+    truncation and summation rounding the caller adds.
     """
 
     value: complex

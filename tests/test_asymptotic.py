@@ -79,11 +79,18 @@ def test_exact_integral_alpha_zero(f):
 
 
 def test_exact_integral_matches_brute(f):
-    for alpha, k in ((1, 2), (-1, 2), (0.5 + 0.5j, 3)):
-        p = SumParams(alpha, k, 30)
-        ex = exact_integral(p, f, 1e-7)
-        br = brute_S(p, f)
-        assert abs(ex.value - br.value) <= ex.quad_error + ex.tail_bound + br.tail_certificate
+    # the trapezoidal sum lies within its ledger plus the oracle's
+    # certificate of the finite sum, and the ledger meets tol
+    for tol in (1e-7, 1e-10):
+        for N in (30, 60, 100):
+            for k in (2, 3):
+                for alpha in (1, -1, 2, -2, 0.5 + 0.5j, 1.2 - 1.6j, 2j):
+                    p = SumParams(alpha, k, N)
+                    ex = exact_integral(p, f, tol)
+                    br = brute_S(p, f)
+                    assert ex.quad_error + ex.tail_bound <= tol
+                    gap = abs(ex.value - br.value)
+                    assert gap <= ex.quad_error + ex.tail_bound + br.tail_certificate, (alpha, k, N)
 
 
 def test_exact_integral_ledger_carries_the_series_truncation(f, monkeypatch):
@@ -95,9 +102,9 @@ def test_exact_integral_ledger_carries_the_series_truncation(f, monkeypatch):
     p = SumParams(1, 2, 5000)
     assert 0 < euler_products.series_floor(1, 0, 2, 1.0, 5000)[1] <= 1e-16
     windows = (f.fhat_cutoff, 3.0 * p.log_n)
-    base = [asymptotic._g_integral(p, f, x, 0.5e-7) for x in windows]
+    base = [asymptotic._g_integral(p, f, -x, x, 0.5e-7) for x in windows]
     monkeypatch.setattr(euler_products, "series_floor", lambda *args: (1024, 1e-3))
-    wide = [asymptotic._g_integral(p, f, x, 0.5e-7) for x in windows]
+    wide = [asymptotic._g_integral(p, f, -x, x, 0.5e-7) for x in windows]
     with pytest.raises(ToleranceUnachievable):
         exact_integral(p, f, 1e-7)
     least = 0.999 * math.expm1(1e-3)
@@ -119,20 +126,83 @@ def _unbatched(integrate):
     return run
 
 
+def _fifteen_at_a_time(values):
+    """g_values fed its nodes 15 at a time."""
+
+    def run(params, s_nodes, primes=None):
+        parts = [values(params, s_nodes[i : i + 15], primes) for i in range(0, len(s_nodes), 15)]
+        return tuple(np.concatenate(part) for part in zip(*parts))
+
+    return run
+
+
 def test_batched_panels_change_no_bit(f, monkeypatch):
-    runs = (
+    # g_values gives each node its value and its log error in any batch, so
+    # the exact route's sum, and the restricted window that the adaptive rule
+    # batches by panels, keep every bit of their ledgers when g_values takes
+    # 15 nodes at a time; the main term keeps its value fed one panel at a time
+    ledgers = (
         lambda: exact_integral(SumParams(0.7 + 0.4j, 3, 30000), f, 1e-7),
         lambda: exact_integral(SumParams(-1, 2, 1500), f, 1e-7),
+        lambda: error_decomposition(SumParams(0.7 + 0.4j, 3, 30000), f, 1e-7).restricted,
+    )
+    values = (
         lambda: main_term(SumParams(1, 3, 10**4), f, 1e-6),
         lambda: main_term(SumParams(0.5 - 0.5j, 2, 300), f, 1e-7),
         lambda: main_term(SumParams(2, 2, 1000), f, 1e-6, use_integer_powers=True),
     )
-    batched = [run() for run in runs]
+    batched = [run() for run in ledgers + values]
+    monkeypatch.setattr(asymptotic, "g_values", _fifteen_at_a_time(asymptotic.g_values))
     monkeypatch.setattr(asymptotic, "integrate_adaptive", _unbatched(integrate_adaptive))
-    for got, run in zip(batched, runs):
+    for i, (got, run) in enumerate(zip(batched, ledgers + values)):
         ref = run()
         assert got.value == ref.value and got.quad_error == ref.quad_error
         assert got.node_count == ref.node_count
+        if i < len(ledgers):
+            assert got.tail_bound == ref.tail_bound
+
+
+def test_gaussian_strip_bound_covers_shifted_lines():
+    # S_f(a) >= int |fhat(x + iy)| dx for |y| <= a, with fhat continued as
+    # sigma/sqrt(2 pi) exp(-sigma^2 z^2/2 + i mu z); equality at y = -a sign(mu)
+    for mu, sigma in ((0.0, 0.4), (1.0, 0.4), (-2.5, 1.0), (1.0, 0.1)):
+        g = make_gaussian(mu, sigma)
+        c = sigma / math.sqrt(2.0 * math.pi)
+        for a in (0.5, 2.0, 5.0):
+            bound = math.exp(g.log_strip_bound(a))
+            for y in (-a, -0.5 * a, 0.0, 0.5 * a, a):
+                def modulus(x):
+                    z = x + 1j * y
+                    return abs(c * np.exp(-0.5 * sigma**2 * z**2 + 1j * mu * z))
+
+                line = scipy.integrate.quad(modulus, -np.inf, np.inf, epsabs=0, epsrel=1e-12)[0]
+                assert line <= bound * (1.0 + 1e-9), (mu, sigma, a, y)
+            worst = -a if mu >= 0 else a
+            assert bound == pytest.approx(math.exp(0.5 * sigma**2 * a**2 - mu * worst), rel=1e-12)
+    assert make_test_constant().log_strip_bound is None
+
+
+def test_exact_integral_half_step_moves_less_than_quad_error(f):
+    # the same rule at h/2 over the same window: its own bound is about the
+    # square of the first, so the move measures the first rule's error
+    for alpha, k, N, tol in ((1, 2, 100, 1e-7), (0.7 + 0.4j, 3, 30000, 1e-7),
+                             (-1.5 + 1j, 3, 5000, 1e-9), (0, 2, 1000, 1e-7)):
+        p = SumParams(alpha, k, N)
+        h, J, bound = asymptotic._strip_rule(p, f, 0.5 * tol)
+        res = exact_integral(p, f, tol)
+        assert res.quad_error == bound and res.node_count == 2 * J + 1
+        assert (J - 1) * h >= f.fhat_cutoff * (1 - 1e-15)  # dropped nodes lie past X + h
+        half, _ = asymptotic._trapezoid(p, f, 0.5 * h, 2 * J)
+        assert abs(half - res.value) <= res.quad_error, (alpha, k, N)
+
+
+def test_exact_integral_window_tail_past_tol_raises(f):
+    # the window term, |fhat| mass outside [-X, X] times G(1), alone exceeds tol
+    p = SumParams(5, 2, 1000)
+    assert f.fhat_tail_bound * g_abs_bound(p) > 1e-12
+    with pytest.raises(ToleranceUnachievable):
+        exact_integral(p, f, 1e-12)
+    exact_integral(p, f, 1e-7)
 
 
 def test_exact_integral_refinement_contract(f):

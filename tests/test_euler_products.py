@@ -526,8 +526,8 @@ def _series_size(alpha, beta, k, sigma, N):
 def test_moment_route_matches_the_walks(N):
     """g_values and zeta_partial_values (Chebyshev moments above p = 1024)
     against the point walks g_product and zeta_partial, within the returned
-    certificate plus the rounding of the walk's p^(-s), a few eps times
-    |s| log N times the series' condition."""
+    per-node certificate plus the rounding of the walk's p^(-s), a few eps
+    times |s| log N times the series' condition."""
     primes = sieve_primes(N)
     s = 1.0 + 1j * np.linspace(-19.0, 19.0, 9) / math.log(N)
     params = SumParams(0.7 + 0.4j, 3, N)
@@ -536,11 +536,11 @@ def test_moment_route_matches_the_walks(N):
         (params.alpha, 0.0, 3, g_values(params, s, primes), lambda x: g_product(params, x)),
         (0.0, 1.0, 1, zeta_values, lambda x: zeta_partial(primes, x)),
     ):
-        assert 1e-16 < trunc < 1e-11  # the interpolation and rounding are in it
+        assert np.all((1e-16 < trunc) & (trunc < 1e-11))  # the interpolation and rounding are in it
         size = _series_size(alpha, beta, k, 1.0, N)
-        for x, got in zip(s, values):
+        for x, got, bound in zip(s, values, trunc):
             ref = point(x).value
-            allowed = trunc + 4 * np.finfo(float).eps * (abs(x) * math.log(N) + 3) * size
+            allowed = bound + 4 * np.finfo(float).eps * (abs(x) * math.log(N) + 3) * size
             assert abs(got / ref - 1) <= allowed
 
 
