@@ -276,10 +276,11 @@ def _h_contour(alpha: complex, k: int, variant_N: int, h_tol: float):
         # removable hits (alpha p^{-s} = 1 at a sample node) take their limit
         logs, err = h_log_values(alpha, k, s_nodes, primes)
         if variant_N == 0:
-            tail, err = h_tail_log_values(alpha, k, s_nodes)
-            if err > h_tol:
-                raise ToleranceUnachievable(f"h tail bound {err:.2e} > h_tol {h_tol:.2e}")
-            logs = logs + tail
+            tail, tail_err = h_tail_log_values(alpha, k, s_nodes)
+            worst = float(np.max(tail_err))
+            if worst > h_tol:
+                raise ToleranceUnachievable(f"h tail bound {worst:.2e} > h_tol {h_tol:.2e}")
+            logs, err = logs + tail, err + tail_err
         log_err[0] = max(log_err[0], float(np.max(err)))
         return np.exp(logs)
 
@@ -450,7 +451,7 @@ def tenenbaum_check(N_values, tau_grid, eps: float = 0.1) -> list:
             raise ValueError("tenenbaum_check expects N >= 1000")
         log_n = math.log(N)
         lhs, _ = zeta_partial_values(sieve_primes(N), s_nodes)
-        rho = np.array([dickman.rho_hat(float(tau) * log_n).value for tau in taus])
+        rho = np.exp(dickman.log_rho_hat_ix(taus * log_n))
         rel = np.abs(lhs / (regular * log_n * rho) - 1.0)
         j = int(np.argmax(rel))
         if not reg_rel[worst] <= 0.1 * rel[j]:

@@ -173,10 +173,8 @@ def _cmd_dickman_table(args) -> int:
     rows = [(float(u), float(table.rho(float(u)))) for u in us]
     _write_table(Path(args.out) / "dickman_rho", args, ("u", "rho"), rows)
     xs = np.arange(-args.x_max, args.x_max + 1e-9, args.dx)
-    rrows = []
-    for x in xs:
-        v = dickman.rho_hat(float(x)).value
-        rrows.append((float(x), v.real, v.imag))
+    values = np.exp(dickman.log_rho_hat_ix(xs))
+    rrows = [(float(x), float(v.real), float(v.imag)) for x, v in zip(xs, values)]
     _write_table(
         Path(args.out) / "dickman_rhohat", args, ("x", "re_rhohat", "im_rhohat"), rrows
     )

@@ -394,9 +394,9 @@ def _log_zeta_above(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.log(zeta_u) - head, zeta_err / (np.abs(zeta_u) - zeta_err) + rounding
 
 
-def h_tail_log_values(alpha: complex, k: int, s_nodes) -> tuple[np.ndarray, float]:
+def h_tail_log_values(alpha: complex, k: int, s_nodes) -> tuple[np.ndarray, np.ndarray]:
     """sum_{p > Q} log h_p at every node, Q = _SERIES_FLOOR, through the
-    prime zeta function, and a certified bound on its error.
+    prime zeta function, and a certified bound on its error at every node.
 
     With e_m the factor-log coefficients at beta = -alpha (_series_coeff), the tail is
     sum_{m>=2} e_m P_{>Q}(m s), and the prime zeta function is
@@ -436,8 +436,8 @@ def h_tail_log_values(alpha: complex, k: int, s_nodes) -> tuple[np.ndarray, floa
     logs, errs = _log_zeta_above(np.outer(ns, s_nodes).ravel())
     logs = logs.reshape(len(ns), -1)
     errs = errs.reshape(len(ns), -1)
-    bound += float(np.max(abs_weights[2:] @ errs))
-    # a sum over n per node, not a matrix product, whose bits may depend on the batch
+    # sums over n per node, not matrix products, whose bits may depend on the batch
+    bound += sum(w * row for w, row in zip(abs_weights[2:], errs))
     return sum(w * row for w, row in zip(weights[2:], logs)), bound
 
 
@@ -458,6 +458,7 @@ def h_infinite(alpha: complex, k: int, s: complex, tol: float) -> ProductValue:
     _require_regular(complex(alpha), s, primes)
     head, _ = h_log_values(alpha, k, s, primes)
     tail, bound = h_tail_log_values(alpha, k, s)
+    bound = float(bound[0])
     if bound > tol:
         raise ToleranceUnachievable(f"h tail bound {bound:.2e} > tol {tol:.2e}")
     return _point(head + tail, bound)
@@ -487,7 +488,7 @@ class Lemma1Report:
     max_errors: tuple  # max over the tau grid of |h_N/h - 1|, per N
     decay_ratios: tuple  # max_errors[i] / max_errors[i+1]
     expected_ratios: tuple  # (N_{i+1} log N_{i+1}) / (N_i log N_i)
-    tail_bound: float  # certified bound of the prime-zeta tail, in log(h_N/h)
+    tail_bound: float  # certified bound of the prime-zeta tail, in log(h_N/h), max over tau
 
 
 def lemma1_check(alpha: complex, k: int, N_values, tau_grid) -> Lemma1Report:
@@ -551,4 +552,4 @@ def lemma1_check(alpha: complex, k: int, N_values, tau_grid) -> Lemma1Report:
         / (n_values[i] * math.log(n_values[i]))
         for i in range(len(n_values) - 1)
     )
-    return Lemma1Report(alpha, k, n_values, errs, ratios, expected, tail_bound)
+    return Lemma1Report(alpha, k, n_values, errs, ratios, expected, float(np.max(tail_bound)))

@@ -2,10 +2,13 @@
 
 Each panel is integrated with the 15-point Kronrod rule, whose nodes include
 those of the 7-point Gauss rule (Piessens et al., QUADPACK, 1983, qk15);
-|K15 - G7| is the panel error estimate and the worst panel is bisected until
-the summed estimate meets the budget; a budget still unmet at MAX_PANELS
-panels raises ToleranceUnachievable.  Panels never straddle a caller-listed
-split point (the integrands here have their one delicate point at x = 0).
+|K15 - G7| is the panel error estimate.  Refinement runs in rounds from
+evenly spaced seed panels: while the summed estimate is above the budget,
+a round bisects every panel whose estimate is above budget / (number of
+panels), worst first where the round would pass MAX_PANELS.  A budget
+still unmet at MAX_PANELS panels raises ToleranceUnachievable.  There are
+no caller-listed split points: the one delicate point of the integrands
+here, x = 0, is a seed edge of every symmetric interval.
 
 The integrand returns (values, errors), errors[i] a bound on how far
 values[i] is from the exact integrand at node i.  The K15 weights are
@@ -14,15 +17,14 @@ the computed rule is from the same rule applied to the exact integrand:
 that sum is the tail_bound returned, and the one place where an integrand's
 error reaches a ledger.
 
-Every seed panel is evaluated in one call of the integrand, and both halves
-of a split panel in one call; the integrands of the restricted exact
-window and the main term give each node the same bits, and the same error
-bound, in any batch, so for them batching changes neither panels nor bits.
-Final accumulation is an exactly-rounded fsum over panels sorted by left
+The seed panels take one call of the integrand, and each round one call
+for all its halves; the integrands of the restricted exact window and the
+main term give each node the same bits, and the same error bound, in any
+batch, so for them batching changes neither panels nor bits.  Final
+accumulation is an exactly-rounded fsum over panels sorted by left
 endpoint, so node budget and scheduling cannot change the result bits.
 """
 
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -89,14 +91,10 @@ def _eval_panels(f, segs) -> list:
 
 
 def integrate_adaptive(
-    f,
-    a: float,
-    b: float,
-    tol: float,
-    split_points=(0.0,),
-    min_panels: int = 8,
+    f, a: float, b: float, tol: float, min_panels: int = 8
 ) -> tuple[QuadResult, float]:
-    """Integrate vectorized `f` over [a, b] to absolute tolerance `tol`.
+    """Integrate vectorized `f` over [a, b] to absolute tolerance `tol`,
+    refining min_panels even seed panels round by round.
 
     f maps a node array to (values, errors), errors bounding each value's
     distance from the exact integrand.  Returns (QuadResult, E), where E is
@@ -107,45 +105,29 @@ def integrate_adaptive(
     """
     if not b > a:
         raise ValueError("need b > a")
-    edges = [a] + sorted(p for p in split_points if a < p < b) + [b]
-    seeds = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        m = max(1, int(np.ceil((hi - lo) / (b - a) * min_panels)))
-        pts = np.linspace(lo, hi, m + 1)
-        seeds.extend(zip(pts[:-1], pts[1:]))
+    edges = np.linspace(a, b, min_panels + 1)
+    panels = _eval_panels(f, list(zip(edges[:-1], edges[1:])))
+    n_seeds = len(panels)
+    while len(panels) < MAX_PANELS and math.fsum(p.error for p in panels) > tol:
+        # worst first, and at least one: the sum can pass tol by rounding alone
+        ranked = sorted(panels, key=lambda p: -p.error)
+        above = sum(p.error > tol / len(panels) for p in panels)
+        count = min(max(1, above), MAX_PANELS - len(panels))
+        halves = []
+        for p in ranked[:count]:
+            mid = 0.5 * (p.a + p.b)
+            halves += [(p.a, mid), (mid, p.b)]
+        panels = sorted(ranked[count:] + _eval_panels(f, halves), key=lambda p: p.a)
 
-    heap = []
-    total_err = 0.0
-    for pan in _eval_panels(f, seeds):
-        total_err += pan.error
-        heapq.heappush(heap, (-pan.error, pan.a, pan.b, pan))
-
-    since_resync = 0
-    while len(heap) < MAX_PANELS and total_err > tol:
-        neg_err, lo, hi, top = heapq.heappop(heap)
-        if -neg_err <= tol / (4.0 * MAX_PANELS):  # every panel already negligible
-            heapq.heappush(heap, (neg_err, lo, hi, top))
-            break
-        total_err += neg_err
-        mid = 0.5 * (lo + hi)
-        for pan in _eval_panels(f, ((lo, mid), (mid, hi))):
-            total_err += pan.error
-            heapq.heappush(heap, (-pan.error, pan.a, pan.b, pan))
-        since_resync += 1
-        if since_resync >= 256:  # the running total drifts; resync exactly
-            total_err = math.fsum(-item[0] for item in heap)
-            since_resync = 0
-
-    panels = sorted((item[3] for item in heap), key=lambda p: p.a)
     value = complex(
         math.fsum(p.value.real for p in panels), math.fsum(p.value.imag for p in panels)
     )
     err = math.fsum(p.error for p in panels)
-    if len(panels) >= MAX_PANELS and err > tol:
+    if not err <= tol:
         raise ToleranceUnachievable(
-            f"{MAX_PANELS} panels leave quadrature error {err:.2e} above tol {tol:.2e}"
+            f"{len(panels)} panels leave quadrature error {err:.2e} above tol {tol:.2e}"
         )
     integrand_err = math.fsum(p.integrand_error for p in panels)
     # each split replaced one evaluated panel by two
-    n_nodes = len(_NODES) * (2 * len(panels) - len(seeds))
+    n_nodes = len(_NODES) * (2 * len(panels) - n_seeds)
     return QuadResult(value, err, integrand_err, n_nodes), integrand_err

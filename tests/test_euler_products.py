@@ -311,7 +311,7 @@ def test_h_infinite_tail_honesty():
     alpha, k, s = 0.8 + 0.3j, 2, 1.0 + 0.5j
     coarse = h_infinite(alpha, k, s, 1e-6)
     # the ledger is the prime-zeta tail's certified bound
-    _, bound = h_tail_log_values(alpha, k, s)
+    bound = h_tail_log_values(alpha, k, s)[1][0]
     assert 0 < bound <= 1e-6
     assert coarse.tail_bound == abs(coarse.value) * math.expm1(bound)
     # a test-side walk to 2^20, with its own tail bound, agrees within the ledger
@@ -346,7 +346,7 @@ def test_h_tail_self_consistent_across_floors(monkeypatch, alpha):
     monkeypatch.setattr(euler_products, "_SERIES_FLOOR", 2**16)
     high, high_bound = h_tail_log_values(alpha, 3, s_nodes)
     walk = _walk_logs(alpha, 3, s_nodes, 1024, 2**16)
-    assert np.max(np.abs(low - high - walk)) <= low_bound + high_bound + 1e-13
+    assert np.all(np.abs(low - high - walk) <= low_bound + high_bound + 1e-13)
 
 
 @pytest.mark.parametrize("alpha", [1, 2, -1, 0.5 + 0.5j, 1.5, 3 + 1j])
@@ -356,7 +356,7 @@ def test_h_tail_bound_against_long_walk(alpha):
         tail, bound = h_tail_log_values(alpha, k, s_nodes)
         walk = _walk_logs(alpha, k, s_nodes, 1024, 2**20)
         allowed = bound + h_tail_log_bound(alpha, k, 1.0, 2**20)
-        assert np.max(np.abs(tail - walk)) <= allowed
+        assert np.all(np.abs(tail - walk) <= allowed)
 
 
 def test_h_tail_refuses_uncertified_inputs():
@@ -492,25 +492,27 @@ def test_g_abs_bound_dominates_on_line():
 
 @pytest.mark.parametrize("N", [3000, 10**5])
 def test_vector_products_are_batch_invariant(N):
-    """A node's value has the same bits in any batch of nodes: the vector
-    routes and the prime-zeta h tail over a node vector equal the
-    concatenation over its two halves, and single-node calls.  alpha = 9
-    takes exact piece logs over every prime (a walk)."""
+    """A node's value and its error bound have the same bits in any batch of
+    nodes: the vector routes and the prime-zeta h tail over a node vector
+    equal the concatenation over its two halves, and single-node calls.
+    alpha = 9 takes exact piece logs over every prime (a walk)."""
     primes = sieve_primes(N)
     s = 1.0 + 1j * np.linspace(-19.0, 19.0, 41) / math.log(N)
     halves = (s[:17], s[17:])
     for alpha, k in ((0.7 + 0.4j, 3), (9.0, 2)):
         params = SumParams(alpha, k, N)
         calls = (
-            lambda nodes: g_values(params, nodes, primes)[0],
-            lambda nodes: euler_products.zeta_partial_values(primes, nodes)[0],
-            lambda nodes: h_log_values(alpha, k, nodes, primes)[0],
-            lambda nodes: h_tail_log_values(alpha, k, nodes)[0],
+            lambda nodes: g_values(params, nodes, primes),
+            lambda nodes: euler_products.zeta_partial_values(primes, nodes),
+            lambda nodes: h_log_values(alpha, k, nodes, primes),
+            lambda nodes: h_tail_log_values(alpha, k, nodes),
         )
         for call in calls:
-            whole = call(s)
-            assert np.array_equal(whole, np.concatenate([call(h) for h in halves]))
-            assert all(call(s[i : i + 1])[0] == whole[i] for i in (0, 20, 33))
+            whole, parts = call(s), [call(h) for h in halves]
+            singles = {i: call(s[i : i + 1]) for i in (0, 20, 33)}
+            for j in range(2):  # the values, then the per-node error bounds
+                assert np.array_equal(whole[j], np.concatenate([p[j] for p in parts]))
+                assert all(single[j][0] == whole[j][i] for i, single in singles.items())
 
 
 def _series_size(alpha, beta, k, sigma, N):

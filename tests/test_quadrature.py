@@ -33,13 +33,14 @@ def test_integrand_errors_are_integrated():
 
 
 def test_oscillatory_complex():
-    res, _ = integrate_adaptive(exact(lambda x: np.exp(25j * x)), 0.0, 1.0, 1e-12, split_points=())
+    res, _ = integrate_adaptive(exact(lambda x: np.exp(25j * x)), 0.0, 1.0, 1e-12)
     ref = (np.exp(25j) - 1.0) / 25j
     assert abs(res.value - ref) <= max(res.quad_error, 1e-12)
 
 
 def test_split_point_respected():
-    # |x| has a kink at 0; a panel straddling it would stall convergence
+    # |x| has a kink at 0; a panel straddling it would stall convergence,
+    # and 0 is a seed edge of every symmetric interval
     res, _ = integrate_adaptive(exact(np.abs), -1.0, 1.0, 1e-13)
     assert res.value.real == pytest.approx(1.0, abs=1e-13)
 
@@ -79,8 +80,18 @@ def test_gauss_kronrod_constants():
 
 def test_panel_cap_raises():
     # 1.6e5 oscillations: MAX_PANELS panels cannot resolve them to 1e-14
+    calls = []
+
+    def f(x):
+        calls.append(len(x))
+        return np.exp(1e4j * x), np.zeros_like(x)
+
     with pytest.raises(ToleranceUnachievable):
-        integrate_adaptive(exact(lambda x: np.exp(1e4j * x)), -50.0, 50.0, 1e-14)
+        integrate_adaptive(f, -50.0, 50.0, 1e-14)
+    # the panel count after each call: the last round splits the worst
+    # panels only, up to the cap and no further
+    panels = np.cumsum([calls[0] // 15] + [n // 30 for n in calls[1:]])
+    assert panels[-1] == quadrature.MAX_PANELS and np.all(np.diff(panels) > 0)
 
 
 def test_bad_interval():
@@ -89,7 +100,8 @@ def test_bad_interval():
 
 
 def test_panels_share_calls_of_f():
-    # every seed panel in one call of f, and both halves of a split in one
+    # every seed panel in the first call of f, then one call per round with
+    # all the halves of that round's bisections
     calls = []
 
     def f(x):
@@ -98,6 +110,7 @@ def test_panels_share_calls_of_f():
 
     res, _ = integrate_adaptive(f, -5.0, 5.0, 1e-10)
     seeds = calls[0] // 15
-    assert calls[0] == 15 * seeds and seeds >= 8
-    assert all(n == 30 for n in calls[1:])
-    assert res.node_count == 15 * (2 * (seeds + len(calls) - 1) - seeds)
+    assert calls[0] == 15 * seeds and seeds == 8
+    assert all(n % 30 == 0 for n in calls[1:]) and max(calls[1:]) > 30
+    panels = seeds + sum(n // 30 for n in calls[1:])
+    assert res.node_count == 15 * (2 * panels - seeds)
