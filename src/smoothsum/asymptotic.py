@@ -35,7 +35,7 @@ from numpy.polynomial import chebyshev as cheb
 from . import dickman, zeta_engine
 from .errors import EtaTooSmall, PrecisionLoss, ToleranceUnachievable, UnwrapError
 from .euler_products import (
-    _SERIES_FLOOR,
+    _h_floor,
     g_abs_bound,
     g_abs_log_bound,
     g_values,
@@ -262,13 +262,13 @@ def _h_contour(alpha: complex, k: int, variant_N: int, h_tol: float):
     The main-term contour is s = 1 + ix/log N with |x| <= 3 log N, i.e.
     always the segment |tau| <= 3 of the 1-line, so one interpolant serves
     every N.  variant_N = 0 selects the infinite product: exact piece logs
-    for p <= 1024 and the prime-zeta tail above (h_tail_log_values), so no
-    prime past 1024 is sieved; ToleranceUnachievable is raised when the
-    tail's certified bound exceeds h_tol.  variant_N = N > 0 selects
-    h_{alpha,k,N}, a walk over every p <= N.
+    for p <= Q, the smallest certified floor <= 1024 (_h_floor), and the
+    prime-zeta tail above (h_tail_log_values), so no prime past Q is sieved;
+    ToleranceUnachievable is raised when the tail's certified bound exceeds
+    h_tol.  variant_N = N > 0 selects h_{alpha,k,N}, a walk over every p <= N.
     Returns (coeffs, uniform_abs_error); query at t = x / (3 log N).
     """
-    primes = sieve_primes(variant_N if variant_N > 0 else _SERIES_FLOOR)
+    primes = sieve_primes(variant_N if variant_N > 0 else _h_floor(alpha, k))
     log_err = [0.0]
 
     def sample(ts):
@@ -276,7 +276,7 @@ def _h_contour(alpha: complex, k: int, variant_N: int, h_tol: float):
         # removable hits (alpha p^{-s} = 1 at a sample node) take their limit
         logs, err = h_log_values(alpha, k, s_nodes, primes)
         if variant_N == 0:
-            tail, tail_err = h_tail_log_values(alpha, k, s_nodes)
+            tail, tail_err = h_tail_log_values(alpha, k, s_nodes, primes.bound)
             worst = float(np.max(tail_err))
             if worst > h_tol:
                 raise ToleranceUnachievable(f"h tail bound {worst:.2e} > h_tol {h_tol:.2e}")

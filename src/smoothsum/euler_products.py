@@ -41,11 +41,16 @@ point routes (g_product, zeta_partial, h_finite) always walk: they are the
 independent slow route; they carry the bound in tail_bound and raise
 DomainError where the product's value is past the double range.
 
-The infinite product h_{alpha,k} walks no prime past 1024.  Above it,
-`h_tail_log_values` sums the same series over primes through the prime zeta
-function, P_{>Q}(w) = sum_j mu(j)/j log zeta_{>Q}(j w), with zeta from
-`zeta_engine`.  `lemma1_check` reads h_N/h - 1 off the same tail, corrected
-by the primes between N and 1024, so it sieves no prime past max(N, 1024).
+The infinite product h_{alpha,k} walks no prime past Q, the smallest
+certified floor <= 1024: the smallest power of two from 64 whose tail
+truncation is <= 1e-16 (`_h_floor`; 128 for |alpha| up to about 1.2 at
+k = 2, 3).  Above Q, `h_tail_log_values` sums the same series over primes
+through the prime zeta function, P_{>Q}(w) = sum_j mu(j)/j log zeta_{>Q}(j w),
+with zeta from `zeta_engine` and log zeta_Q(u) taken as one log of the
+product over p <= Q per entry, exact since |log zeta_Q(u)| <= log zeta(2) < pi
+at Re u >= 2.  `lemma1_check` reads h_N/h - 1 off the tail above Q = 1024,
+corrected by the primes between N and 1024, so it sieves no prime past
+max(N, 1024).
 """
 
 import math
@@ -369,53 +374,96 @@ def h_cutoff(alpha: complex, k: int, sigma: float, tol: float) -> tuple[int, flo
 
 _MOBIUS = (0, 1, -1, -1, 0)  # mu(j) for j <= _SERIES_TERMS // 2
 _ZETA_2 = math.pi**2 / 6.0
-_LOG_ZETA_2 = math.log(_ZETA_2)
 
 
-def _log_zeta_above(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """log zeta_{>Q}(u) = log zeta(u) + sum_{p<=Q} Log(1-p^(-u)), Q =
-    _SERIES_FLOOR, at every entry of the 1-d array u (Re u >= 2), with a
-    bound on the error of each entry.
+def _log_zeta_head(z: np.ndarray) -> np.ndarray:
+    """-Log prod(1 - z) along each row of z: the product is kept as 1 - d and
+    halves of the row merge pairwise, (1-a)(1-b) = 1 - (a + b - ab), so the
+    rounding of a merge scales with its |d|, not with the prime count; one
+    principal log per row."""
+    d = z
+    while d.shape[1] > 1:
+        half = d.shape[1] // 2
+        a, b = d[:, :half], d[:, half : 2 * half]
+        d = np.concatenate([a + b - a * b, d[:, 2 * half :]], axis=1)
+    return -np.log(1.0 - d[:, 0])
+
+
+def _log_zeta_above(u: np.ndarray, Q: int) -> tuple[np.ndarray, np.ndarray]:
+    """log zeta_{>Q}(u) = log zeta(u) - log zeta_Q(u) at every entry of the
+    1-d array u (Re u >= 2), with a bound on the error of each entry.
 
     zeta = A/(u-1) with error err_A/|u-1|, A and its error (truncation and
     rounding) from one array call of the Euler-Maclaurin engine.  Re u >= 2
     keeps |log zeta(u)| <= log zeta(2) < pi, so the principal log is the
-    prime sum, and |zeta(u)| >= zeta(4)/zeta(2)."""
-    primes = sieve_primes(_SERIES_FLOOR)
+    prime sum, and |zeta(u)| >= zeta(4)/zeta(2).  The same holds for
+    log zeta_Q(u) = -Log prod_{p<=Q} (1 - p^(-u)) over any set of primes, so
+    it takes one principal log of the product per entry and chunk of primes
+    (_log_zeta_head) in place of one per prime."""
+    primes = sieve_primes(Q)
     a_u, a_err = zeta_engine._euler_maclaurin(u)
     zeta_u = a_u / (u - 1.0)
-    head, _ = _factor_log_sum(0.0, 1.0, 1, u, primes)  # log zeta_Q(u), exact piece logs
-    # rounding of the head, doubled for safety: a term Log(1-p^(-u)) carries
-    # a relative error below (2|u| log p + 3) eps; sum |term| <= log zeta(2)
-    # and sum |term| log p <= -zeta'(2) < 0.94; a naive sum of n terms adds
-    # n eps times log zeta(2).  Dividing A by u-1 adds below 8 eps zeta(2).
-    rounding = 2.0 * _EPS * (2.0 * (0.94 * np.abs(u) + 1.5 * _LOG_ZETA_2) + len(primes) * _LOG_ZETA_2)
+    head = _chunked_piece_sum(_log_zeta_head, primes, u)
+    # rounding of the head: z = p^(-u) carries a relative error below
+    # (2|u| log p + 3) eps and moves the product by |z|/|1 - z| <= 4|z|/3
+    # times that, with sum_p p^(-2) < 0.46 and sum_p p^(-2) log p < 0.5.  A
+    # merge of a, b covering the primes S adds below
+    # (|a| + |b|)(2 + 3.3 max(|a|, |b|)) eps/2 to d, where
+    # |d_S| <= e^(sum_S |z|) - 1 and |1 - d_S| >= 1/zeta(2): below 2 eps of
+    # the product per level of merges.  1 - d, its log (|log| < 1/2) and the
+    # sum over chunks add 3 eps per chunk; log zeta(u) and the difference 2 eps.
+    # Dividing A by u-1 adds below 8 eps zeta(2).
+    depth = math.ceil(math.log2(max(1, min(len(primes), _PRIME_CHUNK))))
+    chunks = -(-len(primes) // _PRIME_CHUNK)
+    rounding = _EPS * (4.0 / 3.0 * (np.abs(u) + 1.4) + 2.0 * depth + 3.0 * chunks + 2.0)
     zeta_err = a_err / np.abs(u - 1.0) + 8.0 * _EPS * _ZETA_2
     return np.log(zeta_u) - head, zeta_err / (np.abs(zeta_u) - zeta_err) + rounding
 
 
-def h_tail_log_values(alpha: complex, k: int, s_nodes) -> tuple[np.ndarray, np.ndarray]:
-    """sum_{p > Q} log h_p at every node, Q = _SERIES_FLOOR, through the
-    prime zeta function, and a certified bound on its error at every node.
+def _h_tail_trunc(alpha: complex, k: int, sigma: float, Q: int) -> float:
+    """Certified truncation of the prime-zeta h tail above Q at Re(s) >= sigma:
+    the series terms m > 8 and the Moebius terms j > 8/m dropped
+    (h_tail_log_values); inf where the series does not certify."""
+    bound = _series_trunc_bound(alpha, -alpha, k, sigma, Q)
+    for m in range(2, _SERIES_TERMS + 1):
+        last = _SERIES_TERMS // m
+        # dropped j > last: |sum| <= sum_{p>Q} sum_{n>last} p^(-n m sigma)
+        drop = _prime_sum_bound((last + 1) * m * sigma, Q) / (1.0 - Q ** (-m * sigma))
+        bound += abs(_series_coeff(alpha, -alpha, k, m)) * drop
+    return bound
+
+
+def _h_floor(alpha: complex, k: int) -> int:
+    """The split point Q of h between exact piece logs and the prime-zeta tail:
+    the smallest power of two in [64, 1024] whose tail truncation, certified
+    on the 1-line, is <= _SERIES_MAX_TRUNC; 1024 where none is."""
+    for Q in (64, 128, 256, 512):
+        if _h_tail_trunc(complex(alpha), k, 1.0, Q) <= _SERIES_MAX_TRUNC:
+            return Q
+    return _SERIES_FLOOR
+
+
+def h_tail_log_values(alpha: complex, k: int, s_nodes, Q: int) -> tuple[np.ndarray, np.ndarray]:
+    """sum_{p > Q} log h_p at every node through the prime zeta function, and
+    a certified bound on its error at every node.
 
     With e_m the factor-log coefficients at beta = -alpha (_series_coeff), the tail is
     sum_{m>=2} e_m P_{>Q}(m s), and the prime zeta function is
     P_{>Q}(w) = sum_j mu(j)/j log zeta_{>Q}(j w).  The pairs m j <= 8 are
     kept, so the tail needs log zeta_{>Q}(n s) for n = 2..8 only (Ettahri,
-    Ramare and Surel, Math. Comp. 2021; H. Cohen, 1998).  The bound covers
-    the terms m > 8 (_series_trunc_bound), the Moebius terms j > 8/m,
-    zeta's error estimates and the rounding of the p <= Q subtraction, each
-    weighted by sum |e_m|/j.  Needs Re(s) >= 1; raises ToleranceUnachievable
-    where max(1,|alpha|)/Q^Re(s) > 1/2, since the series does not certify
-    there.
+    Ramare and Surel, Math. Comp. 2021; H. Cohen, 1998), each with one log
+    of the product over p <= Q (_log_zeta_above).  The bound covers the
+    truncation (_h_tail_trunc), zeta's error estimates and the rounding of
+    the p <= Q subtraction, each weighted by sum |e_m|/j.  Needs Re(s) >= 1;
+    raises ToleranceUnachievable where max(1,|alpha|)/Q^Re(s) > 1/2, since
+    the series does not certify there.
     """
     alpha = complex(alpha)
     s_nodes = np.atleast_1d(np.asarray(s_nodes, dtype=np.complex128))
     sigma = float(np.min(s_nodes.real))
     if sigma < 1.0:
         raise DomainError("the prime-zeta h tail needs Re(s) >= 1")
-    Q = _SERIES_FLOOR
-    bound = _series_trunc_bound(alpha, -alpha, k, sigma, Q)
+    bound = _h_tail_trunc(alpha, k, sigma, Q)
     if math.isinf(bound):
         raise ToleranceUnachievable(
             f"|alpha| = {abs(alpha):.3g} is too large for the h series above p = {Q}"
@@ -425,15 +473,12 @@ def h_tail_log_values(alpha: complex, k: int, s_nodes) -> tuple[np.ndarray, np.n
     abs_weights = np.zeros(n_max + 1)
     for m in range(2, n_max + 1):
         e = _series_coeff(alpha, -alpha, k, m)
-        last = n_max // m
-        for j in range(1, last + 1):
+        for j in range(1, n_max // m + 1):
             if _MOBIUS[j]:
                 weights[m * j] += e * _MOBIUS[j] / j
                 abs_weights[m * j] += abs(e) / j
-        # dropped j > last: |sum| <= sum_{p>Q} sum_{n>last} p^(-n m sigma)
-        bound += abs(e) * _prime_sum_bound((last + 1) * m * sigma, Q) / (1.0 - Q ** (-m * sigma))
     ns = np.arange(2, n_max + 1)
-    logs, errs = _log_zeta_above(np.outer(ns, s_nodes).ravel())
+    logs, errs = _log_zeta_above(np.outer(ns, s_nodes).ravel(), Q)
     logs = logs.reshape(len(ns), -1)
     errs = errs.reshape(len(ns), -1)
     # sums over n per node, not matrix products, whose bits may depend on the batch
@@ -442,9 +487,10 @@ def h_tail_log_values(alpha: complex, k: int, s_nodes) -> tuple[np.ndarray, np.n
 
 
 def h_infinite(alpha: complex, k: int, s: complex, tol: float) -> ProductValue:
-    """h_{alpha,k}(s) = prod over all p: exact piece logs for p <= 1024 and
-    the prime-zeta tail above (h_tail_log_values), so no prime past 1024 is
-    sieved.  Needs Re(s) >= 1 (the 1-line is the use case).
+    """h_{alpha,k}(s) = prod over all p: exact piece logs for p <= Q, the
+    smallest certified floor <= 1024 (_h_floor), and the prime-zeta tail
+    above (h_tail_log_values), so no prime past Q is sieved.  Needs
+    Re(s) >= 1 (the 1-line is the use case).
 
     tail_bound carries the tail's certified bound; ToleranceUnachievable is
     raised when that bound exceeds tol, SingularFactor on an exact pole hit
@@ -454,10 +500,10 @@ def h_infinite(alpha: complex, k: int, s: complex, tol: float) -> ProductValue:
         raise DomainError("h_infinite is certified for Re(s) >= 1 only")
     if k < 2:
         raise ValueError("k must be >= 2")
-    primes = sieve_primes(_SERIES_FLOOR)
+    primes = sieve_primes(_h_floor(alpha, k))
     _require_regular(complex(alpha), s, primes)
     head, _ = h_log_values(alpha, k, s, primes)
-    tail, bound = h_tail_log_values(alpha, k, s)
+    tail, bound = h_tail_log_values(alpha, k, s, primes.bound)
     bound = float(bound[0])
     if bound > tol:
         raise ToleranceUnachievable(f"h tail bound {bound:.2e} > tol {tol:.2e}")
@@ -514,7 +560,7 @@ def lemma1_check(alpha: complex, k: int, N_values, tau_grid) -> Lemma1Report:
         s_nodes = 1.0 + 1j * taus
         Q = _SERIES_FLOOR
         primes = sieve_primes(max(max(n_values), Q))
-        above_q, tail_bound = h_tail_log_values(alpha, k, s_nodes)
+        above_q, tail_bound = h_tail_log_values(alpha, k, s_nodes, Q)
         # rounding per prime between N and Q: _head_round for exact piece logs, and for a
         # series value a few eps times sum m |e_m| Q^(-m) per unit of relative error in p^(-s)
         size = sum(

@@ -23,6 +23,7 @@ from smoothsum import (
 from smoothsum import euler_products, prime_moments
 from smoothsum.dickman import EXP_EULER_GAMMA
 from smoothsum.euler_products import (
+    _h_floor,
     g_abs_bound,
     g_values,
     h_log_values,
@@ -311,7 +312,7 @@ def test_h_infinite_tail_honesty():
     alpha, k, s = 0.8 + 0.3j, 2, 1.0 + 0.5j
     coarse = h_infinite(alpha, k, s, 1e-6)
     # the ledger is the prime-zeta tail's certified bound
-    bound = h_tail_log_values(alpha, k, s)[1][0]
+    bound = h_tail_log_values(alpha, k, s, _h_floor(alpha, k))[1][0]
     assert 0 < bound <= 1e-6
     assert coarse.tail_bound == abs(coarse.value) * math.expm1(bound)
     # a test-side walk to 2^20, with its own tail bound, agrees within the ledger
@@ -338,34 +339,86 @@ def test_h_infinite_alpha_one_matches_mpmath():
 
 
 @pytest.mark.parametrize("alpha", [1, 2, -1, 0.5 + 0.5j, 1.5])
-def test_h_tail_self_consistent_across_floors(monkeypatch, alpha):
-    """tail above 1024 minus tail above 2^16 = the walk over (1024, 2^16]
-    (k = 3: at k = 2, alpha = -1 makes every factor 1)."""
+def test_h_tail_self_consistent_across_floors(alpha):
+    """tail above Q minus tail above 2^16 = the walk over (Q, 2^16], at the
+    certified floor Q and at Q = 1024 (k = 3: at k = 2, alpha = -1 makes
+    every factor 1)."""
     s_nodes = 1.0 + 1j * np.linspace(-3.0, 3.0, 129)
-    low, low_bound = h_tail_log_values(alpha, 3, s_nodes)
-    monkeypatch.setattr(euler_products, "_SERIES_FLOOR", 2**16)
-    high, high_bound = h_tail_log_values(alpha, 3, s_nodes)
-    walk = _walk_logs(alpha, 3, s_nodes, 1024, 2**16)
-    assert np.all(np.abs(low - high - walk) <= low_bound + high_bound + 1e-13)
+    high, high_bound = h_tail_log_values(alpha, 3, s_nodes, 2**16)
+    upper = _walk_logs(alpha, 3, s_nodes, 1024, 2**16)
+    for Q in (_h_floor(alpha, 3), 1024):
+        low, low_bound = h_tail_log_values(alpha, 3, s_nodes, Q)
+        walk = _walk_logs(alpha, 3, s_nodes, Q, 1024) + upper
+        assert np.all(np.abs(low - high - walk) <= low_bound + high_bound + 1e-13)
 
 
 @pytest.mark.parametrize("alpha", [1, 2, -1, 0.5 + 0.5j, 1.5, 3 + 1j])
 def test_h_tail_bound_against_long_walk(alpha):
     s_nodes = 1.0 + 1j * np.linspace(-3.0, 3.0, 9)
     for k in (2, 3):
-        tail, bound = h_tail_log_values(alpha, k, s_nodes)
-        walk = _walk_logs(alpha, k, s_nodes, 1024, 2**20)
+        Q = _h_floor(alpha, k)
+        tail, bound = h_tail_log_values(alpha, k, s_nodes, Q)
+        walk = _walk_logs(alpha, k, s_nodes, Q, 2**20)
         allowed = bound + h_tail_log_bound(alpha, k, 1.0, 2**20)
         assert np.all(np.abs(tail - walk) <= allowed)
+
+
+def test_h_floor_is_the_smallest_certified_power_of_two():
+    trunc = euler_products._h_tail_trunc
+    for alpha, k in ((1, 2), (1, 3), (-1, 2), (0.5 + 0.5j, 3), (1.5, 2), (2, 3), (3 + 1j, 2)):
+        Q = _h_floor(alpha, k)
+        assert Q in (64, 128, 256, 512, 1024)
+        assert trunc(complex(alpha), k, 1.0, Q) <= 1e-16
+        assert Q == 64 or trunc(complex(alpha), k, 1.0, Q // 2) > 1e-16
+    assert _h_floor(1, 3) == 128 and _h_floor(1.5, 2) == 256
+    # no floor certifies alpha = 8: the split stays at 1024
+    assert trunc(8.0, 2, 1.0, 1024) > 1e-16 and _h_floor(8, 2) == 1024
+
+
+@pytest.mark.parametrize("alpha", [1, 2, -1, 0.5 + 0.5j, 1.5, 3 + 1j])
+def test_h_split_at_the_floor_matches_the_split_at_1024(alpha):
+    """head over p <= Q plus the tail above Q = the same at Q = 1024, mod
+    2 pi i (the heads' block logs hold mod 2 pi i only), within the two
+    splits' bounds and the heads' rounding, which those leave out (alpha = -1,
+    k = 2: every factor is 1 and both bounds are about 3e-17)."""
+    s_nodes = 1.0 + 1j * np.linspace(-3.0, 3.0, 33)
+    for k in (2, 3):
+        splits = []
+        for Q in (_h_floor(alpha, k), 1024):
+            head, head_err = h_log_values(alpha, k, s_nodes, sieve_primes(Q))
+            tail, tail_err = h_tail_log_values(alpha, k, s_nodes, Q)
+            splits.append((head + tail, head_err + tail_err))
+        (low, low_err), (high, high_err) = splits
+        gap = low - high
+        gap -= 2j * np.pi * np.round(gap.imag / (2 * np.pi))
+        assert np.all(np.abs(gap) <= low_err + high_err + 1e-13)
+
+
+def test_log_zeta_above_matches_mpmath():
+    """log zeta_{>Q}(u), one log of the product over p <= Q per entry,
+    against 30 digits of log zeta(u) + sum_{p<=Q} log(1 - p^(-u)): within
+    the returned bound at every entry, and that bound at the rounding level
+    (zeta's own error estimate reaches 1.4e-14 of it at u = 2 +- 3i).  At
+    Q = 2^16 the reference costs 0.3 s per entry, so only the n = 2 entries
+    at tau = 0, +-3 run there."""
+    grid = np.array([n * (1 + 1j * t) for n in range(2, 9) for t in (0.0, 1.5, -1.5, 3.0, -3.0)])
+    for Q in (64, 128, 1024, 2**16):
+        u = grid if Q <= 1024 else np.array([2.0, 2.0 + 6j, 2.0 - 6j])
+        got, bound = euler_products._log_zeta_above(u, Q)
+        primes = [mpmath.mpf(int(p)) for p in sieve_primes(Q).primes]
+        for g, b, w in zip(got, bound, u):
+            w = mpmath.mpc(w)
+            ref = mpmath.log(mpmath.zeta(w)) + mpmath.fsum(mpmath.log(1 - p**-w) for p in primes)
+            assert abs(g - complex(ref)) <= b <= 3e-14, (Q, w)
 
 
 def test_h_tail_refuses_uncertified_inputs():
     # the series above Q = 1024 needs |alpha| / Q <= 1/2 on the 1-line
     with pytest.raises(ToleranceUnachievable):
-        h_tail_log_values(600.0, 2, 1.0)
-    h_tail_log_values(500.0, 2, 1.0)
+        h_tail_log_values(600.0, 2, 1.0, 1024)
+    h_tail_log_values(500.0, 2, 1.0, 1024)
     with pytest.raises(DomainError):
-        h_tail_log_values(1.0, 2, 0.9)
+        h_tail_log_values(1.0, 2, 0.9, 1024)
 
 
 def test_h_uniform_boundedness_in_N():
@@ -505,7 +558,7 @@ def test_vector_products_are_batch_invariant(N):
             lambda nodes: g_values(params, nodes, primes),
             lambda nodes: euler_products.zeta_partial_values(primes, nodes),
             lambda nodes: h_log_values(alpha, k, nodes, primes),
-            lambda nodes: h_tail_log_values(alpha, k, nodes),
+            lambda nodes: h_tail_log_values(alpha, k, nodes, _h_floor(alpha, k)),
         )
         for call in calls:
             whole, parts = call(s), [call(h) for h in halves]
