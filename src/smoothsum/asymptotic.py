@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial import chebyshev as cheb
 
 from . import dickman, zeta_engine
 from .errors import EtaTooSmall, PrecisionLoss, ToleranceUnachievable, UnwrapError
@@ -255,6 +254,13 @@ _H_MAX_DEGREE = 512
 MAIN_TERM_MIN_N = 20
 
 
+def _cheb_eval(t, coeffs) -> np.ndarray:
+    """sum_j c_j T_j(t), t in [-1, 1], as one product with the basis cos(j arccos t),
+    summed row by row: a BLAS product's bits may depend on the batch."""
+    theta = np.arccos(np.clip(t, -1.0, 1.0))
+    return (np.cos(np.outer(theta, np.arange(len(coeffs)))) * coeffs).sum(axis=1)
+
+
 @lru_cache(maxsize=64)
 def _h_contour(alpha: complex, k: int, variant_N: int, h_tol: float):
     """Chebyshev model of tau -> h(1 + i tau) on |tau| <= 3.
@@ -266,13 +272,17 @@ def _h_contour(alpha: complex, k: int, variant_N: int, h_tol: float):
     prime-zeta tail above (h_tail_log_values), so no prime past Q is sieved;
     ToleranceUnachievable is raised when the tail's certified bound exceeds
     h_tol.  variant_N = N > 0 selects h_{alpha,k,N}, a walk over every p <= N.
+
+    h is sampled at the Chebyshev extreme points t_j = cos(pi j/n), and the
+    coefficients are one FFT of the samples' even extension (a DCT-I; ATAP,
+    chs. 2-3); the points nest, so doubling n samples only the n new ones.
     Returns (coeffs, uniform_abs_error); query at t = x / (3 log N).
     """
     primes = sieve_primes(variant_N if variant_N > 0 else _h_floor(alpha, k))
     log_err = [0.0]
 
     def sample(ts):
-        s_nodes = 1.0 + 3.0j * np.asarray(ts, dtype=np.float64)
+        s_nodes = 1.0 + 3.0j * ts
         # removable hits (alpha p^{-s} = 1 at a sample node) take their limit
         logs, err = h_log_values(alpha, k, s_nodes, primes)
         if variant_N == 0:
@@ -285,19 +295,29 @@ def _h_contour(alpha: complex, k: int, variant_N: int, h_tol: float):
         return np.exp(logs)
 
     deg = 64
-    while deg <= _H_MAX_DEGREE:
-        coeffs = cheb.chebinterpolate(sample, deg)
+    values = sample(np.cos(np.pi / deg * np.arange(deg + 1)))
+    while True:
+        coeffs = np.fft.fft(np.concatenate((values, values[-2:0:-1])))[: deg + 1] / deg
+        coeffs[[0, deg]] *= 0.5
+        # the interpolant is off by at most 2 sum_{j>n} |a_j| (ATAP Thm 4.2),
+        # and h's coefficients decay like r^j (Thm 8.1): r is read off their
+        # envelope from n/2 to n, at most 1 - 1/n where it sits at rounding
         tail = float(np.max(np.abs(coeffs[-4:])))
-        scale = float(np.max(np.abs(cheb.chebval(np.linspace(-1, 1, 65), coeffs))))
-        if tail <= max(0.5 * h_tol, 1e-13) * max(scale, 1e-6):
+        mid = float(np.max(np.abs(coeffs[deg // 2 - 3 : deg // 2 + 1])))
+        r = min((tail / max(mid, tail, 1e-300)) ** (2.0 / deg), 1.0 - 1.0 / deg)
+        trunc = 2.0 * tail * r / (1.0 - r)
+        scale = float(np.max(np.abs(_cheb_eval(np.linspace(-1, 1, 65), coeffs))))
+        if max(tail, trunc) <= max(0.5 * h_tol, 1e-13) * max(scale, 1e-6):
             # sample errors reach the interpolant through its Lebesgue constant
             lebesgue = 2.0 / math.pi * math.log(deg + 1) + 1.0
-            return coeffs, tail + scale * lebesgue * math.expm1(log_err[0])
-        deg *= 2
-    raise ToleranceUnachievable(
-        f"h contour interpolation did not reach tol {h_tol:.1e} at degree "
-        f"{_H_MAX_DEGREE}"
-    )
+            return coeffs, trunc + scale * lebesgue * math.expm1(log_err[0])
+        if 2 * deg > _H_MAX_DEGREE:
+            raise ToleranceUnachievable(
+                f"h contour interpolation did not reach tol {h_tol:.1e} at degree "
+                f"{_H_MAX_DEGREE}"
+            )
+        odd = sample(np.cos(np.pi / (2 * deg) * np.arange(1, 2 * deg, 2)))
+        values, deg = np.insert(values, np.arange(1, deg + 1), odd), 2 * deg
 
 
 def main_term(
@@ -360,7 +380,7 @@ def main_term(
         else:
             powers = np.exp(alpha * (dickman.log_rho_hat_ix(xs) + log_a))
         fp = f.eval_fhat(xs) * powers
-        h = cheb.chebval(xs / half, h_coeffs)
+        h = _cheb_eval(xs / half, h_coeffs)
         # A = a (1 + v), |v| <= r, moves A^alpha by a factor within 1 + this
         grow = np.expm1(-abs(alpha) * np.log1p(-a_err / np.abs(a)))
         return fp * h, np.abs(fp) * (h_unc + grow * (np.abs(h) + h_unc))

@@ -373,7 +373,6 @@ def h_cutoff(alpha: complex, k: int, sigma: float, tol: float) -> tuple[int, flo
 
 
 _MOBIUS = (0, 1, -1, -1, 0)  # mu(j) for j <= _SERIES_TERMS // 2
-_ZETA_2 = math.pi**2 / 6.0
 
 
 def _log_zeta_head(z: np.ndarray) -> np.ndarray:
@@ -412,11 +411,11 @@ def _log_zeta_above(u: np.ndarray, Q: int) -> tuple[np.ndarray, np.ndarray]:
     # |d_S| <= e^(sum_S |z|) - 1 and |1 - d_S| >= 1/zeta(2): below 2 eps of
     # the product per level of merges.  1 - d, its log (|log| < 1/2) and the
     # sum over chunks add 3 eps per chunk; log zeta(u) and the difference 2 eps.
-    # Dividing A by u-1 adds below 8 eps zeta(2).
+    # Dividing A by u-1 adds below 8 eps of |zeta(u)|.
     depth = math.ceil(math.log2(max(1, min(len(primes), _PRIME_CHUNK))))
     chunks = -(-len(primes) // _PRIME_CHUNK)
     rounding = _EPS * (4.0 / 3.0 * (np.abs(u) + 1.4) + 2.0 * depth + 3.0 * chunks + 2.0)
-    zeta_err = a_err / np.abs(u - 1.0) + 8.0 * _EPS * _ZETA_2
+    zeta_err = a_err / np.abs(u - 1.0) + 8.0 * _EPS * np.abs(zeta_u)
     return np.log(zeta_u) - head, zeta_err / (np.abs(zeta_u) - zeta_err) + rounding
 
 

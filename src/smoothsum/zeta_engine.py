@@ -11,14 +11,14 @@ multiplied by (s-1) before it is evaluated, reads
 which has no pole and equals 1 exactly at s = 1; zeta = A/(s-1) wherever
 s != 1.  The returned error bounds truncation and rounding together: |s-1|
 times the first omitted Bernoulli term, below 1e-12 * |A| for
-M = max(20, 2|Im s|) and |Im s| <= 1e6, plus a bound on the rounding of
+M >= max(20, 2|Im s|) and |Im s| <= 1e6, plus a bound on the rounding of
 the ~M terms, their sum and the assembly, which sets the error on the
 1-line (about 4e-14 relative at s = 1 + 3i and 2e-11 at 1 + 1000i).  One
 vectorised sum serves every caller: a scalar zeta, the batches of zeta(n s)
 behind the prime-zeta h tail (euler_products.h_tail_log_values), the nodes
 of the main term and the grids of regular_factor_path, the unwrapped
-reference path.  Each entry takes its own M and its sum runs over a fixed
-chunking of n, so an entry has the same bits in any batch.
+reference path.  Each entry takes its own M (_cutoffs) and its sum runs
+over a fixed chunking of n, so an entry has the same bits in any batch.
 """
 
 import math
@@ -58,8 +58,10 @@ class ZetaValue:
 
 
 def _cutoffs(s: np.ndarray) -> np.ndarray:
-    """The Euler-Maclaurin cutoff M = max(20, ceil(2 |Im s|)) of each entry."""
-    return np.maximum(20, np.ceil(2.0 * np.abs(s.imag))).astype(np.int64)
+    """The Euler-Maclaurin cutoff of each entry: M = max(20, ceil(2 |Im s|))
+    rounded up to a multiple of 4, so a batch of entries spread in Im s
+    falls into a quarter as many groups of one M (main-term nodes keep 20)."""
+    return np.maximum(20, 4.0 * np.ceil(0.5 * np.abs(s.imag))).astype(np.int64)
 
 
 def _euler_maclaurin(s, m_terms: int | None = None) -> tuple[np.ndarray, np.ndarray]:

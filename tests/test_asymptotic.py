@@ -347,6 +347,42 @@ def test_main_term_non_integer_alpha_matches_path_route(f):
         assert abs(got.value - ref.value) <= 1e-12 * abs(ref.value)
 
 
+def test_h_contour_doubles_on_nested_samples(monkeypatch):
+    # the degree-64 extreme points are the even points of degree 128, so a
+    # degree-128 build samples h at 65 + 64 points, not 65 + 129
+    sizes = []
+
+    def counting(alpha, k, s_nodes, primes):
+        sizes.append(len(s_nodes))
+        return euler_products.h_log_values(alpha, k, s_nodes, primes)
+
+    monkeypatch.setattr(asymptotic, "h_log_values", counting)
+    _h_contour.cache_clear()
+    coeffs, _ = _h_contour(0.5 + 0.5j, 3, 0, 1e-9)
+    _h_contour.cache_clear()
+    assert len(coeffs) == 129
+    assert sizes == [65, 64]
+
+
+@pytest.mark.parametrize("alpha,k", [(0.5 + 0.5j, 3), (1.5, 2), (-1, 3), (1, 2)])
+def test_h_contour_matches_h_infinite(alpha, k):
+    # the model within its uniform error plus each point's own tail bound
+    coeffs, unc = _h_contour(complex(alpha), k, 0, 1e-9)
+    taus = np.linspace(-3.0, 3.0, 40)
+    model = asymptotic._cheb_eval(taus / 3.0, coeffs)
+    for tau, got in zip(taus, model):
+        ref = euler_products.h_infinite(alpha, k, 1.0 + 1j * tau, 1e-9)
+        assert abs(got - ref.value) <= unc + ref.tail_bound, (alpha, k, tau)
+
+
+def test_cheb_eval_matches_clenshaw():
+    # the one-product basis evaluation against numpy's Clenshaw recurrence
+    coeffs, _ = _h_contour(0.5 + 0.5j, 3, 0, 1e-9)
+    t = np.concatenate((np.linspace(-1.0, 1.0, 173), [0.0, 1e-300, 1.0 - 1e-16]))
+    got = asymptotic._cheb_eval(t, coeffs)
+    assert np.max(np.abs(got - cheb.chebval(t, coeffs))) <= 1e-14 * np.sum(np.abs(coeffs))
+
+
 def test_log_n_power_modulus_identity():
     for alpha in (1.0, -1.0, 0.5 + 0.5j, 2.3 - 1.1j):
         for N in (100, 10**5):

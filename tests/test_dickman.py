@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
@@ -193,8 +194,25 @@ def test_rho_hat_pow_phase_steps_below_half_pi():
     assert path.max_phase_step() < math.pi / 2
 
 
+def test_log_rho_hat_ix_matches_mpmath():
+    # the fixed-depth fraction converges slowest just past the switch at
+    # |x| = 4, so it is sampled densely there, then out to the main term's
+    # widest window 3 log 10^8 and at +-1e3, +-1e6; the series side too
+    with mpmath.workdps(30):
+        def ref(x):
+            if x == 0.0:
+                return complex(EULER_GAMMA)
+            z = mpmath.mpc(0, x)
+            return complex(-mpmath.e1(z) - mpmath.log(z))
+
+        xs = np.concatenate((np.linspace(4.0, 4.5, 201)[1:], np.linspace(0.0, 3 * math.log(1e8), 301)))
+        xs = np.concatenate((xs, -xs, [1e3, -1e3, 1e6, -1e6]))
+        want = np.array([ref(float(x)) for x in xs])
+    assert np.max(np.abs(log_rho_hat_ix(xs) - want)) <= 2e-15
+
+
 def test_log_rho_hat_ix_entries_match_singletons():
-    # each continued-fraction entry stops at its own convergence, so a batch
+    # every continued-fraction entry runs the same fixed depth, so a batch
     # mixing the series (|x| <= 4) and fraction (|x| > 4) sides changes no bit
     xs = np.concatenate((np.linspace(-40.0, 40.0, 61), [4.0, -4.0, 4.0 + 1e-12, 4.5, 1e3]))
     batch = log_rho_hat_ix(xs)

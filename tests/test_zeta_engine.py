@@ -8,7 +8,7 @@ from numpy.polynomial import chebyshev as cheb
 
 import smoothsum.zeta_engine as zeta_engine
 from smoothsum import PrecisionLoss, vk_check, zeta
-from smoothsum.zeta_engine import _euler_maclaurin, regular_factor_path, stieltjes_constants
+from smoothsum.zeta_engine import _cutoffs, _euler_maclaurin, regular_factor_path, stieltjes_constants
 
 mpmath.mp.dps = 30
 
@@ -84,6 +84,16 @@ def test_euler_maclaurin_entry_bits_do_not_depend_on_batch():
     alone, alone_err = _euler_maclaurin(np.array([1 + 2j]))
     both, both_err = _euler_maclaurin(np.array([1 + 2j, 1 + 40j]))
     assert alone[0] == both[0] and alone_err[0] == both_err[0]
+
+
+def test_cutoffs_are_multiples_of_four():
+    # main-term nodes (|Im s| <= 3) keep M = 20; a batch of zeta(n s) behind
+    # the h tail (n = 2..8, |tau| <= 3) falls into at most 8 groups of one M
+    assert np.all(_cutoffs(1.0 + 1j * np.linspace(-3.0, 3.0, 61)) == 20)
+    u = np.outer(np.arange(2, 9), 1.0 + 3j * np.cos(np.pi * np.arange(129) / 128)).ravel()
+    m = _cutoffs(u)
+    assert np.all(m % 4 == 0) and np.all(m >= 2.0 * np.abs(u.imag))
+    assert len(set(m.tolist())) <= 8
 
 
 def test_stieltjes_against_literature():
