@@ -3,8 +3,10 @@
 A "k-free N-smooth" integer has every prime factor <= N and every exponent
 <= k-1.  The enumeration never materializes an integer: it emits numpy
 blocks of (log n, Omega(n)), since those are all that downstream sums need
-and n itself can exceed 10^300.  split_sum sums one block of terms as an
-exact head plus a residual with a bound on its rounding.
+and n itself can exceed 10^300.  extract_vector splits a block of terms
+into an exactly summable head and a residual whose sum's rounding is
+bounded; split_sum uses it to sum a complex block, and the oracle to sum
+real terms per Omega class.
 """
 
 import math
@@ -101,13 +103,14 @@ def enumerate_kfree_smooth(
             parts_log, parts_omega = [log_n], [omega]
             for e in range(1, k):
                 shifted = log_n + e * logs[j]
-                keep = shifted <= log_cap
-                if not keep.any():
+                keep = (shifted <= log_cap).nonzero()[0]
+                if not len(keep):
                     break  # a larger e shifts further
                 parts_log.append(shifted[keep])
                 parts_omega.append(omega[keep] + e)
-            log_n = np.concatenate(parts_log)
-            omega = np.concatenate(parts_omega)
+            if len(parts_log) > 1:
+                log_n = np.concatenate(parts_log)
+                omega = np.concatenate(parts_omega)
         if j > 0:  # too large to go on: continue each piece on its own
             for lo in reversed(range(0, len(log_n), BLOCK_TERMS)):
                 hi = lo + BLOCK_TERMS
@@ -119,23 +122,22 @@ def enumerate_kfree_smooth(
         yield log_n, omega
 
 
-def split_sum(block: np.ndarray) -> tuple[complex, complex, float]:
-    """(head, residual, bound) for the sum of a non-empty 1-d complex block.
+def extract_vector(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """(hi, lo, bound) with x = hi + lo exactly, for a float64 array of n
+    terms along its first axis (a complex block is its (n, 2) real view).
 
     Rump, Ogita and Oishi's ExtractVector ("Accurate floating-point
-    summation part I", SIAM J. Sci. Comput. 31, 2008), on the real and
-    imaginary parts at once: for n terms with every part below 2^e in
-    modulus, sigma = 2^(bitlen(n+2) + e) makes hi = (x + sigma) - sigma and
-    lo = x - hi exact, puts every hi on the grid of 2^-53 sigma with
-    |sum hi| < sigma, so head = sum hi is exact in any order.  Each
-    |lo| <= 2^-53 sigma, so residual = sum lo is off by at most
-    gamma_(n-1) n 2^-53 sigma per part; bound is twice that, covering the
-    modulus.  Raises DomainError on a non-finite term or where sigma would
-    overflow.
+    summation part I", SIAM J. Sci. Comput. 31, 2008): with every entry
+    below 2^e in modulus, sigma = 2^(bitlen(n+2) + e) makes
+    hi = (x + sigma) - sigma and lo = x - hi exact and puts every hi on the
+    grid of 2^-53 sigma, so every partial sum of hi down a column, in any
+    order and over any subset, is exact and below sigma.  Each
+    |lo| <= 2^-53 sigma, so a sum of m <= n of them down a column is off by
+    at most m/n of bound = gamma_(n-1) n 2^-53 sigma.  Raises DomainError on
+    a non-finite entry or where sigma would overflow.
     """
-    x = np.ascontiguousarray(block, dtype=np.complex128).view(np.float64)
-    n = len(x) // 2
-    top = float(np.max(np.abs(x)))
+    n = len(x)
+    top = float(np.abs(x).max())
     if not math.isfinite(top):
         raise DomainError("a term of the sum is not finite")
     shift = (n + 2).bit_length() + math.frexp(top)[1]
@@ -145,7 +147,18 @@ def split_sum(block: np.ndarray) -> tuple[complex, complex, float]:
     hi = x + sigma
     hi -= sigma
     lo = x - hi
+    gamma = (n - 1) * UNIT / (1.0 - (n - 1) * UNIT)
+    return hi, lo, gamma * n * UNIT * sigma
+
+
+def split_sum(block: np.ndarray) -> tuple[complex, complex, float]:
+    """(head, residual, bound) for the sum of a non-empty 1-d complex block:
+    extract_vector on its real and imaginary parts at once.  head = sum hi
+    is exact; residual = sum lo is off by at most the extraction's bound
+    per part, and bound is twice that, covering the modulus.
+    """
+    x = np.ascontiguousarray(block, dtype=np.complex128).view(np.float64).reshape(-1, 2)
+    hi, lo, bound = extract_vector(x)
     head = complex(hi.view(np.complex128).sum())
     residual = complex(lo.view(np.complex128).sum())
-    gamma = (n - 1) * UNIT / (1.0 - (n - 1) * UNIT)
-    return head, residual, 2.0 * gamma * n * UNIT * sigma
+    return head, residual, 2.0 * bound

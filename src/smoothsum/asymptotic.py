@@ -98,8 +98,11 @@ def make_gaussian(mu: float, sigma: float, eta: float = 6.0) -> TestFunction:
     c = sigma / math.sqrt(2.0 * math.pi)
 
     def f(t):
-        t = np.asarray(t, dtype=np.float64)
-        return np.exp(-((t - mu) ** 2) / (2.0 * sigma**2))
+        y = np.array(t, dtype=np.float64)  # a copy, worked on in place
+        y -= mu
+        y *= y
+        y /= -2.0 * sigma**2
+        return np.exp(y, out=y)
 
     def fhat(x):
         x = np.asarray(x, dtype=np.float64)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -134,6 +135,15 @@ def _fifteen_at_a_time(values):
         return tuple(np.concatenate(part) for part in zip(*parts))
 
     return run
+
+
+def test_results_hold_builtin_numbers(f):
+    # a numpy scalar in a result turns comparisons with it into numpy bools,
+    # which json cannot encode
+    p = SumParams(1, 2, 200)
+    for res in (brute_S(p, f), exact_integral(p, f), main_term(p, f, 1e-6)):
+        for field in dataclasses.fields(res):
+            assert type(getattr(res, field.name)) is field.type, (res, field.name)
 
 
 def test_batched_panels_change_no_bit(f, monkeypatch):

@@ -1,6 +1,8 @@
+import cmath
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -92,17 +94,23 @@ def test_thread_counts_bitwise_identical(f_gauss):
 
 
 
-def _fsum_of_every_term(p, f, u_cutoff):
-    """The exactly rounded sum of brute_S's terms, from one list per part."""
+def _fsum_by_class(p, f, u_cutoff):
+    """brute_S's value in its class form: each S_omega the exactly rounded
+    sum of its real terms, then the exactly rounded sum of alpha^omega S_omega,
+    alpha^omega by one complex multiply per step."""
     primes = sieve_primes(p.N)
-    pows = np.cumprod(np.append(1.0 + 0j, np.full((p.k - 1) * len(primes), p.alpha)))
     log_cap = u_cutoff * p.log_n
-    re, im = [], []
+    classes = {}
     for log_n, omega in enumerate_kfree_smooth(primes, p.k, log_cap):
-        block = np.asarray(f.eval_f(log_n / p.log_n), dtype=np.complex128)
-        block = block * pows[omega] * np.exp(-log_n)
-        re += block.real.tolist()
-        im += block.imag.tolist()
+        terms = f.eval_f(log_n / p.log_n) * np.exp(-log_n)
+        for w, t in zip(omega.tolist(), terms.tolist()):
+            classes.setdefault(w, []).append(t)
+    re, im, power = [], [], 1 + 0j
+    for w in range(max(classes) + 1):
+        s = math.fsum(classes[w])
+        re.append(power.real * s)
+        im.append(power.imag * s)
+        power *= p.alpha
     return complex(math.fsum(re), math.fsum(im))
 
 
@@ -111,13 +119,37 @@ def test_sum_is_exactly_rounded(f_gauss):
         for k, N in ((2, 30), (2, 60), (3, 30), (3, 45)):
             p = SumParams(alpha, k, N)
             r = brute_S(p, f_gauss)
-            assert r.value == _fsum_of_every_term(p, f_gauss, r.u_cutoff), (alpha, k, N)
+            assert r.value == _fsum_by_class(p, f_gauss, r.u_cutoff), (alpha, k, N)
 
 
 def test_full_sum_certificate_is_the_summation(f_const):
     # with no tail, the certificate is the summation's rounding alone
     r = brute_S(SumParams(0.5 + 0.5j, 3, 30), f_const, math.inf)
     assert 0.0 < r.tail_certificate < 1e-12
+
+
+def test_class_products_are_covered(f_const):
+    # against a 30-digit Euler product, the certificate of a sum with no
+    # tail covers the rounding of alpha^omega and of alpha^omega S_omega, also
+    # where large |alpha| or cancelling classes make it more than the last bit
+    for alpha, k, N in ((6 + 2j, 3, 30), (3 - 3j, 3, 23), (-1.9, 2, 50)):
+        r = brute_S(SumParams(alpha, k, N), f_const, math.inf)
+        with mpmath.workdps(30):
+            a = mpmath.mpc(alpha)
+            ref = mpmath.fprod(
+                mpmath.fsum((a / p) ** e for e in range(k)) for p in sieve_primes(N).primes.tolist()
+            )
+            gap = float(abs(mpmath.mpc(r.value) - ref))
+        assert gap <= r.tail_certificate, (alpha, k, N, gap, r.tail_certificate)
+
+
+def test_overflowing_power_of_an_empty_class(f_gauss):
+    # alpha^20 overflows, but log n <= 0.5 log 30 keeps Omega(n) <= 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = brute_S(SumParams(1e16, 3, 30), f_gauss, 0.5)
+    assert r.terms_used == 5
+    assert cmath.isfinite(r.value) and math.isfinite(r.tail_certificate)
 
 
 def test_out_of_range_raises_before_enumerating(f_gauss):
