@@ -61,6 +61,13 @@ def fmt_value(v) -> str:
     return str(v)
 
 
+def csv_body(header, rows) -> str:
+    """The bytes below a table's metadata header: the column names, then one
+    line of fmt_value cells per row."""
+    lines = [",".join(header)] + [",".join(fmt_value(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def check_oracle_equivalence() -> CheckResult:
     """1. exact_integral agrees with brute_S within the stated certificates."""
     t0 = time.time()
@@ -377,16 +384,10 @@ def run_criteria() -> list:
 def render_tables(results) -> dict:
     """CSV bodies per criterion (no metadata header: these are the
     determinism-comparable bytes)."""
-    out = {}
-    for res in results:
-        lines = [",".join(res.header)]
-        for row in res.rows:
-            lines.append(",".join(fmt_value(v) for v in row))
-        out[f"criterion_{res.criterion:02d}.csv"] = "\n".join(lines) + "\n"
+    out = {f"criterion_{res.criterion:02d}.csv": csv_body(res.header, res.rows) for res in results}
     # no timings in the table bodies: they are the determinism-compared bytes
-    summary = ["criterion,name,passed,detail"]
-    for res in results:
-        detail = res.detail.replace(",", ";")
-        summary.append(f"{res.criterion},{res.name},{int(res.passed)},{detail}")
-    out["summary.csv"] = "\n".join(summary) + "\n"
+    out["summary.csv"] = csv_body(
+        ("criterion", "name", "passed", "detail"),
+        [(r.criterion, r.name, int(r.passed), r.detail.replace(",", ";")) for r in results],
+    )
     return out

@@ -16,6 +16,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import CountCapExceeded, DomainError
+from .params import check_alpha_k
 
 DEFAULT_COUNT_CAP = 200_000_000
 BLOCK_TERMS = 4096  # blocks this large are split; larger ones raised peak memory
@@ -86,8 +87,7 @@ def enumerate_kfree_smooth(
     and each piece goes on with the primes left, so memory stays bounded.
     The blocks and their order depend only on the arguments.
     """
-    if k < 2:
-        raise ValueError("k must be >= 2")
+    check_alpha_k(0, k)  # the k half of the shared (alpha, k) rule
     if log_cap < 0:
         raise ValueError("log_cap must be >= 0")
     if math.isinf(log_cap) and k ** len(primes) > count_cap:

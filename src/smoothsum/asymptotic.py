@@ -109,9 +109,11 @@ def make_gaussian(mu: float, sigma: float, eta: float = 6.0) -> TestFunction:
         return c * np.exp(-0.5 * sigma**2 * x**2) * np.exp(1j * mu * x)
 
     def sup_tail(u):
-        if math.isinf(u):
+        if u <= mu:
+            return 1.0
+        if (u - mu) / sigma >= 40.0:  # e^-800 underflows to 0.0; (u - mu)^2 may overflow
             return 0.0
-        return 1.0 if u <= mu else math.exp(-((u - mu) ** 2) / (2.0 * sigma**2))
+        return math.exp(-((u - mu) ** 2) / (2.0 * sigma**2))
 
     return TestFunction(
         eval_f=f,
@@ -405,8 +407,8 @@ class Theorem2Row:
     log_n_pow: complex
     e_measured: float
     envelope: float
-    s_quad_error: float
-    c_quad_error: float
+    s_ledger: float  # S's quad_error + tail_bound
+    c_ledger: float  # C_f's quad_error + tail_bound
 
 
 def predicted_envelope(alpha: complex, eta: float, N: int) -> float:
@@ -422,7 +424,7 @@ def predicted_envelope(alpha: complex, eta: float, N: int) -> float:
 def theorem2_report(params_list, f: TestFunction, tol: float = 1e-6) -> list:
     """For each (alpha,k,N): the exact integral S, the main term
     C_f (log N)^alpha, and the measured relative error E = S/M - 1 next to
-    its predicted envelope shape."""
+    its predicted envelope shape; each row carries the ledgers of S and C_f."""
     rows = []
     for params in params_list:
         s_res = exact_integral(params, f, tol)
@@ -461,7 +463,11 @@ def tenenbaum_check(N_values, tau_grid, eps: float = 0.1) -> list:
     together with L_eps(N) = exp((log N)^{3/5-eps}), the scale on which the
     factorization's error term shrinks.  Raises PrecisionLoss when A's error
     estimate relative to |A|, at any tau, exceeds a tenth of a row's
-    measured error: the row would then not measure the factorization."""
+    measured error: the row would then not measure the factorization.
+    Refuses with ValueError an N below 1000 and an eps outside (0, 3/5),
+    the range that keeps L_eps's exponent 3/5 - eps in (0, 3/5)."""
+    if not 0.0 < eps < 0.6:  # also refuses NaN
+        raise ValueError("eps must lie in (0, 3/5)")
     taus = np.asarray(list(tau_grid), dtype=np.float64)
     s_nodes = 1.0 + 1j * taus
     regular, reg_err = zeta_engine._euler_maclaurin(s_nodes)

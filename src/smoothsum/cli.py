@@ -1,19 +1,24 @@
-"""Batch experiment runner.
+"""Batch experiment runner: it parses the command line and writes files.
 
-Every subcommand validates its configuration up front (exit 2 on bad
-config), runs the computation (exit 3 on a computational error, with the
-error class named), and writes tables with a `#`-prefixed metadata header
-(config hash, version, timestamp).  Bodies below the header are
-byte-reproducible for identical configs; `verify-all` runs the acceptance
-gate and exits 1 on any failing criterion.
+The parser checks syntax only (numbers, `re,im` pairs, grids, and finite
+positive table extents and steps); every other check belongs to the library
+call that uses the value, which refuses a bad input with ValueError before
+anything is written.  Exit codes: 2 on a configuration error (a parse error
+or such a ValueError, e.g. `cfactor --N 10` or `--tol 0.5`), 3 on a
+computational error (a SmoothsumError, its class named), 1 when `verify-all`
+finds a failing criterion, 0 otherwise.
+
+Tables are CSV: a `#`-prefixed metadata header (version, config hash,
+timestamp, one `# config: key=value` line per setting) over a body that is
+byte-reproducible for identical configs.  Records are JSON: {"meta": the
+same metadata, "result": the record's fields}.
 
 Complex values on the command line are `re,im` pairs (`--alpha 1,0`); N
 ladders are comma lists (`--N 100,1000`), and the single-N subcommands
 (products-table, brute, exact, cfactor, errordecomp) take one integer; test
 functions are `gaussian:mu,sigma[,eta]`.  A `--config FILE` (or
 `--config=FILE`) of `key=value` lines mirrors the flags exactly (flags given
-on the command line win).  An input a computation refuses (a ValueError,
-e.g. `cfactor --N 10`) is a configuration error too.
+on the command line win).
 """
 
 import argparse
@@ -75,18 +80,22 @@ def _parse_grid(text: str) -> tuple:
     return (lo, hi, n)
 
 
+def _parse_positive(text: str) -> float:
+    x = float(text)
+    if not (math.isfinite(x) and x > 0):
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0 - got {text!r}")
+    return x
+
+
 def _parse_testfn(text: str):
+    # run() calls this, not argparse: the config records --f as given
     name, _, args = text.partition(":")
     if name != "gaussian":
-        raise argparse.ArgumentTypeError(
-            f"unknown test function {name!r} (supported: gaussian:mu,sigma[,eta])"
-        )
+        raise ValueError(f"unknown test function {name!r} (supported: gaussian:mu,sigma[,eta])")
     vals = [float(v) for v in args.split(",")] if args else []
-    if len(vals) == 2:
-        return make_gaussian(vals[0], vals[1])
-    if len(vals) == 3:
-        return make_gaussian(vals[0], vals[1], eta=vals[2])
-    raise argparse.ArgumentTypeError("gaussian needs mu,sigma or mu,sigma,eta")
+    if len(vals) not in (2, 3):
+        raise ValueError("gaussian needs mu,sigma or mu,sigma,eta")
+    return make_gaussian(*vals)
 
 
 def _config_items(args: argparse.Namespace) -> list:
@@ -105,63 +114,49 @@ def _config_items(args: argparse.Namespace) -> list:
     return items
 
 
-def _meta_lines(args: argparse.Namespace) -> list:
+def _meta(args: argparse.Namespace) -> dict:
+    """The metadata of every output: a table's `#` header, a record's "meta"."""
     items = _config_items(args)
     canon = "\n".join(f"{k}={v}" for k, v in items)
-    digest = hashlib.sha256(canon.encode()).hexdigest()[:16]
-    stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    lines = [f"# smoothsum v{__version__}", f"# config_hash: {digest}", f"# timestamp: {stamp}"]
-    lines += [f"# config: {k}={v}" for k, v in items]
-    return lines
-
-
-def _json_meta(args) -> dict:
     return {
         "version": __version__,
-        "config": dict(_config_items(args)),
+        "config_hash": hashlib.sha256(canon.encode()).hexdigest()[:16],
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        "config": dict(items),
     }
 
 
-def _write_csv(path: Path, args, header, rows) -> None:
-    body = [",".join(header)]
-    body += [",".join(acceptance.fmt_value(v) for v in row) for row in rows]
+def _csv_header(args) -> str:
+    meta = _meta(args)
+    lines = [f"smoothsum v{meta['version']}", f"config_hash: {meta['config_hash']}",
+             f"timestamp: {meta['timestamp']}"]
+    lines += [f"config: {k}={v}" for k, v in meta["config"].items()]
+    return "".join(f"# {line}\n" for line in lines)
+
+
+def _write(args, name: str, text: str) -> None:
+    path = Path(args.out) / name
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(_meta_lines(args) + body) + "\n")
+    path.write_text(text)
     print(f"wrote {path}")
 
 
-def _write_json(path: Path, args, result: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps({"meta": _json_meta(args), "result": result}, indent=2) + "\n"
-    )
-    print(f"wrote {path}")
+def _write_table(args, name: str, header, rows) -> None:
+    _write(args, name, _csv_header(args) + acceptance.csv_body(header, rows))
 
 
-def _write_table(stem: Path, args, header, rows) -> None:
-    """Emit a table as CSV or JSON per --format (CSV bodies stay the
-    byte-comparable determinism surface)."""
-    if getattr(args, "format", "csv") == "json":
-        cells = [[acceptance.fmt_value(v) for v in row] for row in rows]
-        result = {"columns": list(header), "rows": cells}
-        _write_json(stem.with_suffix(".json"), args, result)
-    else:
-        _write_csv(stem.with_suffix(".csv"), args, header, rows)
-
-
-def _write_record(stem: Path, args, result: dict) -> None:
-    """Emit a flat record as JSON or a one-row CSV per --format."""
-    if getattr(args, "format", "json") == "csv":
-        _write_csv(
-            stem.with_suffix(".csv"), args, tuple(result.keys()), [tuple(result.values())]
-        )
-    else:
-        _write_json(stem.with_suffix(".json"), args, result)
+def _write_record(args, name: str, result: dict) -> None:
+    _write(args, name, json.dumps({"meta": _meta(args), "result": result}, indent=2) + "\n")
 
 
 def _complex_fields(prefix: str, v: complex) -> dict:
     return {f"re_{prefix}": v.real, f"im_{prefix}": v.imag}
+
+
+def _quad_fields(prefix: str, res) -> dict:
+    # a QuadResult: its value and full ledger
+    return {**_complex_fields(prefix, res.value), "quad_error": res.quad_error,
+            "tail_bound": res.tail_bound, "node_count": res.node_count}
 
 
 # --- subcommand executors ----------------------------------------------------
@@ -171,13 +166,11 @@ def _cmd_dickman_table(args) -> int:
     table = dickman.build_rho(args.u_max, args.tol)
     us = np.arange(0.0, args.u_max + 1e-9, args.du)
     rows = [(float(u), float(table.rho(float(u)))) for u in us]
-    _write_table(Path(args.out) / "dickman_rho", args, ("u", "rho"), rows)
+    _write_table(args, "dickman_rho.csv", ("u", "rho"), rows)
     xs = np.arange(-args.x_max, args.x_max + 1e-9, args.dx)
     values = np.exp(dickman.log_rho_hat_ix(xs))
     rrows = [(float(x), float(v.real), float(v.imag)) for x, v in zip(xs, values)]
-    _write_table(
-        Path(args.out) / "dickman_rhohat", args, ("x", "re_rhohat", "im_rhohat"), rrows
-    )
+    _write_table(args, "dickman_rhohat.csv", ("x", "re_rhohat", "im_rhohat"), rrows)
     return 0
 
 
@@ -188,10 +181,7 @@ def _cmd_zeta_table(args) -> int:
         v = zeta_engine.zeta(complex(1.0, float(tau)))  # zeta is nan at tau = 0
         rows.append((float(tau), v.zeta.real, v.zeta.imag, v.regular.real, v.regular.imag))
     _write_table(
-        Path(args.out) / "zeta_line",
-        args,
-        ("tau", "re_zeta", "im_zeta", "re_regular", "im_regular"),
-        rows,
+        args, "zeta_line.csv", ("tau", "re_zeta", "im_zeta", "re_regular", "im_regular"), rows
     )
     return 0
 
@@ -212,8 +202,8 @@ def _cmd_products_table(args) -> int:
              h.value.real, h.value.imag)
         )
     _write_table(
-        Path(args.out) / "products",
         args,
+        "products.csv",
         ("tau", "re_g", "im_g", "re_zetaN_pow", "im_zetaN_pow", "re_h", "im_h"),
         rows,
     )
@@ -222,14 +212,11 @@ def _cmd_products_table(args) -> int:
 
 def _cmd_brute(args) -> int:
     params = SumParams(args.alpha, args.k, args.N)
-    f = args.f_obj
-    cutoff = math.inf if args.u_cutoff == "inf" else (
-        float(args.u_cutoff) if args.u_cutoff is not None else None
-    )
-    res = brute_S(params, f, cutoff, count_cap=args.count_cap)
+    cutoff = None if args.u_cutoff is None else float(args.u_cutoff)
+    res = brute_S(params, args.f_obj, cutoff, count_cap=args.count_cap)
     _write_record(
-        Path(args.out) / "brute",
         args,
+        "brute.json",
         {
             **_complex_fields("value", res.value),
             "terms_used": res.terms_used,
@@ -243,16 +230,7 @@ def _cmd_brute(args) -> int:
 def _cmd_exact(args) -> int:
     params = SumParams(args.alpha, args.k, args.N)
     res = exact_integral(params, args.f_obj, args.tol)
-    _write_record(
-        Path(args.out) / "exact",
-        args,
-        {
-            **_complex_fields("value", res.value),
-            "quad_error": res.quad_error,
-            "tail_bound": res.tail_bound,
-            "node_count": res.node_count,
-        },
-    )
+    _write_record(args, "exact.json", _quad_fields("value", res))
     return 0
 
 
@@ -265,16 +243,7 @@ def _cmd_cfactor(args) -> int:
         use_integer_powers=args.integer_powers,
         h_variant=args.h_variant,
     )
-    _write_record(
-        Path(args.out) / "cfactor",
-        args,
-        {
-            **_complex_fields("C_f", res.value),
-            "quad_error": res.quad_error,
-            "tail_bound": res.tail_bound,
-            "node_count": res.node_count,
-        },
-    )
+    _write_record(args, "cfactor.json", _quad_fields("C_f", res))
     return 0
 
 
@@ -284,12 +253,13 @@ def _cmd_theorem2(args) -> int:
     for r in theorem2_report(params_list, args.f_obj, args.tol):
         rows_out.append(
             (r.params.N, r.s_exact.real, r.s_exact.imag, r.c_f.real, r.c_f.imag,
-             r.e_measured, r.envelope)
+             r.e_measured, r.envelope, r.s_ledger, r.c_ledger)
         )
     _write_table(
-        Path(args.out) / "theorem2",
         args,
-        ("N", "re_S", "im_S", "re_C_f", "im_C_f", "abs_E_measured", "predicted_envelope"),
+        "theorem2.csv",
+        ("N", "re_S", "im_S", "re_C_f", "im_C_f", "abs_E_measured", "predicted_envelope",
+         "S_ledger", "C_f_ledger"),
         rows_out,
     )
     return 0
@@ -301,12 +271,7 @@ def _cmd_tenenbaum(args) -> int:
         (r.N, r.max_rel_err, r.argmax_tau, r.l_eps)
         for r in tenenbaum_check(args.N, np.linspace(lo, hi, n), eps=args.eps)
     ]
-    _write_table(
-        Path(args.out) / "tenenbaum",
-        args,
-        ("N", "max_rel_err", "argmax_tau", "L_eps"),
-        rows,
-    )
+    _write_table(args, "tenenbaum.csv", ("N", "max_rel_err", "argmax_tau", "L_eps"), rows)
     return 0
 
 
@@ -319,10 +284,7 @@ def _cmd_lemma1(args) -> int:
         expect = rep.expected_ratios[i] if i < len(rep.expected_ratios) else float("nan")
         rows.append((N, rep.max_errors[i], ratio, expect))
     _write_table(
-        Path(args.out) / "lemma1",
-        args,
-        ("N", "max_rel_err", "decay_ratio_to_next", "expected_ratio"),
-        rows,
+        args, "lemma1.csv", ("N", "max_rel_err", "decay_ratio_to_next", "expected_ratio"), rows
     )
     return 0
 
@@ -330,29 +292,17 @@ def _cmd_lemma1(args) -> int:
 def _cmd_errordecomp(args) -> int:
     params = SumParams(args.alpha, args.k, args.N)
     d = error_decomposition(params, args.f_obj, args.tol)
-    _write_record(
-        Path(args.out) / "errordecomp",
-        args,
-        {
-            "i2_abs": d.i2_abs,
-            "i2_shape": d.i2_shape,
-            "i2_ratio": d.i2_ratio,
-            "e2_abs": d.e2_abs,
-            "e2_shape": d.e2_shape,
-            "e2_ratio": d.e2_ratio,
-        },
-    )
+    fields = ("i2_abs", "i2_shape", "i2_ratio", "e2_abs", "e2_shape", "e2_ratio")
+    _write_record(args, "errordecomp.json", {name: getattr(d, name) for name in fields})
     return 0
 
 
 def _cmd_verify_all(args) -> int:
     results = acceptance.run_criteria()
     tables = acceptance.render_tables(results)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    meta = "\n".join(_meta_lines(args)) + "\n"
+    header = _csv_header(args)
     for name, body in tables.items():
-        (out / name).write_text(meta + body)
+        _write(args, name, header + body)
     for res in results:
         print(res.line())
     ok = all(r.passed for r in results)
@@ -370,16 +320,12 @@ def _cmd_verify_all(args) -> int:
 # --- parser ------------------------------------------------------------------
 
 
-def _add_common(sub, *, f=False, alpha=False, n=None, tol=None, tau=None,
-                fmt="csv"):
+def _add_common(sub, *, f=False, alpha=False, n=None, tol=None, tau=None):
     sub.add_argument("--out", default=".", help="output directory")
     sub.add_argument(
         "--config", default=None,
         help="key=value file mirroring these flags (flags win)",
     )
-    if fmt is not None:
-        sub.add_argument("--format", choices=("csv", "json"), default=fmt,
-                         help="output file format")
     if alpha:
         sub.add_argument("--alpha", type=_parse_complex, required=True,
                          help="complex weight base as re,im")
@@ -415,11 +361,11 @@ def build_parser() -> argparse.ArgumentParser:
         "Columns dickman_rhohat.csv: x, re_rhohat, im_rhohat.",
     )
     _add_common(p)
-    p.add_argument("--u-max", type=float, default=45.0)
+    p.add_argument("--u-max", type=_parse_positive, default=45.0)
     p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--du", type=float, default=0.25)
-    p.add_argument("--x-max", type=float, default=10.0)
-    p.add_argument("--dx", type=float, default=0.25)
+    p.add_argument("--du", type=_parse_positive, default=0.25)
+    p.add_argument("--x-max", type=_parse_positive, default=10.0)
+    p.add_argument("--dx", type=_parse_positive, default=0.25)
     p.set_defaults(func=_cmd_dickman_table)
 
     p = subs.add_parser(
@@ -447,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="brute.json result fields: re_value, im_value, terms_used, "
         "u_cutoff, tail_certificate.",
     )
-    _add_common(p, alpha=True, n="one", f=True, fmt="json")
+    _add_common(p, alpha=True, n="one", f=True)
     p.add_argument("--u-cutoff", default=None,
                    help="truncation in u = log n / log N ('inf' sums all terms)")
     p.add_argument("--count-cap", type=int, default=DEFAULT_COUNT_CAP)
@@ -459,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact.json result fields: re_value, im_value, quad_error, "
         "tail_bound, node_count.",
     )
-    _add_common(p, alpha=True, n="one", f=True, tol=1e-7, fmt="json")
+    _add_common(p, alpha=True, n="one", f=True, tol=1e-7)
     p.set_defaults(func=_cmd_exact)
 
     p = subs.add_parser(
@@ -468,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="cfactor.json result fields: re_C_f, im_C_f, quad_error, "
         "tail_bound, node_count.",
     )
-    _add_common(p, alpha=True, n="one", f=True, tol=1e-7, fmt="json")
+    _add_common(p, alpha=True, n="one", f=True, tol=1e-7)
     p.add_argument("--integer-powers", action="store_true",
                    help="direct integer powers instead of branched logs")
     p.add_argument("--h-variant", choices=("infinite", "finite"), default="infinite")
@@ -478,7 +424,8 @@ def build_parser() -> argparse.ArgumentParser:
         "theorem2",
         help="S vs C_f (log N)^alpha ladder (CSV)",
         description="Columns theorem2.csv: N, re_S, im_S, re_C_f, im_C_f, "
-        "abs_E_measured, predicted_envelope.  E = S/(C_f (log N)^alpha) - 1; "
+        "abs_E_measured, predicted_envelope, S_ledger, C_f_ledger.  "
+        "E = S/(C_f (log N)^alpha) - 1; each ledger is quad_error + tail_bound; "
         "the envelope is (log N)^{1-eta} ((log log N)^{2 Re alpha/3} when "
         "Re alpha >= 0).",
     )
@@ -511,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="errordecomp.json result fields: i2_abs, i2_shape, i2_ratio, "
         "e2_abs, e2_shape, e2_ratio.",
     )
-    _add_common(p, alpha=True, n="one", f=True, tol=1e-8, fmt="json")
+    _add_common(p, alpha=True, n="one", f=True, tol=1e-8)
     p.set_defaults(func=_cmd_errordecomp)
 
     p = subs.add_parser(
@@ -522,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--determinism runs the gate again in the same process (warm caches) "
         "and byte-compares the tables.",
     )
-    _add_common(p, fmt=None)
+    _add_common(p)
     p.add_argument("--determinism", action="store_true")
     p.set_defaults(func=_cmd_verify_all)
     return top
@@ -564,27 +511,15 @@ def run(argv) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
-        _validate(args)
+        if getattr(args, "f", None) is not None:
+            args.f_obj = _parse_testfn(args.f)
         return args.func(args)
     except SmoothsumError as exc:
         print(f"computational error [{type(exc).__name__}]: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:  # an input the subcommand's own checks refuse
+    except ValueError as exc:  # a malformed --f, or an input the library refuses
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-
-
-def _validate(args) -> None:
-    if getattr(args, "k", None) is not None and args.k < 2:
-        raise ValueError("k must be >= 2")
-    tol = getattr(args, "tol", None)
-    if tol is not None and not 0 < tol <= 1e-3:
-        raise ValueError("tol must lie in (0, 1e-3]")
-    if getattr(args, "f", None) is not None:
-        try:
-            args.f_obj = _parse_testfn(args.f)
-        except argparse.ArgumentTypeError as exc:
-            raise ValueError(str(exc))
 
 
 def main() -> None:

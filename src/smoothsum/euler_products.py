@@ -62,7 +62,7 @@ import numpy as np
 from . import prime_moments, zeta_engine
 from .arith_core import PrimeSet, sieve_primes
 from .errors import DomainError, SingularFactor, ToleranceUnachievable
-from .params import SumParams
+from .params import SumParams, check_alpha_k
 
 _ROSSER = 1.25506  # pi(x) < 1.25506 x / log x for x > 1
 _POLE_TOL = 1e-12  # exact singular-factor hit
@@ -422,8 +422,11 @@ def _log_zeta_above(u: np.ndarray, Q: int) -> tuple[np.ndarray, np.ndarray]:
 def _h_tail_trunc(alpha: complex, k: int, sigma: float, Q: int) -> float:
     """Certified truncation of the prime-zeta h tail above Q at Re(s) >= sigma:
     the series terms m > 8 and the Moebius terms j > 8/m dropped
-    (h_tail_log_values); inf where the series does not certify."""
+    (h_tail_log_values); inf where the series does not certify, returned
+    before any alpha^m is formed, so a huge |alpha| cannot overflow here."""
     bound = _series_trunc_bound(alpha, -alpha, k, sigma, Q)
+    if math.isinf(bound):
+        return bound
     for m in range(2, _SERIES_TERMS + 1):
         last = _SERIES_TERMS // m
         # dropped j > last: |sum| <= sum_{p>Q} sum_{n>last} p^(-n m sigma)
@@ -492,15 +495,16 @@ def h_infinite(alpha: complex, k: int, s: complex, tol: float) -> ProductValue:
     Re(s) >= 1 (the 1-line is the use case).
 
     tail_bound carries the tail's certified bound; ToleranceUnachievable is
-    raised when that bound exceeds tol, SingularFactor on an exact pole hit
-    alpha*p^(-s) = 1."""
-    s = complex(s)
+    raised when that bound exceeds tol or the tail series does not certify
+    (|alpha| too large), SingularFactor on an exact pole hit
+    alpha*p^(-s) = 1, and DomainError where an Euler factor may overflow.
+    Refuses a non-finite alpha and a k that is not an integer >= 2 with
+    ValueError (params.check_alpha_k)."""
+    alpha, s = check_alpha_k(alpha, k), complex(s)
     if s.real < 1.0:
         raise DomainError("h_infinite is certified for Re(s) >= 1 only")
-    if k < 2:
-        raise ValueError("k must be >= 2")
     primes = sieve_primes(_h_floor(alpha, k))
-    _require_regular(complex(alpha), s, primes)
+    _require_regular(alpha, s, primes)
     head, _ = h_log_values(alpha, k, s, primes)
     tail, bound = h_tail_log_values(alpha, k, s, primes.bound)
     bound = float(bound[0])
@@ -545,8 +549,11 @@ def lemma1_check(alpha: complex, k: int, N_values, tau_grid) -> Lemma1Report:
     in (Q, N] for N >= Q, plus those in (N, Q] for N < Q.  One sieve to
     max(N, Q) serves every N.  Raises ToleranceUnachievable when the error
     that tail_bound and the rounding of the sum between N and Q certify for
-    h_N/h - 1 exceeds 1% of its measured max."""
-    alpha = complex(alpha)
+    h_N/h - 1 exceeds 1% of its measured max, or when |alpha| is too large
+    for the tail series.  Refuses with ValueError a non-finite alpha, a k
+    that is not an integer >= 2 (params.check_alpha_k), an N below 100 and
+    an empty tau grid."""
+    alpha = check_alpha_k(alpha, k)
     n_values = tuple(int(n) for n in N_values)
     if any(n < 100 for n in n_values):
         raise ValueError("every N must be >= 100")

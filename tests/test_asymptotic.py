@@ -421,6 +421,26 @@ def test_tenenbaum_ladder_and_leps():
         tenenbaum_check([100], [0.0])
 
 
+@pytest.mark.parametrize("eps", [-5.0, 0.0, 0.6, math.nan])
+def test_tenenbaum_refuses_eps_outside_the_exponent_range(eps):
+    # L_eps = exp((log N)^(3/5 - eps)) needs 0 < eps < 3/5
+    with pytest.raises(ValueError):
+        tenenbaum_check([10**3], [0.0], eps=eps)
+
+
+def test_gaussian_sup_tail_far_out_is_zero():
+    f = make_gaussian(1, 0.4)
+    # (u - mu)^2 would overflow at 1e200; e^-800 is 0.0 already
+    assert f.sup_tail(1e200) == 0.0 == f.sup_tail(1 + 40 * 0.4) == f.sup_tail(math.inf)
+    u = 1 + 39 * 0.4
+    assert f.sup_tail(u) == math.exp(-((u - 1) ** 2) / (2.0 * 0.4**2))
+    p = SumParams(1, 2, 30)
+    far, full = brute_S(p, f, 1e200), brute_S(p, f, math.inf)
+    assert (far.value, far.terms_used, far.tail_certificate) == (
+        full.value, full.terms_used, full.tail_certificate
+    )
+
+
 def test_tenenbaum_conjugate_symmetry():
     # all players are real on the real axis, so the error is even in tau
     log_n = math.log(10**4)

@@ -54,7 +54,8 @@ def test_every_csv_column_documented_in_help():
         "dickman-table": ["u", "rho", "x", "re_rhohat", "im_rhohat"],
         "zeta-table": ["tau", "re_zeta", "im_zeta", "re_regular", "im_regular"],
         "products-table": ["tau", "re_g", "im_g", "re_zetaN_pow", "im_zetaN_pow", "re_h", "im_h"],
-        "theorem2": ["N", "re_S", "im_S", "re_C_f", "im_C_f", "abs_E_measured", "predicted_envelope"],
+        "theorem2": ["N", "re_S", "im_S", "re_C_f", "im_C_f", "abs_E_measured", "predicted_envelope",
+                     "S_ledger", "C_f_ledger"],
         "tenenbaum": ["N", "max_rel_err", "argmax_tau", "L_eps"],
         "lemma1": ["N", "max_rel_err", "decay_ratio_to_next", "expected_ratio"],
     }

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -38,11 +39,14 @@ def test_theorem2_columns(tmp_path):
               "--f", "gaussian:1,0.4", "--out", str(tmp_path)])
     assert rc == 0
     lines = body_of(tmp_path / "theorem2.csv").splitlines()
-    assert lines[0] == "N,re_S,im_S,re_C_f,im_C_f,abs_E_measured,predicted_envelope"
+    assert lines[0] == (
+        "N,re_S,im_S,re_C_f,im_C_f,abs_E_measured,predicted_envelope,S_ledger,C_f_ledger"
+    )
     assert len(lines) == 2
     first = lines[1].split(",")
     assert first[0] == "100"
     assert float(first[5]) < 0.05
+    assert 0 < float(first[7]) <= 1e-6 and 0 < float(first[8]) <= 1e-6
 
 
 def test_byte_identical_bodies(tmp_path):
@@ -142,19 +146,42 @@ def test_exit_code_computational_error(tmp_path):
     assert rc == 3
 
 
-def test_format_switch(tmp_path):
-    base = ["brute", "--alpha", "1,0", "--k", "2", "--N", "10", "--f", "gaussian:1,0.4",
-            "--u-cutoff", "inf", "--out", str(tmp_path)]
-    assert run(base + ["--format", "csv"]) == 0
-    assert run(base + ["--format", "json"]) == 0
-    lines = body_of(tmp_path / "brute.csv").splitlines()
-    assert lines[0] == "re_value,im_value,terms_used,u_cutoff,tail_certificate"
-    jres = json.loads((tmp_path / "brute.json").read_text())["result"]
-    assert float(lines[1].split(",")[0]) == jres["re_value"]  # formats agree
-    assert run(["tenenbaum", "--N", "1000", "--tau=0,1,3", "--format", "json",
-                "--out", str(tmp_path)]) == 0
-    data = json.loads((tmp_path / "tenenbaum.json").read_text())
-    assert data["result"]["columns"][0] == "N"
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["dickman-table", "--du", "0"], 2),
+        (["dickman-table", "--du=-1", "--dx=-1"], 2),
+        (["dickman-table", "--x-max=-1"], 2),
+        (["dickman-table", "--dx", "inf"], 2),
+        (["tenenbaum", "--N", "1000", "--eps=-5"], 2),
+        (["tenenbaum", "--N", "1000", "--eps", "nan"], 2),
+        (["lemma1", "--alpha", "nan,0", "--k", "2", "--N", "1000"], 2),
+        (["cfactor", "--alpha", "1e300,0", "--k", "2", "--N", "1000",
+          "--f", "gaussian:1,0.4"], 3),
+        (["lemma1", "--alpha", "1e60,0", "--k", "2", "--N", "1000"], 3),
+        (["brute", "--alpha", "1,0", "--k", "2", "--N", "30", "--f", "gaussian:1,0.4",
+          "--u-cutoff", "1e200"], 0),
+    ],
+    ids=lambda v: " ".join(v[:3]) if isinstance(v, list) else f"exit{v}",
+)
+def test_edge_inputs(tmp_path, argv, code):
+    out = tmp_path / "out"
+    assert run(argv + ["--out", str(out)]) == code
+    assert out.exists() == (code == 0)  # a refusal writes nothing
+
+
+def test_json_meta_carries_the_csv_config_hash(tmp_path):
+    def rule(config: dict) -> str:  # the hash a CSV header states
+        canon = "\n".join(f"{k}={v}" for k, v in config.items())
+        return hashlib.sha256(canon.encode()).hexdigest()[:16]
+
+    assert run(["brute", "--alpha", "0.5,0.5", "--k", "3", "--N", "30",
+                "--f", "gaussian:1,0.4", "--out", str(tmp_path)]) == 0
+    meta = json.loads((tmp_path / "brute.json").read_text())["meta"]
+    assert meta["config_hash"] == rule(meta["config"])
+    assert run(["zeta-table", "--tau=-1,1,3", "--out", str(tmp_path)]) == 0
+    header = (tmp_path / "zeta_line.csv").read_text()
+    assert f"# config_hash: {rule(config_of(tmp_path / 'zeta_line.csv'))}\n" in header
 
 
 def test_cfactor_alpha_zero(tmp_path):

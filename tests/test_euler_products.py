@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from smoothsum import (
     DomainError,
     SingularFactor,
+    SmoothsumError,
     SumParams,
     ToleranceUnachievable,
     g_product,
@@ -459,6 +460,32 @@ def test_lemma1_validation():
         lemma1_check(1.0, 2, [50], [0.0])
     with pytest.raises(ValueError):
         lemma1_check(1.0, 2, [1000], [])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: h_infinite(math.nan, 2, 1.0, 1e-8),
+        lambda: h_infinite(1.0, 2.5, 1.0, 1e-8),
+        lambda: lemma1_check(1.0, 1, [1000], [0.0, 1.0]),
+        lambda: lemma1_check(1.0, 2.5, [1000], [0.0, 1.0]),
+        lambda: lemma1_check(complex(math.nan, 0.0), 2, [1000], [0.0, 1.0]),
+    ],
+    ids=["h-nan-alpha", "h-k-2.5", "lemma1-k-1", "lemma1-k-2.5", "lemma1-nan-alpha"],
+)
+def test_h_routes_take_the_alpha_k_rule(call):
+    # alpha finite and k an integer >= 2, the rule SumParams applies
+    with pytest.raises(ValueError):
+        call()
+
+
+def test_huge_alpha_is_a_typed_error():
+    # the h tail series cannot certify, and must say so before forming alpha^m
+    for alpha in (1e60, 1e300):
+        with pytest.raises(SmoothsumError):
+            h_infinite(alpha, 2, 1.0, 1e-8)
+    with pytest.raises(ToleranceUnachievable):
+        lemma1_check(1e60, 2, [1000], [0.0, 1.0])
 
 
 def test_lemma1_ledger_covers_the_rounding_below_q():
