@@ -37,7 +37,6 @@ from .errors import (
     DomainError,
     EtaTooSmall,
     PrecisionLoss,
-    SingularFactor,
     SmoothsumError,
     ToleranceUnachievable,
     UnwrapError,

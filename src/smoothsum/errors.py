@@ -21,10 +21,6 @@ class UnwrapError(SmoothsumError):
     """Phase unwrapping failed: adjacent nodes differ by >= pi/2 after refinement."""
 
 
-class SingularFactor(SmoothsumError):
-    """An Euler factor is singular (pole or zero) at the requested point."""
-
-
 class PrecisionLoss(SmoothsumError):
     """The evaluation leaves the range where the error target is certified."""
 

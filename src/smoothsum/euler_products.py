@@ -19,7 +19,6 @@ the principal piece logs, which neither takes complex logs nor rounds 1 - z
 (eps per prime against a term of size |z|).  The series truncation is
 certified and returned; where it exceeds 1e-16 (|alpha| beyond about 7 on
 the 1-line, or Re(s) well below 1) the exact pieces run over every prime.
-`h_finite` and `h_infinite` refuse w = 1 with SingularFactor.
 
 `_chunked_piece_sum` is the prime walk: numpy sums along each node's row
 over a fixed chunking of the primes, so every product depends only on its
@@ -41,7 +40,8 @@ point routes (g_product, zeta_partial, h_finite) always walk: they are the
 independent slow route; they carry the bound in tail_bound and raise
 DomainError where the product's value is past the double range.
 
-The infinite product h_{alpha,k} walks no prime past Q, the smallest
+The infinite product h_{alpha,k} (`h_infinite_log_values`, which h_infinite
+and the main term's h contour sample) walks no prime past Q, the smallest
 certified floor <= 1024: the smallest power of two from 64 whose tail
 truncation is <= 1e-16 (`_h_floor`; 128 for |alpha| up to about 1.2 at
 k = 2, 3).  Above Q, `h_tail_log_values` sums the same series over primes
@@ -61,11 +61,10 @@ import numpy as np
 
 from . import prime_moments, zeta_engine
 from .arith_core import PrimeSet, sieve_primes
-from .errors import DomainError, SingularFactor, ToleranceUnachievable
+from .errors import DomainError, ToleranceUnachievable
 from .params import SumParams, check_alpha_k
 
 _ROSSER = 1.25506  # pi(x) < 1.25506 x / log x for x > 1
-_POLE_TOL = 1e-12  # exact singular-factor hit
 _BLOCK_LOG_MAX = 690.0  # log of the largest modulus a block product may reach
 _CHUNK_BUDGET = 8192  # complex scratch entries per block of nodes and primes
 _PRIME_CHUNK = 4096  # primes per chunk of a walk: a node's sum never depends on its batch
@@ -87,13 +86,12 @@ class ProductValue:
 
 
 def _point(log_values: np.ndarray, log_error) -> ProductValue:
-    # a length-1 log sum; log_error (a float or its length-1 array) bounds
-    # |log of the neglected factors|
+    # a length-1 log sum and the length-1 bound on |log of the neglected factors|
     log_value = complex(log_values[0])
     if log_value.real > _LOG_DOUBLE_MAX:
         raise DomainError(f"|product| = e^{log_value.real:.4g} is past the double range")
     value = complex(np.exp(log_value))
-    return ProductValue(value, log_value, abs(value) * math.expm1(float(np.max(log_error))))
+    return ProductValue(value, log_value, abs(value) * math.expm1(float(log_error[0])))
 
 
 def _block_size(k: int, r: float) -> int:
@@ -248,12 +246,6 @@ def _factor_log_sum(alpha, beta, k: int, s, primes: PrimeSet, moments: bool = Tr
     return acc, log_err
 
 
-def _require_regular(alpha: complex, s: complex, primes: PrimeSet) -> None:
-    # h's (1-w)^(-1) piece has a pole where alpha * p^(-s) = 1
-    if np.any(np.abs(1.0 - alpha * np.exp(-s * primes.log_primes)) < _POLE_TOL):
-        raise SingularFactor("alpha * p^(-s) = 1: singular Euler factor")
-
-
 def zeta_partial(primes: PrimeSet, s: complex) -> ProductValue:
     """zeta_N(s) = prod_{p<=N} (1 - p^(-s))^(-1), log = -sum Log(1-p^(-s))."""
     return _point(*_factor_log_sum(0.0, 1.0, 1, complex(s), primes, moments=False))
@@ -321,21 +313,19 @@ def h_log_values(alpha: complex, k: int, s_nodes, primes: PrimeSet) -> tuple[np.
     """sum_p log h_p over the given primes, per node, and per node the
     certified bound on the series truncation and the moments' interpolation
     and rounding (the kernel at beta = -alpha).  A node
-    with alpha p^(-s) = 1 takes the removable value (1-z)^alpha k."""
+    with alpha p^(-s) = 1 takes the factor's value there, (1-z)^alpha k."""
     return _factor_log_sum(alpha, -complex(alpha), k, s_nodes, primes)
 
 
 def h_finite(params: SumParams, s: complex) -> ProductValue:
     """h_{alpha,k,N}(s) = prod_{p<=N} (1-alpha/p^s)^(-1) (1-1/p^s)^alpha (1-alpha^k/p^(ks)).
 
-    (1-1/p^s)^alpha means exp(alpha*Log(1-p^(-s))) per factor.  Raises
-    SingularFactor on an exact pole hit alpha*p^(-s) = 1.  tail_bound carries
+    (1-1/p^s)^alpha means exp(alpha*Log(1-p^(-s))) per factor; a factor
+    with alpha p^(-s) = 1 is regular, (1-1/p^s)^alpha k.  tail_bound carries
     the series truncation of the factors above 1024 (0 for N <= 1024).
     """
-    s, primes = complex(s), sieve_primes(params.N)
-    _require_regular(params.alpha, s, primes)
-    alpha = complex(params.alpha)
-    return _point(*_factor_log_sum(alpha, -alpha, params.k, s, primes, moments=False))
+    alpha, primes = complex(params.alpha), sieve_primes(params.N)
+    return _point(*_factor_log_sum(alpha, -alpha, params.k, complex(s), primes, moments=False))
 
 
 def _prime_sum_bound(a: float, P: float) -> float:
@@ -488,29 +478,32 @@ def h_tail_log_values(alpha: complex, k: int, s_nodes, Q: int) -> tuple[np.ndarr
     return sum(w * row for w, row in zip(weights[2:], logs)), bound
 
 
+def h_infinite_log_values(alpha: complex, k: int, s_nodes, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """log h_{alpha,k} = sum over all p of log h_p at every node, and per node
+    a bound on its error: exact piece logs for p <= Q, the smallest certified
+    floor <= 1024 (_h_floor), plus the prime-zeta tail above
+    (h_tail_log_values), so no prime past Q is sieved.  Raises
+    ToleranceUnachievable where the tail's certified bound exceeds tol, and
+    passes on the tail's refusals (Re(s) < 1, |alpha| too large)."""
+    primes = sieve_primes(_h_floor(alpha, k))
+    head, head_err = h_log_values(alpha, k, s_nodes, primes)
+    tail, tail_err = h_tail_log_values(alpha, k, s_nodes, primes.bound)
+    worst = float(np.max(tail_err))
+    if worst > tol:
+        raise ToleranceUnachievable(f"h tail bound {worst:.2e} > tol {tol:.2e}")
+    return head + tail, head_err + tail_err
+
+
 def h_infinite(alpha: complex, k: int, s: complex, tol: float) -> ProductValue:
-    """h_{alpha,k}(s) = prod over all p: exact piece logs for p <= Q, the
-    smallest certified floor <= 1024 (_h_floor), and the prime-zeta tail
-    above (h_tail_log_values), so no prime past Q is sieved.  Needs
-    Re(s) >= 1 (the 1-line is the use case).
+    """h_{alpha,k}(s) = prod over all p, at one point (h_infinite_log_values).
+    Needs Re(s) >= 1 (the 1-line is the use case).
 
     tail_bound carries the tail's certified bound; ToleranceUnachievable is
     raised when that bound exceeds tol or the tail series does not certify
-    (|alpha| too large), SingularFactor on an exact pole hit
-    alpha*p^(-s) = 1, and DomainError where an Euler factor may overflow.
-    Refuses a non-finite alpha and a k that is not an integer >= 2 with
-    ValueError (params.check_alpha_k)."""
-    alpha, s = check_alpha_k(alpha, k), complex(s)
-    if s.real < 1.0:
-        raise DomainError("h_infinite is certified for Re(s) >= 1 only")
-    primes = sieve_primes(_h_floor(alpha, k))
-    _require_regular(alpha, s, primes)
-    head, _ = h_log_values(alpha, k, s, primes)
-    tail, bound = h_tail_log_values(alpha, k, s, primes.bound)
-    bound = float(bound[0])
-    if bound > tol:
-        raise ToleranceUnachievable(f"h tail bound {bound:.2e} > tol {tol:.2e}")
-    return _point(head + tail, bound)
+    (|alpha| too large), and DomainError where Re(s) < 1 or an Euler factor
+    may overflow.  Refuses a non-finite alpha and a k that is not an integer
+    >= 2 with ValueError (params.check_alpha_k)."""
+    return _point(*h_infinite_log_values(check_alpha_k(alpha, k), k, complex(s), tol))
 
 
 def _head_round(alpha: complex, k: int, p_min: float) -> float:

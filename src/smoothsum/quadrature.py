@@ -18,8 +18,8 @@ that sum is the tail_bound returned, and the one place where an integrand's
 error reaches a ledger.
 
 The seed panels take one call of the integrand, and each round one call
-for all its halves; the integrands of the restricted exact window and the
-main term give each node the same bits, and the same error bound, in any
+for all its halves; the integrands of the g windows (asymptotic._g_integral)
+and the main term give each node the same bits, and the same error bound, in any
 batch, so for them batching changes neither panels nor bits.  Final
 accumulation is an exactly-rounded fsum over panels sorted by left
 endpoint, so node budget and scheduling cannot change the result bits.
@@ -51,7 +51,7 @@ class QuadResult:
     """Integral value with separated error budget.
 
     quad_error is the discretization error.  From integrate_adaptive (the
-    main term, the restricted window, dickman) it is the summed |K15 - G7|
+    main term, the g windows, dickman) it is the summed |K15 - G7|
     Gauss-Kronrod difference over the panels, an estimate, not a proven
     bound; from asymptotic.exact_integral's trapezoidal sum it is the
     Trefethen-Weideman bound, a theorem's.  tail_bound bounds the rest: the

@@ -19,6 +19,8 @@ behind the prime-zeta h tail (euler_products.h_tail_log_values), the nodes
 of the main term and the grids of regular_factor_path, the unwrapped
 reference path.  Each entry takes its own M (_cutoffs) and its sum runs
 over a fixed chunking of n, so an entry has the same bits in any batch.
+The sum is the one range check: it refuses |Im s| > MAX_IM = 1e7 (or NaN)
+with PrecisionLoss, before its cutoff M ~ 2|Im s| grows, for every caller.
 """
 
 import math
@@ -69,8 +71,11 @@ def _euler_maclaurin(s, m_terms: int | None = None) -> tuple[np.ndarray, np.ndar
     each at its own cutoff M (_cutoffs, or m_terms for every entry), with a
     bound on each entry's error: |s-1| times the first omitted Bernoulli
     term, plus the rounding.  The entries of one M sum n^(-s) over fixed
-    chunks of _TERM_CHUNK terms, so an entry has the same bits in any batch."""
+    chunks of _TERM_CHUNK terms, so an entry has the same bits in any batch.
+    Raises PrecisionLoss where an entry's |Im s| exceeds MAX_IM or is NaN."""
     s = np.atleast_1d(np.asarray(s, dtype=np.complex128))
+    if not np.all(np.abs(s.imag) <= MAX_IM):  # also refuses NaN
+        raise PrecisionLoss(f"|Im s| > {MAX_IM:g} exceeds the certified range")
     cutoffs = np.full(len(s), m_terms) if m_terms else _cutoffs(s)
     total = np.zeros(len(s), dtype=np.complex128)
     mass = np.zeros(len(s))  # sum of n^(-Re s) over n < M
@@ -142,8 +147,6 @@ def zeta(s: complex) -> ZetaValue:
     s = complex(s)
     if s.real < 0.5:
         raise ValueError("only the half-plane Re(s) >= 1/2 is supported")
-    if abs(s.imag) > MAX_IM:
-        raise PrecisionLoss(f"|Im s| > {MAX_IM:g} exceeds the certified range")
     a, err = _euler_maclaurin(s)
     a = complex(a[0])
     z = a / (s - 1.0) if s != 1.0 else complex(float("nan"), float("nan"))
@@ -159,8 +162,6 @@ def regular_factor_path(path_xs, log_n: float) -> BranchedPath:
 
     def log_a(xs):
         s = 1.0 + 1j * np.asarray(xs, dtype=np.float64) / log_n
-        if np.max(np.abs(s.imag)) > MAX_IM:
-            raise PrecisionLoss(f"|Im s| > {MAX_IM:g} exceeds the certified range")
         return np.log(_euler_maclaurin(s)[0])
 
     return build_branched_path(log_a, path_xs, anchor_x=0.0, anchor_log=0.0 + 0.0j)

@@ -148,13 +148,15 @@ def test_results_hold_builtin_numbers(f):
 
 def test_batched_panels_change_no_bit(f, monkeypatch):
     # g_values gives each node its value and its log error in any batch, so
-    # the exact route's sum, and the restricted window that the adaptive rule
-    # batches by panels, keep every bit of their ledgers when g_values takes
-    # 15 nodes at a time; the main term keeps its value fed one panel at a time
+    # the exact route's sum, and a window |x| <= 3 log N that the adaptive
+    # rule batches by panels, keep every bit of their ledgers when g_values
+    # takes 15 nodes at a time; the main term keeps its value fed one panel
+    # at a time
+    w = 3.0 * math.log(30000)
     ledgers = (
         lambda: exact_integral(SumParams(0.7 + 0.4j, 3, 30000), f, 1e-7),
         lambda: exact_integral(SumParams(-1, 2, 1500), f, 1e-7),
-        lambda: error_decomposition(SumParams(0.7 + 0.4j, 3, 30000), f, 1e-7).restricted,
+        lambda: asymptotic._g_integral(SumParams(0.7 + 0.4j, 3, 30000), f, -w, w, 0.5e-7),
     )
     values = (
         lambda: main_term(SumParams(1, 3, 10**4), f, 1e-6),
@@ -362,11 +364,11 @@ def test_h_contour_doubles_on_nested_samples(monkeypatch):
     # degree-128 build samples h at 65 + 64 points, not 65 + 129
     sizes = []
 
-    def counting(alpha, k, s_nodes, primes):
+    def counting(alpha, k, s_nodes, tol):
         sizes.append(len(s_nodes))
-        return euler_products.h_log_values(alpha, k, s_nodes, primes)
+        return euler_products.h_infinite_log_values(alpha, k, s_nodes, tol)
 
-    monkeypatch.setattr(asymptotic, "h_log_values", counting)
+    monkeypatch.setattr(asymptotic, "h_infinite_log_values", counting)
     _h_contour.cache_clear()
     coeffs, _ = _h_contour(0.5 + 0.5j, 3, 0, 1e-9)
     _h_contour.cache_clear()
@@ -428,6 +430,32 @@ def test_tenenbaum_refuses_eps_outside_the_exponent_range(eps):
         tenenbaum_check([10**3], [0.0], eps=eps)
 
 
+def test_gaussian_huge_sigma_gives_inf_not_overflow():
+    # sigma^2 is past the double range: the strip bound is inf, f is 1 near
+    # mu, and sup_tail scales by sigma before it squares
+    g = make_gaussian(1, 1e300)
+    assert g.log_strip_bound(3.0) == math.inf
+    assert g.eval_f(np.array([0.0, 5.0])).tolist() == [1.0, 1.0]
+    assert g.sup_tail(g.default_u_cutoff) == pytest.approx(math.exp(-30.0), rel=1e-12)
+
+
+def test_exact_route_caps_its_nodes():
+    # |mu| = 1e300 makes the strip bound |mu| a, so the step h shrinks like 1/|mu|
+    with pytest.raises(ToleranceUnachievable, match="nodes"):
+        exact_integral(SumParams(1, 2, 100), make_gaussian(1e300, 0.4))
+
+
+def test_tau_past_the_zeta_range_is_refused_at_once():
+    # Euler-Maclaurin's cutoff grows as 2 |Im s|: the one range check refuses
+    # |Im s| > 1e7 before any sum is formed, for every caller
+    with pytest.raises(PrecisionLoss):
+        tenenbaum_check([1000], [-1e9, 0.0, 1e9])
+    with pytest.raises(PrecisionLoss):
+        zeta_engine._euler_maclaurin(np.array([1.0, 1.0 + 1j * math.nan]))
+    with pytest.raises(PrecisionLoss):
+        regular_factor_path([0.0, 1e9], math.log(1000))
+
+
 def test_gaussian_sup_tail_far_out_is_zero():
     f = make_gaussian(1, 0.4)
     # (u - mu)^2 would overflow at 1e200; e^-800 is 0.0 already
@@ -461,12 +489,12 @@ def test_error_decomposition_gaussian_window(f):
 
 
 def test_error_decomposition_full_ledger_carries_the_window_tail():
-    # sigma = 0.1 puts the fhat window X = 77 past 3 log N = 20.7, so full and
-    # restricted differ; full is the exact integral and keeps its window tail
+    # sigma = 0.1 puts the fhat window X = 77 past 3 log N = 20.7, so the
+    # window misses mass; the exact integral keeps its window tail
     f, p = make_gaussian(1, 0.1), SumParams(1, 2, 1000)
     d = error_decomposition(p, f, 1e-7)
     assert d.i2_abs > 1e-3
-    assert d.full.tail_bound >= f.fhat_tail_bound * g_abs_bound(p) > 0
+    assert exact_integral(p, f, 1e-7).tail_bound >= f.fhat_tail_bound * g_abs_bound(p) > 0
 
 
 def test_error_decomposition_e2_shrinks(f):

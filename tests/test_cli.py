@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from smoothsum import sieve_primes
 from smoothsum.cli import run
 
 
@@ -140,10 +141,35 @@ def test_removed_options_are_refused(tmp_path):
 
 
 def test_exit_code_computational_error(tmp_path):
-    # alpha * 2^{-1} = 1: singular Euler factor in h
-    rc = run(["products-table", "--alpha", "2,0", "--k", "2", "--N", "100",
-              "--tau=0,1,2", "--out", str(tmp_path)])
+    # |Im s| = 1e9 is past zeta's certified range: PrecisionLoss, at once
+    rc = run(["tenenbaum", "--N", "1000", "--tau=-1e9,1e9,3", "--out", str(tmp_path / "out")])
     assert rc == 3
+    assert not (tmp_path / "out").exists()
+
+
+def test_products_table_at_w_one(tmp_path):
+    # alpha 2^(-s) = 1 at s = 1: a regular point of h, where h_2 = (1/2)^2 2
+    assert run(["products-table", "--alpha", "2,0", "--k", "2", "--N", "100",
+                "--tau=0,1,2", "--out", str(tmp_path)]) == 0
+    rows = [line.split(",") for line in body_of(tmp_path / "products.csv").splitlines()[1:]]
+    assert [float(r[0]) for r in rows] == [0.0, 1.0]
+    for r in rows:
+        s, h = complex(1.0, float(r[0])), 1.0 + 0j
+        for p in sieve_primes(100).primes.tolist():
+            h *= (1 - complex(p) ** -s) ** 2 * (1 + 2 * complex(p) ** -s)
+        assert complex(float(r[5]), float(r[6])) == pytest.approx(h, rel=1e-12)
+
+
+@pytest.mark.parametrize("cmd", ["brute", "cfactor"])
+def test_huge_gaussian_sigma_ends_in_a_result_or_a_refusal(tmp_path, cmd):
+    # sigma^2 is past the double range: a finite record or exit 3, never
+    # OverflowError (exact refuses it: test_edge_inputs)
+    rc = run([cmd, "--alpha", "1,0", "--k", "2", "--N", "100", "--f", "gaussian:1,1e300",
+              "--out", str(tmp_path)])
+    assert rc in (0, 3)
+    if rc == 0:
+        result = json.loads((tmp_path / f"{cmd}.json").read_text())["result"]
+        assert all(math.isfinite(v) for v in result.values())
 
 
 @pytest.mark.parametrize(
@@ -159,6 +185,8 @@ def test_exit_code_computational_error(tmp_path):
         (["cfactor", "--alpha", "1e300,0", "--k", "2", "--N", "1000",
           "--f", "gaussian:1,0.4"], 3),
         (["lemma1", "--alpha", "1e60,0", "--k", "2", "--N", "1000"], 3),
+        (["exact", "--alpha", "1,0", "--k", "2", "--N", "100", "--f", "gaussian:1,1e300"], 3),
+        (["exact", "--alpha", "1,0", "--k", "2", "--N", "100", "--f", "gaussian:1e300,0.4"], 3),
         (["brute", "--alpha", "1,0", "--k", "2", "--N", "30", "--f", "gaussian:1,0.4",
           "--u-cutoff", "1e200"], 0),
     ],

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from smoothsum import (
     DomainError,
-    SingularFactor,
+    PrecisionLoss,
     SmoothsumError,
     SumParams,
     ToleranceUnachievable,
@@ -61,7 +61,7 @@ def direct_products(alpha, k, N, s):
         w = alpha * z
         zeta_n /= 1 - z
         g *= sum(w**j for j in range(k))
-        h *= (1 - z) ** alpha * (1 - w**k) / (1 - w)
+        h *= (1 - z) ** alpha * sum(w**j for j in range(k))
     return zeta_n, g, h
 
 
@@ -100,10 +100,7 @@ def test_products_match_direct_products_property(r, phase, k, tau, N):
     alpha = cmath.rect(r, phase)
     s = 1.0 + 1j * tau
     params = SumParams(alpha, k, N)
-    try:
-        g, h = g_product(params, s), h_finite(params, s)
-    except SingularFactor:
-        return
+    g, h = g_product(params, s), h_finite(params, s)
     zn = zeta_partial(sieve_primes(N), s)
     zeta_n, g_ref, h_ref = direct_products(alpha, k, N, s)
     assert zn.value == pytest.approx(zeta_n, rel=1e-12)
@@ -228,36 +225,47 @@ def test_h_finite_golden():
     assert h_finite(SumParams(1, 3, 10), 1.0).value == pytest.approx(expect3, rel=1e-13)
 
 
-def test_h_finite_singular_factor():
-    with pytest.raises(SingularFactor):
-        h_finite(SumParams(2, 2, 3), 1.0)  # alpha * 2^{-1} = 1
-    with pytest.raises(SingularFactor):
-        h_finite(SumParams(3, 2, 10), 1.0)  # alpha * 3^{-1} = 1
+def test_h_at_w_one_is_regular():
+    # alpha p^(-s) = 1 at p = 2 and at p = 3: h_p = (1 - 1/p)^alpha k there
+    h = h_finite(SumParams(2, 2, 3), 1.0).value
+    assert h == pytest.approx((1 / 2) ** 2 * 2 * (2 / 3) ** 2 * (5 / 3), rel=1e-14)
+    for alpha, N in ((2, 3), (3, 10)):
+        _, _, ref = direct_products(alpha, 2, N, 1.0)
+        assert h_finite(SumParams(alpha, 2, N), 1.0).value == pytest.approx(ref, rel=1e-13)
+    # h_{2,2}(1) = prod_p (1 - 1/p)^2 (1 + 2/p): exact factors for p <= 7, and
+    # log h_p = sum_m c_m p^(-m), c_m = ((-1)^(m+1) 2^m - 2)/m, above 7
+    small = [2, 3, 5, 7]
+    ref = mpmath.mpf(1)
+    for p in small:
+        ref *= (1 - mpmath.mpf(1) / p) ** 2 * (1 + mpmath.mpf(2) / p)
+    log_tail = mpmath.fsum(
+        (mpmath.mpf((-1) ** (m + 1) * 2**m - 2) / m)
+        * (mpmath.primezeta(m) - mpmath.fsum(mpmath.mpf(p) ** -m for p in small))
+        for m in range(2, 60)
+    )
+    ref *= mpmath.exp(log_tail)
+    hv = h_infinite(2, 2, 1.0, 1e-8)
+    assert abs(hv.value - complex(ref)) <= 1e-13 + hv.tail_bound
 
 
 def test_factorization_identity_randomized():
     """log g - alpha log zeta_N - log h = 0 factorwise (the grouped-branch
     identity the main term rests on)."""
     rng = np.random.default_rng(42)
-    done = 0
     worst = 0.0
-    while done < 100:
+    for _ in range(100):
         alpha = complex(3.0 * math.sqrt(rng.random()) * cmath.exp(2j * math.pi * rng.random()))
         tau = rng.uniform(-3, 3)
         N = int(rng.choice([100, 1000, 10000]))
         k = int(rng.integers(2, 5))
         params = SumParams(alpha, k, N)
         s = 1 + 1j * tau
-        try:
-            resid = abs(
-                g_product(params, s).log_value
-                - alpha * zeta_partial(sieve_primes(N), s).log_value
-                - h_finite(params, s).log_value
-            )
-        except SingularFactor:
-            continue
+        resid = abs(
+            g_product(params, s).log_value
+            - alpha * zeta_partial(sieve_primes(N), s).log_value
+            - h_finite(params, s).log_value
+        )
         worst = max(worst, resid)
-        done += 1
     assert worst <= 1e-10
 
 
@@ -460,6 +468,8 @@ def test_lemma1_validation():
         lemma1_check(1.0, 2, [50], [0.0])
     with pytest.raises(ValueError):
         lemma1_check(1.0, 2, [1000], [])
+    with pytest.raises(PrecisionLoss):  # zeta's |Im s| cap, before any sum runs
+        lemma1_check(1, 2, [1000], [-1e9, 1e9])
 
 
 @pytest.mark.parametrize(
