@@ -43,7 +43,7 @@ from .euler_products import (
 )
 from .euler_products import h_cutoff  # noqa: F401 -- perfbench/layers.py patches this binding
 from .params import SumParams
-from .quadrature import QuadResult, integrate_adaptive
+from .quadrature import _WGK, _XGK, SEED_PANELS, QuadResult, integrate_adaptive
 from .arith_core import UNIT, sieve_primes, split_sum
 
 
@@ -287,7 +287,8 @@ def _h_contour(alpha: complex, k: int, variant_N: int, h_tol: float):
 
     h is sampled at the Chebyshev extreme points t_j = cos(pi j/n), and the
     coefficients are one FFT of the samples' even extension (a DCT-I; ATAP,
-    chs. 2-3); the points nest, so doubling n samples only the n new ones.
+    chs. 2-3); the points nest, so doubling n samples only the n new ones.  A
+    degree is accepted at a truncation estimate <= h_tol/2, an absolute error.
     Returns (coeffs, uniform_abs_error); query at t = x / (3 log N).
     """
     log_err = [0.0]
@@ -313,15 +314,14 @@ def _h_contour(alpha: complex, k: int, variant_N: int, h_tol: float):
         mid = float(np.max(np.abs(coeffs[deg // 2 - 3 : deg // 2 + 1])))
         r = min((tail / max(mid, tail, 1e-300)) ** (2.0 / deg), 1.0 - 1.0 / deg)
         trunc = 2.0 * tail * r / (1.0 - r)
-        scale = float(np.max(np.abs(_cheb_eval(np.linspace(-1, 1, 65), coeffs))))
-        if max(tail, trunc) <= max(0.5 * h_tol, 1e-13) * max(scale, 1e-6):
+        if max(tail, trunc) <= 0.5 * h_tol:
             # sample errors reach the interpolant through its Lebesgue constant
             lebesgue = 2.0 / math.pi * math.log(deg + 1) + 1.0
+            scale = float(np.max(np.abs(values)))
             return coeffs, trunc + scale * lebesgue * math.expm1(log_err[0])
         if 2 * deg > _H_MAX_DEGREE:
             raise ToleranceUnachievable(
-                f"h contour interpolation did not reach tol {h_tol:.1e} at degree "
-                f"{_H_MAX_DEGREE}"
+                f"h contour interpolation did not reach tol {h_tol:.1e} at degree {_H_MAX_DEGREE}"
             )
         odd = sample(np.cos(np.pi / (2 * deg) * np.arange(1, 2 * deg, 2)))
         values, deg = np.insert(values, np.arange(1, deg + 1), odd), 2 * deg
@@ -331,7 +331,6 @@ def main_term(
     params: SumParams,
     f: TestFunction,
     tol: float = 1e-7,
-    min_panels: int = 8,
     use_integer_powers: bool = False,
     h_variant: str = "infinite",
 ) -> QuadResult:
@@ -344,14 +343,14 @@ def main_term(
     values instead of exp(alpha log) -- the cross-route oracle for the
     branch convention.  h_variant="finite" substitutes h_{alpha,k,N}, which
     the error-decomposition report uses to measure the h_N -> h substitution
-    step.  The h model (tail and interpolation) is built to tol/10.
+    step.  tol is split here, once: tol/10 to the h model, tol/2 to quadrature.
 
     quad_error is the G7/K15 Gauss-Kronrod difference of the window integral,
     an estimate rather than a bound.  tail_bound integrates each node's
     error |fhat P| (h_unc + c (|h| + h_unc)), with P = rhohat^alpha A^alpha,
     h_unc the h model's uniform error and c = expm1(-|alpha| log(1 - r)),
-    r A's relative error.  Raises ToleranceUnachievable when quad_error +
-    tail_bound exceeds tol, and UnwrapError where |arg A| >= pi/2 at a node.
+    r A's relative error.  Raises ToleranceUnachievable when quad_error + tail_bound exceeds
+    tol or fhat is too narrow for the seed nodes, and UnwrapError where |arg A| >= pi/2 at a node.
     """
     _require_transform(f)
     alpha, k = params.alpha, params.k
@@ -372,6 +371,11 @@ def main_term(
             raise ValueError("use_integer_powers needs integer alpha")
     log_n = params.log_n
     half = 3.0 * log_n
+    # fhat's mass at 0 reaches the seed estimates |K15 - G7| only through the Kronrod-only
+    # nodes +-x1 of weight w1: below the largest tol, 1e-3, there it may be integrated as 0
+    x1, w1 = half / SEED_PANELS * (1.0 - _XGK[0]), half / SEED_PANELS * _WGK[0]
+    if not w1 * np.sum(np.abs(f.eval_fhat(np.array([-x1, x1])))) >= 1e-3:
+        raise ToleranceUnachievable(f"fhat is too narrow for the seed nodes at +-{x1:.2e}")
     variant_N = params.N if h_variant == "finite" else 0
     h_coeffs, h_unc = _h_contour(alpha, k, variant_N, tol / 10.0)
 
@@ -392,7 +396,7 @@ def main_term(
         grow = np.expm1(-abs(alpha) * np.log1p(-a_err / np.abs(a)))
         return fp * h, np.abs(fp) * (h_unc + grow * (np.abs(h) + h_unc))
 
-    res, _ = integrate_adaptive(integrand, -half, half, 0.5 * tol, min_panels=min_panels)
+    res, _ = integrate_adaptive(integrand, -half, half, 0.5 * tol)
     return _check_ledger(res, tol)
 
 

@@ -51,7 +51,6 @@ class DickmanTable:
     u_max: float
     tol: float
     coeffs: tuple  # coeffs[m-1] covers [m, m+1]
-    err_bound: float
 
     def rho(self, u):
         """rho(u) for u in [0, u_max]; exact 1 on [0, 1]."""
@@ -128,12 +127,12 @@ def build_rho(u_max: float, tol: float) -> DickmanTable:
         pieces.append(c)
         rho_m = float(cheb.chebval(1.0, c))
 
-    return DickmanTable(u_max, tol, tuple(pieces), err)
+    return DickmanTable(u_max, tol, tuple(pieces))
 
 
-@lru_cache(maxsize=4)
-def default_table(u_max: float = 45.0, tol: float = 1e-10) -> DickmanTable:
-    return build_rho(u_max, tol)
+@lru_cache(maxsize=1)
+def default_table() -> DickmanTable:  # rho on [0, 45] to 1e-10
+    return build_rho(45.0, 1e-10)
 
 
 def _expint_series(s: complex) -> complex:
@@ -156,7 +155,8 @@ def expint_J(s: complex) -> complex:
     t = e^{i phi} tau with phi = sign(Im s) pi/4 (0 for real s), which keeps
     the pole at t = -s a distance >= |s| sin(pi/4) from the contour even
     arbitrarily close to the cut; the rotation is justified by the decay of
-    exp(-t) across the sector.
+    exp(-t) across the sector.  integrate_adaptive takes it to _J_TOL = 1e-13
+    from its 8 seed panels.
     """
     s = complex(s)
     if s.imag == 0.0 and s.real <= 0.0:
@@ -173,7 +173,7 @@ def expint_J(s: complex) -> complex:
     def f(t):  # a closed form, exact up to rounding: its error term is 0
         return rot * np.exp(-rot * t) / (s + rot * t), np.zeros_like(t)
 
-    res, _ = integrate_adaptive(f, 0.0, upper, _J_TOL, min_panels=16)
+    res, _ = integrate_adaptive(f, 0.0, upper, _J_TOL)
     return np.exp(-s) * res.value
 
 

@@ -3,12 +3,12 @@
 Each panel is integrated with the 15-point Kronrod rule, whose nodes include
 those of the 7-point Gauss rule (Piessens et al., QUADPACK, 1983, qk15);
 |K15 - G7| is the panel error estimate.  Refinement runs in rounds from
-evenly spaced seed panels: while the summed estimate is above the budget,
-a round bisects every panel whose estimate is above budget / (number of
-panels), worst first where the round would pass MAX_PANELS.  A budget
-still unmet at MAX_PANELS panels raises ToleranceUnachievable.  There are
-no caller-listed split points: the one delicate point of the integrands
-here, x = 0, is a seed edge of every symmetric interval.
+SEED_PANELS = 8 even seed panels: while the summed estimate is above the
+budget, a round bisects every panel whose estimate is above budget /
+(number of panels), worst first where the round would pass MAX_PANELS.  A
+budget still unmet at MAX_PANELS panels raises ToleranceUnachievable.
+There are no caller-listed split points: the one delicate point of the
+integrands here, x = 0, is a seed edge of every symmetric interval.
 
 The integrand returns (values, errors), errors[i] a bound on how far
 values[i] is from the exact integrand at node i.  The K15 weights are
@@ -43,6 +43,7 @@ _NODES = np.concatenate((-np.array(_XGK[:-1]), _XGK[::-1]))
 _K15 = np.concatenate((_WGK[:-1], _WGK[::-1]))
 _G7 = np.zeros(15)  # 0 at the Kronrod-only nodes
 _G7[1::2] = _WG[:-1] + _WG[::-1]
+SEED_PANELS = 8
 MAX_PANELS = 4096
 
 
@@ -50,12 +51,12 @@ MAX_PANELS = 4096
 class QuadResult:
     """Integral value with separated error budget.
 
-    quad_error is the discretization error.  From integrate_adaptive (the
-    main term, the g windows, dickman) it is the summed |K15 - G7|
-    Gauss-Kronrod difference over the panels, an estimate, not a proven
-    bound; from asymptotic.exact_integral's trapezoidal sum it is the
-    Trefethen-Weideman bound, a theorem's.  tail_bound bounds the rest: the
-    rule applied to the integrand's per-node errors, plus any window
+    quad_error is the discretization error.  From integrate_adaptive (the main
+    term, the g windows, expint_J) it is the summed |K15 - G7| Gauss-Kronrod
+    difference over the panels, an estimate, not a proven bound, held to the
+    tol its caller passes; from asymptotic.exact_integral's trapezoidal sum it
+    is the Trefethen-Weideman bound, a theorem's.  tail_bound bounds the rest:
+    the rule applied to the integrand's per-node errors, plus any window
     truncation and summation rounding the caller adds.
     """
 
@@ -90,11 +91,9 @@ def _eval_panels(f, segs) -> list:
     return panels
 
 
-def integrate_adaptive(
-    f, a: float, b: float, tol: float, min_panels: int = 8
-) -> tuple[QuadResult, float]:
+def integrate_adaptive(f, a: float, b: float, tol: float) -> tuple[QuadResult, float]:
     """Integrate vectorized `f` over [a, b] to absolute tolerance `tol`,
-    refining min_panels even seed panels round by round.
+    refining SEED_PANELS even seed panels round by round.
 
     f maps a node array to (values, errors), errors bounding each value's
     distance from the exact integrand.  Returns (QuadResult, E), where E is
@@ -105,9 +104,8 @@ def integrate_adaptive(
     """
     if not b > a:
         raise ValueError("need b > a")
-    edges = np.linspace(a, b, min_panels + 1)
+    edges = np.linspace(a, b, SEED_PANELS + 1)
     panels = _eval_panels(f, list(zip(edges[:-1], edges[1:])))
-    n_seeds = len(panels)
     while len(panels) < MAX_PANELS and math.fsum(p.error for p in panels) > tol:
         # worst first, and at least one: the sum can pass tol by rounding alone
         ranked = sorted(panels, key=lambda p: -p.error)
@@ -119,9 +117,7 @@ def integrate_adaptive(
             halves += [(p.a, mid), (mid, p.b)]
         panels = sorted(ranked[count:] + _eval_panels(f, halves), key=lambda p: p.a)
 
-    value = complex(
-        math.fsum(p.value.real for p in panels), math.fsum(p.value.imag for p in panels)
-    )
+    value = complex(math.fsum(p.value.real for p in panels), math.fsum(p.value.imag for p in panels))
     err = math.fsum(p.error for p in panels)
     if not err <= tol:
         raise ToleranceUnachievable(
@@ -129,5 +125,5 @@ def integrate_adaptive(
         )
     integrand_err = math.fsum(p.integrand_error for p in panels)
     # each split replaced one evaluated panel by two
-    n_nodes = len(_NODES) * (2 * len(panels) - n_seeds)
+    n_nodes = len(_NODES) * (2 * len(panels) - SEED_PANELS)
     return QuadResult(value, err, integrand_err, n_nodes), integrand_err

@@ -1,9 +1,11 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.special
 from numpy.polynomial import chebyshev as cheb
 
 from smoothsum import (
@@ -27,7 +29,7 @@ from smoothsum import (
     zeta,
     zeta_partial,
 )
-from smoothsum import asymptotic, euler_products, zeta_engine
+from smoothsum import asymptotic, dickman, euler_products, zeta_engine
 from smoothsum.dickman import rho_hat_path
 from smoothsum.zeta_engine import regular_factor_path
 from smoothsum.euler_products import g_abs_bound
@@ -264,10 +266,12 @@ def test_main_term_meets_tol_or_raises(f):
     # every return has quad_error + tail_bound <= tol; where the h model's
     # uncertainty alone passes tol (alpha = -3 and 5) the call raises.  At
     # alpha = -2, k = 2 the p = 2 factor of h vanishes at s = 1, which the
-    # ledger once divided by
+    # ledger once divided by.  At alpha = 3 + i, |h| reaches 9.7, and an h
+    # model accepted relative to |h| once filled the ledger
     grid = [(a, k, N, tol) for a in (1, -1, 2, -2, 0.5 + 0.5j, 0.5 - 0.5j, 1.5)
             for k in (2, 3) for N in (10**2, 10**4) for tol in (1e-6, 1e-8)]
     grid += [(a, k, 1000, tol) for a in (-3, 5) for k in (2, 3) for tol in (1e-6, 1e-8)]
+    grid += [(3 + 1j, 3, N, 1e-8) for N in (10**2, 10**5)]
     raised = []
     for alpha, k, N, tol in grid:
         try:
@@ -276,7 +280,54 @@ def test_main_term_meets_tol_or_raises(f):
             raised.append((alpha, k, N, tol))
             continue
         assert res.quad_error + res.tail_bound <= tol, (alpha, k, N, tol)
-    assert {r[0] for r in raised} >= {-3, 5}
+    assert set(raised) == {(-3, k, 1000, 1e-8) for k in (2, 3)} | {
+        (5, k, 1000, tol) for k in (2, 3) for tol in (1e-6, 1e-8)
+    }
+
+
+def _main_integrand(alpha, k, N, f, tol):
+    """The main term's integrand as a scalar function, from the same parts."""
+    log_n, half = math.log(N), 3.0 * math.log(N)
+    coeffs, _ = _h_contour(complex(alpha), k, 0, tol / 10.0)
+
+    def integrand(x):
+        xs = np.array([x])
+        a, _ = zeta_engine._euler_maclaurin(1.0 + 1j * xs / log_n)
+        logs = dickman.log_rho_hat_ix(xs) + np.log(a)
+        y = f.eval_fhat(xs) * np.exp(alpha * logs) * asymptotic._cheb_eval(xs / half, coeffs)
+        return complex(y[0])
+
+    return integrand
+
+
+@pytest.mark.parametrize("N", [10**2, 10**4, 10**6])
+def test_main_term_narrow_fhat_raises_or_matches_scipy(N):
+    # fhat is a spike of width 1/sigma at x = 0, which once fell between the
+    # seed nodes and came back as C_f = 0 with a tiny ledger.  Each call
+    # raises, for every tol or for none, or returns within its ledger of
+    # scipy's adaptive rule on the same integrand (h model of the finest
+    # tol), with breakpoints at 0 and at the edges of fhat's window
+    half = 3.0 * math.log(N)
+    outcomes = {}
+    for sigma in (1, 30, 100, 300, 1e3, 1e4):
+        g = make_gaussian(1, sigma)
+        results = []
+        for tol in (1e-3, 1e-7, 1e-9):
+            try:
+                results.append(main_term(SumParams(1, 2, N), g, tol))
+            except ToleranceUnachievable:
+                pass
+        outcomes[sigma] = len(results)
+        if results:
+            x = min(g.fhat_cutoff, 0.5 * half)
+            ref, _ = scipy.integrate.quad(
+                _main_integrand(1, 2, N, g, 1e-9), -half, half, points=[-x, 0.0, x],
+                complex_func=True, epsabs=1e-12, epsrel=1e-12, limit=400,
+            )
+            for res in results:
+                assert abs(res.value - ref) <= res.quad_error + res.tail_bound, (sigma, res)
+    assert set(outcomes.values()) <= {0, 3}, outcomes
+    assert outcomes[1] == 3 and outcomes[1e3] == 0
 
 
 def test_main_term_checks_the_branch_of_a_at_the_nodes(f, monkeypatch):
@@ -336,21 +387,24 @@ def test_tenenbaum_guard_is_relative_to_the_row():
     assert np.all(err > 1e-13)
 
 
-def test_main_term_non_integer_alpha_matches_path_route(f):
-    # the closed-form log rhohat and the principal log A at the nodes
-    # against the same integral built on the phase-unwrapped reference
-    # paths, on the same quadrature
+def test_main_term_non_integer_alpha_matches_closed_forms(f):
+    # the library's log rhohat and principal log A at the nodes against the
+    # same integral built from independent references, on the same
+    # quadrature: log rhohat(ix) = gamma - Cin(x) - i Si(x), that is
+    # Ci(|x|) - log|x| - i Si(x) from scipy's sici, and A = (s - 1) zeta(s)
+    # from mpmath
     alpha, k, tol = 0.5 + 0.5j, 3, 1e-8
     h_coeffs, _ = _h_contour(alpha, k, 0, tol / 10.0)
     for N in (10**2, 10**4):
         got = main_term(SumParams(alpha, k, N), f, tol)
-        half = 3.0 * math.log(N)
-        grid = np.linspace(-half, half, 2 * int(half) + 129)
-        rho_path = rho_hat_path(grid)
-        a_path = regular_factor_path(grid, math.log(N))
+        log_n, half = math.log(N), 3.0 * math.log(N)
 
         def integrand(xs):
-            logs = rho_path.log_at(xs) + a_path.log_at(xs)
+            si, ci = scipy.special.sici(xs)
+            log_rho = -np.log(np.abs(xs)) + ci - 1j * si
+            with mpmath.workdps(25):
+                a = np.array([complex((s - 1) * mpmath.zeta(s)) for s in 1.0 + 1j * xs / log_n])
+            logs = log_rho + np.log(a)
             y = f.eval_fhat(xs) * np.exp(alpha * logs) * cheb.chebval(xs / half, h_coeffs)
             return y, np.zeros_like(xs)
 
