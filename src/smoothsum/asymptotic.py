@@ -43,7 +43,7 @@ from .euler_products import (
 )
 from .euler_products import h_cutoff  # noqa: F401 -- perfbench/layers.py patches this binding
 from .params import SumParams
-from .quadrature import _WGK, _XGK, SEED_PANELS, QuadResult, integrate_adaptive
+from .quadrature import SEED_GAP, QuadResult, integrate_adaptive
 from .arith_core import UNIT, sieve_primes, split_sum
 
 
@@ -146,9 +146,11 @@ def make_test_constant() -> TestFunction:
     )
 
 
-def _require_transform(f: TestFunction) -> None:
+def _check_f_and_tol(f: TestFunction, tol: float) -> None:
     if f.eval_fhat is None:
         raise ValueError("this operation needs a test function with a transform")
+    if not 0 < tol <= 1e-3:
+        raise ValueError("tol must lie in (0, 1e-3]")
 
 
 def _g_integral(params: SumParams, f: TestFunction, lo: float, hi: float, tol: float) -> QuadResult:
@@ -252,9 +254,7 @@ def exact_integral(
     of the sum.  Raises ToleranceUnachievable when quad_error + tail_bound
     exceeds tol.
     """
-    _require_transform(f)
-    if not 0 < tol <= 1e-3:
-        raise ValueError("tol must lie in (0, 1e-3]")
+    _check_f_and_tol(f, tol)
     h, J, quad_error = _strip_rule(params, f, 0.5 * tol)
     value, node_err = _trapezoid(params, f, h, J)
     tail = f.fhat_tail_bound * g_abs_bound(params) + node_err
@@ -321,7 +321,8 @@ def _h_contour(alpha: complex, k: int, variant_N: int, h_tol: float):
             return coeffs, trunc + scale * lebesgue * math.expm1(log_err[0])
         if 2 * deg > _H_MAX_DEGREE:
             raise ToleranceUnachievable(
-                f"h contour interpolation did not reach tol {h_tol:.1e} at degree {_H_MAX_DEGREE}"
+                f"h contour interpolation did not reach tol {h_tol:.1e} at degree "
+                f"{_H_MAX_DEGREE}"
             )
         odd = sample(np.cos(np.pi / (2 * deg) * np.arange(1, 2 * deg, 2)))
         values, deg = np.insert(values, np.arange(1, deg + 1), odd), 2 * deg
@@ -343,16 +344,18 @@ def main_term(
     values instead of exp(alpha log) -- the cross-route oracle for the
     branch convention.  h_variant="finite" substitutes h_{alpha,k,N}, which
     the error-decomposition report uses to measure the h_N -> h substitution
-    step.  tol is split here, once: tol/10 to the h model, tol/2 to quadrature.
+    step.  The h model targets tol/10 for its uniform error h_unc (the ledger
+    multiplies h_unc by int |fhat P|), and the quadrature tol/2.
 
     quad_error is the G7/K15 Gauss-Kronrod difference of the window integral,
     an estimate rather than a bound.  tail_bound integrates each node's
     error |fhat P| (h_unc + c (|h| + h_unc)), with P = rhohat^alpha A^alpha,
     h_unc the h model's uniform error and c = expm1(-|alpha| log(1 - r)),
-    r A's relative error.  Raises ToleranceUnachievable when quad_error + tail_bound exceeds
-    tol or fhat is too narrow for the seed nodes, and UnwrapError where |arg A| >= pi/2 at a node.
+    r A's relative error.  Raises ToleranceUnachievable when quad_error +
+    tail_bound exceeds tol or fhat's window [-X, X] is narrower than 3 x1,
+    x1 the seed node nearest 0, and UnwrapError where |arg A| >= pi/2.
     """
-    _require_transform(f)
+    _check_f_and_tol(f, tol)
     alpha, k = params.alpha, params.k
     if f.eta <= max(1.0, 1.0 - alpha.real):
         raise EtaTooSmall(
@@ -361,8 +364,6 @@ def main_term(
         )
     if params.N < MAIN_TERM_MIN_N:
         raise ValueError(f"main_term needs N >= {MAIN_TERM_MIN_N}")
-    if not 0 < tol <= 1e-3:
-        raise ValueError("tol must lie in (0, 1e-3]")
     if h_variant not in ("infinite", "finite"):
         raise ValueError("h_variant must be 'infinite' or 'finite'")
     if use_integer_powers:
@@ -371,11 +372,9 @@ def main_term(
             raise ValueError("use_integer_powers needs integer alpha")
     log_n = params.log_n
     half = 3.0 * log_n
-    # fhat's mass at 0 reaches the seed estimates |K15 - G7| only through the Kronrod-only
-    # nodes +-x1 of weight w1: below the largest tol, 1e-3, there it may be integrated as 0
-    x1, w1 = half / SEED_PANELS * (1.0 - _XGK[0]), half / SEED_PANELS * _WGK[0]
-    if not w1 * np.sum(np.abs(f.eval_fhat(np.array([-x1, x1])))) >= 1e-3:
-        raise ToleranceUnachievable(f"fhat is too narrow for the seed nodes at +-{x1:.2e}")
+    # a spike at 0 reaches the seed estimates only through the nodes +-x1 nearest 0
+    if not f.fhat_cutoff >= 3.0 * half * SEED_GAP:
+        raise ToleranceUnachievable(f"fhat's window is narrower than {3.0 * half * SEED_GAP:.2e}")
     variant_N = params.N if h_variant == "finite" else 0
     h_coeffs, h_unc = _h_contour(alpha, k, variant_N, tol / 10.0)
 
@@ -525,9 +524,7 @@ def error_decomposition(
     term (the step lemma1_check measures), reported against
     (log N)^{Re alpha - 1} / N.
     """
-    _require_transform(f)
-    if not 0 < tol <= 1e-3:
-        raise ValueError("tol must lie in (0, 1e-3]")
+    _check_f_and_tol(f, tol)
     log_n = params.log_n
     w, x_max = 3.0 * log_n, f.fhat_cutoff
     i2 = 0.0

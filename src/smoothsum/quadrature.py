@@ -44,6 +44,7 @@ _K15 = np.concatenate((_WGK[:-1], _WGK[::-1]))
 _G7 = np.zeros(15)  # 0 at the Kronrod-only nodes
 _G7[1::2] = _WG[:-1] + _WG[::-1]
 SEED_PANELS = 8
+SEED_GAP = (1.0 - _XGK[0]) / SEED_PANELS  # seed edge to nearest node, per half-length
 MAX_PANELS = 4096
 
 
@@ -117,7 +118,9 @@ def integrate_adaptive(f, a: float, b: float, tol: float) -> tuple[QuadResult, f
             halves += [(p.a, mid), (mid, p.b)]
         panels = sorted(ranked[count:] + _eval_panels(f, halves), key=lambda p: p.a)
 
-    value = complex(math.fsum(p.value.real for p in panels), math.fsum(p.value.imag for p in panels))
+    value = complex(
+        math.fsum(p.value.real for p in panels), math.fsum(p.value.imag for p in panels)
+    )
     err = math.fsum(p.error for p in panels)
     if not err <= tol:
         raise ToleranceUnachievable(

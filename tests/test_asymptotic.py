@@ -306,10 +306,12 @@ def test_main_term_narrow_fhat_raises_or_matches_scipy(N):
     # seed nodes and came back as C_f = 0 with a tiny ledger.  Each call
     # raises, for every tol or for none, or returns within its ledger of
     # scipy's adaptive rule on the same integrand (h model of the finest
-    # tol), with breakpoints at 0 and at the edges of fhat's window
+    # tol), with breakpoints at 0 and at the edges of fhat's window.  A wide
+    # fhat is small everywhere (sigma/sqrt(2 pi)) and must not be refused;
+    # 55, 85 and 170 sit just inside the refusal edge at N = 10^6, 10^4, 10^2
     half = 3.0 * math.log(N)
     outcomes = {}
-    for sigma in (1, 30, 100, 300, 1e3, 1e4):
+    for sigma in (0.01, 0.03, 1, 30, 55, 85, 170, 300, 1e3, 1e4):
         g = make_gaussian(1, sigma)
         results = []
         for tol in (1e-3, 1e-7, 1e-9):
@@ -327,7 +329,8 @@ def test_main_term_narrow_fhat_raises_or_matches_scipy(N):
             for res in results:
                 assert abs(res.value - ref) <= res.quad_error + res.tail_bound, (sigma, res)
     assert set(outcomes.values()) <= {0, 3}, outcomes
-    assert outcomes[1] == 3 and outcomes[1e3] == 0
+    assert all(outcomes[s] == 3 for s in (0.01, 0.03, 1, 55)), outcomes
+    assert outcomes[300] == outcomes[1e3] == 0
 
 
 def test_main_term_checks_the_branch_of_a_at_the_nodes(f, monkeypatch):

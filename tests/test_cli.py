@@ -185,6 +185,7 @@ def test_huge_gaussian_sigma_ends_in_a_result_or_a_refusal(tmp_path, cmd):
         (["cfactor", "--alpha", "1e300,0", "--k", "2", "--N", "1000",
           "--f", "gaussian:1,0.4"], 3),
         (["cfactor", "--alpha", "1,0", "--k", "2", "--N", "100", "--f", "gaussian:1,1e3"], 3),
+        (["cfactor", "--alpha", "1,0", "--k", "2", "--N", "100", "--f", "gaussian:1,0.02"], 0),
         (["lemma1", "--alpha", "1e60,0", "--k", "2", "--N", "1000"], 3),
         (["exact", "--alpha", "1,0", "--k", "2", "--N", "100", "--f", "gaussian:1,1e300"], 3),
         (["exact", "--alpha", "1,0", "--k", "2", "--N", "100", "--f", "gaussian:1e300,0.4"], 3),
