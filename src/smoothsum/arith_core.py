@@ -21,6 +21,7 @@ from .params import check_alpha_k
 DEFAULT_COUNT_CAP = 200_000_000
 BLOCK_TERMS = 4096  # blocks this large are split; larger ones raised peak memory
 UNIT = 2.0**-53  # unit roundoff of a double
+EXP_LOG_ERR = 8.0 * UNIT  # relative error of numpy's float64 exp and log, taken as 4 ulp
 
 
 @dataclass(frozen=True)

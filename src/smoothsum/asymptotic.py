@@ -44,7 +44,7 @@ from .euler_products import (
 from .euler_products import h_cutoff  # noqa: F401 -- perfbench/layers.py patches this binding
 from .params import SumParams
 from .quadrature import SEED_GAP, QuadResult, integrate_adaptive
-from .arith_core import UNIT, sieve_primes, split_sum
+from .arith_core import EXP_LOG_ERR, UNIT, sieve_primes, split_sum
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,8 @@ class TestFunction:
     `fhat_tail_bound` of the mass of |fhat|.  A transform |fhat| that
     decreases in |x| and is entire carries `log_strip_bound`, a -> log S_f(a)
     with S_f(a) >= sup_{|y| <= a} int |fhat(x + iy)| dx; the exact route
-    needs it."""
+    needs it.  `eval_rounding` (t_max, dt) -> a bound on |eval_f(t')/f(t) - 1|
+    over 0 <= t <= t_max and |t' - t| <= dt, for the oracle's certificate."""
 
     eval_f: object
     eval_fhat: object
@@ -64,6 +65,7 @@ class TestFunction:
     sup_tail: object  # u -> sup_{u' > u} |f(u')|
     default_u_cutoff: float
     log_strip_bound: object
+    eval_rounding: object
 
 
 def _erfc_threshold(target: float) -> float:
@@ -104,6 +106,13 @@ def make_gaussian(mu: float, sigma: float, eta: float = 6.0) -> TestFunction:
         y /= -2.0 * s2
         return np.exp(y, out=y)
 
+    def rounding(t_max, dt):
+        # f rounds t' - mu, its square and the quotient: with d >= |t' - mu| the
+        # exponent is off by below d (delta + 3u d)/sigma^2, delta = dt + u d
+        d = max(abs(mu), abs(t_max - mu)) + dt
+        e = d * (dt + 4.0 * UNIT * d) / s2
+        return np.expm1(e + EXP_LOG_ERR)
+
     def fhat(x):
         x = np.asarray(x, dtype=np.float64)
         return c * np.exp(-0.5 * s2 * x**2) * np.exp(1j * mu * x)
@@ -128,6 +137,7 @@ def make_gaussian(mu: float, sigma: float, eta: float = 6.0) -> TestFunction:
         sup_tail=sup_tail,
         default_u_cutoff=mu + sigma * math.sqrt(60.0),
         log_strip_bound=lambda a: 0.5 * s2 * a**2 + abs(mu) * a,
+        eval_rounding=rounding,
     )
 
 
@@ -143,6 +153,7 @@ def make_test_constant() -> TestFunction:
         sup_tail=lambda u: 0.0 if math.isinf(u) else 1.0,
         default_u_cutoff=math.inf,
         log_strip_bound=None,
+        eval_rounding=lambda t_max, dt: 0.0,
     )
 
 

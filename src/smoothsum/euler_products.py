@@ -35,10 +35,10 @@ per node, the series truncation, plus on the moment route that 1e-16 and
 the rounding at the node's own degree and tau, so a node's error does not
 depend on its batch either.  The vector routes return (values, log_err)
 with that per-node bound, and their callers (asymptotic's exact route,
-lemma1_check, the h contour) read it instead of rebuilding it.  The
-point routes (g_product, zeta_partial, h_finite) always walk: they are the
-independent slow route; they carry the bound in tail_bound and raise
-DomainError where the product's value is past the double range.
+the h contour) read it instead of rebuilding it.  The point routes
+(g_product, zeta_partial, h_finite) always walk: they are the independent
+slow route; they carry the bound in tail_bound and raise DomainError
+where the product's value is past the double range.
 
 The infinite product h_{alpha,k} (`h_infinite_log_values`, which h_infinite
 and the main term's h contour sample) walks no prime past Q, the smallest
@@ -48,9 +48,8 @@ k = 2, 3).  Above Q, `h_tail_log_values` sums the same series over primes
 through the prime zeta function, P_{>Q}(w) = sum_j mu(j)/j log zeta_{>Q}(j w),
 with zeta from `zeta_engine` and log zeta_Q(u) taken as one log of the
 product over p <= Q per entry, exact since |log zeta_Q(u)| <= log zeta(2) < pi
-at Re u >= 2.  `lemma1_check` reads h_N/h - 1 off the tail above Q = 1024,
-corrected by the primes between N and 1024, so it sieves no prime past
-max(N, 1024).
+at Re u >= 2.  `lemma1_check` reads h_N/h - 1 off the same tail at Q = N,
+so it sieves no prime past max N.
 """
 
 import math
@@ -442,9 +441,10 @@ def h_tail_log_values(alpha: complex, k: int, s_nodes, Q: int) -> tuple[np.ndarr
     With e_m the factor-log coefficients at beta = -alpha (_series_coeff), the tail is
     sum_{m>=2} e_m P_{>Q}(m s), and the prime zeta function is
     P_{>Q}(w) = sum_j mu(j)/j log zeta_{>Q}(j w).  The pairs m j <= 8 are
-    kept, so the tail needs log zeta_{>Q}(n s) for n = 2..8 only (Ettahri,
-    Ramare and Surel, Math. Comp. 2021; H. Cohen, 1998), each with one log
-    of the product over p <= Q (_log_zeta_above).  The bound covers the
+    kept, so the tail needs log zeta_{>Q}(n s) for n = 2..8 only, and only
+    where its weight is not 0 (Ettahri, Ramare and Surel, Math. Comp. 2021;
+    H. Cohen, 1998), each with one log of the product over p <= Q
+    (_log_zeta_above).  The bound covers the
     truncation (_h_tail_trunc), zeta's error estimates and the rounding of
     the p <= Q subtraction, each weighted by sum |e_m|/j.  Needs Re(s) >= 1;
     raises ToleranceUnachievable where max(1,|alpha|)/Q^Re(s) > 1/2, since
@@ -469,13 +469,16 @@ def h_tail_log_values(alpha: complex, k: int, s_nodes, Q: int) -> tuple[np.ndarr
             if _MOBIUS[j]:
                 weights[m * j] += e * _MOBIUS[j] / j
                 abs_weights[m * j] += abs(e) / j
-    ns = np.arange(2, n_max + 1)
+    # a row of weight 0 would add only +-0; real integer alpha has such rows
+    ns = np.flatnonzero(abs_weights)
+    if not len(ns):
+        return np.zeros(len(s_nodes), dtype=np.complex128), np.full(len(s_nodes), bound)
     logs, errs = _log_zeta_above(np.outer(ns, s_nodes).ravel(), Q)
     logs = logs.reshape(len(ns), -1)
     errs = errs.reshape(len(ns), -1)
     # sums over n per node, not matrix products, whose bits may depend on the batch
-    bound += sum(w * row for w, row in zip(abs_weights[2:], errs))
-    return sum(w * row for w, row in zip(weights[2:], logs)), bound
+    bound += sum(w * row for w, row in zip(abs_weights[ns], errs))
+    return sum(w * row for w, row in zip(weights[ns], logs)), bound
 
 
 def h_infinite_log_values(alpha: complex, k: int, s_nodes, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -506,20 +509,6 @@ def h_infinite(alpha: complex, k: int, s: complex, tol: float) -> ProductValue:
     return _point(*h_infinite_log_values(check_alpha_k(alpha, k), k, complex(s), tol))
 
 
-def _head_round(alpha: complex, k: int, p_min: float) -> float:
-    """Rounding of h's exact piece logs per prime p > p_min on the 1-line, with
-    r = |alpha|/p_min >= |w| and c = (1+r)/((1-r)(1-r^k)) >= sum|w|^j / |sum w^j|
-    and >= e^|log| of a factor's modulus: the beta log 4 eps |alpha|; w = alpha z
-    and k-1 Horner steps 8 k eps c; the block product 3 eps; a log per block of
-    b primes, |log| <= b log c + pi, eps (log c + pi).  Rounding z moves
-    log h_p = O(z^2) by O(|alpha/p|^2) eps only.  Infinite where r >= 1."""
-    r = abs(alpha) / p_min
-    if r >= 1.0:
-        return math.inf
-    c = (1.0 + r) / ((1.0 - r) * (1.0 - r**k))
-    return _EPS * (4.0 * abs(alpha) + 8.0 * k * c + 3.0 + math.log(c) + math.pi)
-
-
 @dataclass(frozen=True)
 class Lemma1Report:
     """Measured agreement of h_{alpha,k,N} with its infinite-product limit."""
@@ -530,22 +519,20 @@ class Lemma1Report:
     max_errors: tuple  # max over the tau grid of |h_N/h - 1|, per N
     decay_ratios: tuple  # max_errors[i] / max_errors[i+1]
     expected_ratios: tuple  # (N_{i+1} log N_{i+1}) / (N_i log N_i)
-    tail_bound: float  # certified bound of the prime-zeta tail, in log(h_N/h), max over tau
+    tail_bound: float  # certified bound of the prime-zeta tail, in log(h_N/h), max over N and tau
 
 
 def lemma1_check(alpha: complex, k: int, N_values, tau_grid) -> Lemma1Report:
     """Measure max_tau |h_{alpha,k,N}(1+i tau)/h_{alpha,k}(1+i tau) - 1| per N
     and the decay ratio between consecutive N (the 1/(N log N) scaling).
 
-    h_N/h - 1 = expm1(-tail_{>N}), with tail_{>N} = sum_{p>N} log h_p read off
-    the prime-zeta tail above Q = 1024 (h_tail_log_values): minus the primes
-    in (Q, N] for N >= Q, plus those in (N, Q] for N < Q.  One sieve to
-    max(N, Q) serves every N.  Raises ToleranceUnachievable when the error
-    that tail_bound and the rounding of the sum between N and Q certify for
-    h_N/h - 1 exceeds 1% of its measured max, or when |alpha| is too large
-    for the tail series.  Refuses with ValueError a non-finite alpha, a k
-    that is not an integer >= 2 (params.check_alpha_k), an N below 100 and
-    an empty tau grid."""
+    h_N/h - 1 = expm1(-tail_{>N}), with tail_{>N} = sum_{p>N} log h_p the
+    prime-zeta tail above Q = N (h_tail_log_values), so no prime past max N
+    is sieved.  Raises ToleranceUnachievable when the error that the tail's
+    certified bound allows in h_N/h - 1 exceeds 1% of its measured max, or
+    when |alpha| is too large for the tail series.  Refuses with ValueError
+    a non-finite alpha, a k that is not an integer >= 2
+    (params.check_alpha_k), an N below 100 and an empty tau grid."""
     alpha = check_alpha_k(alpha, k)
     n_values = tuple(int(n) for n in N_values)
     if any(n < 100 for n in n_values):
@@ -553,41 +540,24 @@ def lemma1_check(alpha: complex, k: int, N_values, tau_grid) -> Lemma1Report:
     taus = np.asarray(list(tau_grid), dtype=np.float64)
     if taus.size == 0:
         raise ValueError("the tau grid is empty")
-    if alpha == 0:
-        errs, tail_bound = tuple(0.0 for _ in n_values), 0.0
-    else:
-        s_nodes = 1.0 + 1j * taus
-        Q = _SERIES_FLOOR
-        primes = sieve_primes(max(max(n_values), Q))
-        above_q, tail_bound = h_tail_log_values(alpha, k, s_nodes, Q)
-        # rounding per prime between N and Q: _head_round for exact piece logs, and for a
-        # series value a few eps times sum m |e_m| Q^(-m) per unit of relative error in p^(-s)
-        size = sum(
-            m * abs(_series_coeff(alpha, -alpha, k, m)) * Q**-m for m in range(2, _SERIES_TERMS + 1)
-        )
-        log_n_max = math.log(max(max(n_values), Q))
-        series_round = 4.0 * _EPS * (2.0 * float(np.max(np.abs(s_nodes))) * log_n_max + 3.0) * size
-        if series_floor(alpha, -alpha, k, 1.0, primes.bound)[0] >= primes.bound:
-            series_round = _head_round(alpha, k, Q)  # h_log_values takes exact piece logs
-        errs = []
-        for n in n_values:
-            between = _above(primes.restrict(max(n, Q)), min(n, Q))
-            # log_err: the series truncation and, on the moment route, its
-            # interpolation and rounding; the walk's rounding is per prime
-            logs, log_err = h_log_values(alpha, k, s_nodes, between)
-            tail = above_q - logs if n >= Q else above_q + logs
-            err = float(np.max(np.abs(np.expm1(-tail))))
-            rounding = log_err + len(between) * (series_round if n >= Q else _head_round(alpha, k, n))
-            # a log error d moves h_N/h - 1 by at most |h_N/h| expm1(d)
-            with np.errstate(over="ignore"):
-                spread = np.max(np.abs(np.exp(-tail)) * np.expm1(tail_bound + rounding))
-            if not spread <= 0.01 * err:
-                raise ToleranceUnachievable(
-                    f"lemma1 at N = {n}: certified error {spread:.2e} exceeds 1% of "
-                    f"the measured max |h_N/h - 1| = {err:.2e}"
-                )
-            errs.append(err)
-        errs = tuple(errs)
+    errs, tail_bound = [], 0.0
+    for n in n_values:
+        if alpha == 0:  # every h_p is 1
+            errs.append(0.0)
+            continue
+        tail, bound = h_tail_log_values(alpha, k, 1.0 + 1j * taus, n)
+        err = float(np.max(np.abs(np.expm1(-tail))))
+        # a log error d moves h_N/h - 1 by at most |h_N/h| expm1(d)
+        with np.errstate(over="ignore"):
+            spread = np.max(np.abs(np.exp(-tail)) * np.expm1(bound))
+        if not spread <= 0.01 * err:
+            raise ToleranceUnachievable(
+                f"lemma1 at N = {n}: certified error {spread:.2e} exceeds 1% of "
+                f"the measured max |h_N/h - 1| = {err:.2e}"
+            )
+        errs.append(err)
+        tail_bound = max(tail_bound, float(np.max(bound)))
+    errs = tuple(errs)
     ratios = tuple(
         errs[i] / errs[i + 1] if errs[i + 1] > 0 else math.inf
         for i in range(len(errs) - 1)
@@ -597,4 +567,4 @@ def lemma1_check(alpha: complex, k: int, N_values, tau_grid) -> Lemma1Report:
         / (n_values[i] * math.log(n_values[i]))
         for i in range(len(n_values) - 1)
     )
-    return Lemma1Report(alpha, k, n_values, errs, ratios, expected, float(np.max(tail_bound)))
+    return Lemma1Report(alpha, k, n_values, errs, ratios, expected, tail_bound)

@@ -13,9 +13,10 @@ into S_omega, and alpha^omega enters once per class.
 
 brute_S's certificate covers the truncation tail, by the trivial envelope
 sup_{u > cutoff} |f| * prod_p (1 + |alpha|/p + ... + |alpha|^{k-1}/p^{k-1}),
-and the summation: the residuals' bounds, each class's rounding of S_omega,
-alpha^omega and their product, and the last rounding.  The rounding in
-forming each real term (f, log n, exp) is not in it.
+the forming of each real term (log n, exp, f and their product), per class
+|alpha|^omega sum |t| times the terms' relative error, and the summation:
+the residuals' bounds, each class's rounding of S_omega, alpha^omega and
+their product, and the last rounding.
 
 One sequential loop sums the blocks in the enumeration's fixed order, so
 the result depends only on the arguments.
@@ -28,6 +29,7 @@ import numpy as np
 
 from .arith_core import (
     DEFAULT_COUNT_CAP,
+    EXP_LOG_ERR,
     UNIT,
     enumerate_kfree_smooth,
     extract_vector,
@@ -61,14 +63,16 @@ def brute_S(
     f(log n / log N) alpha^Omega(n) / n, as the sum of alpha^omega S_omega
     over the Omega classes up to the largest that holds a term.
 
-    tail_certificate bounds the truncation tail and the summation's
-    rounding: the residuals', weighted by |alpha|^omega over their scale,
-    and per class the rounding of S_omega (correctly rounded), of
-    alpha^omega (omega complex multiplies, each within sqrt(5) u; Brent,
-    Percival and Zimmermann, Math. Comp. 76, 2007) and of its product with
-    the real S_omega (one rounding per part), none of them underflowing.
-    The rounding in forming each real term f(log n / log N) e^{-log n} is
-    left out.
+    tail_certificate bounds the truncation tail, the rounding in forming
+    each real term f(log n / log N) e^{-log n} (relative to the term, at
+    most (omega + 9) u max log n plus exp's and f's own, f's from
+    f.eval_rounding; sum |t| over a class is S_omega unless a term is
+    negative) and the summation's rounding: the residuals', weighted by
+    |alpha|^omega over their scale, and per class the rounding of S_omega
+    (correctly rounded), of alpha^omega (omega complex multiplies, each
+    within sqrt(5) u; Brent, Percival and Zimmermann, Math. Comp. 76, 2007)
+    and of its product with the real S_omega (one rounding per part), none
+    of them underflowing.
 
     u_cutoff=None takes the test function's default (placed where its
     envelope drops below ~1e-13); math.inf sums every term.  More than
@@ -101,6 +105,7 @@ def brute_S(
     shifts = np.clip(np.floor(np.arange(classes) * log2_alpha), 0, 1023).astype(np.int64)
     scale = np.ldexp(1.0, shifts)
     sums, residual_err, terms, top = [], 0.0, 0, 0
+    negatives = np.zeros(classes)  # per class, the sum of its scaled terms below 0
     # an overflowing term is left to extract_vector and an overflowing class
     # product to the check below: both raise DomainError
     with np.errstate(over="ignore", invalid="ignore"):
@@ -109,6 +114,8 @@ def brute_S(
             np.exp(t, out=t)
             t *= f.eval_f(log_n / log_N)
             t *= scale[omega]
+            if t.min() < 0:  # sum |t| = sum t - 2 sum min(t, 0)
+                negatives += np.bincount(omega, np.minimum(t, 0.0), classes)
             hi, lo, err = extract_vector(t)
             sums += (np.bincount(omega, hi, classes), np.bincount(omega, lo, classes))
             residual_err += err
@@ -133,4 +140,13 @@ def brute_S(
         # pow_err
         cert += residual_err * float(np.max(np.ldexp(weight, -shifts)))
         cert += float(weight @ ((2.0 * UNIT + pow_err) * np.abs(s)))
+        # forming a term: fl(log n), a sum of d <= omega rounded e fl(log p), is
+        # within (omega + 9) u L of log n <= L; exp, f (at a quotient within 3u)
+        # and their product multiply the term by (1 + EXP_LOG_ERR)(1 + f_rel)(1 + u)
+        L = min(log_cap, (k - 1) * float(primes.log_primes.sum()))
+        log_err = (omegas + 9) * UNIT * L
+        f_rel = f.eval_rounding(L / log_N, (log_err + 3.0 * UNIT * L) / log_N)
+        form_rel = np.expm1(log_err + EXP_LOG_ERR + f_rel + UNIT)
+        abs_s = s - 2.0 * np.ldexp(negatives[: top + 1], -shifts)
+        cert += float(weight @ (form_rel * abs_s))
     return BruteResult(value, terms, float(u_cutoff), cert + UNIT * abs(value))

@@ -1,4 +1,6 @@
 import cmath
+import dataclasses
+import itertools
 import math
 import warnings
 
@@ -123,7 +125,7 @@ def test_sum_is_exactly_rounded(f_gauss):
 
 
 def test_full_sum_certificate_is_the_summation(f_const):
-    # with no tail, the certificate is the summation's rounding alone
+    # with no tail, the certificate is the rounding of forming and summing the terms
     r = brute_S(SumParams(0.5 + 0.5j, 3, 30), f_const, math.inf)
     assert 0.0 < r.tail_certificate < 1e-12
 
@@ -141,6 +143,30 @@ def test_class_products_are_covered(f_const):
             )
             gap = float(abs(mpmath.mpc(r.value) - ref))
         assert gap <= r.tail_certificate, (alpha, k, N, gap, r.tail_certificate)
+
+
+def test_certificate_covers_forming_the_terms(f_const):
+    """At large |alpha| the rounding in forming e^{-log n} dominates: the
+    certificate holds at least sum_omega |alpha|^omega S_omega omega u max log n,
+    from an enumeration of its own (5.4e-10 here; the summation's part alone
+    is 3.1e-11)."""
+    alpha, k, N = 6 + 2j, 3, 30
+    primes = sieve_primes(N).primes.tolist()
+    s_omega, log_max = [0.0] * (2 * len(primes) + 1), 0.0
+    for exps in itertools.product(range(k), repeat=len(primes)):
+        log_n = sum(e * math.log(p) for e, p in zip(exps, primes))
+        s_omega[sum(exps)] += math.exp(-log_n)
+        log_max = max(log_max, log_n)
+    floor = sum(abs(alpha) ** w * s * w * 2.0**-53 * log_max for w, s in enumerate(s_omega))
+    assert floor > 5e-10
+    assert brute_S(SumParams(alpha, k, N), f_const, math.inf).tail_certificate >= floor
+
+
+def test_negative_terms_are_certified_by_their_modulus(f_gauss):
+    # sum |t| of -f's classes is -S_omega: -f certifies as f does
+    minus = dataclasses.replace(f_gauss, eval_f=lambda t: -f_gauss.eval_f(t))
+    p = SumParams(6 + 2j, 3, 30)
+    assert brute_S(p, minus).tail_certificate == pytest.approx(brute_S(p, f_gauss).tail_certificate, rel=1e-12)
 
 
 def test_overflowing_power_of_an_empty_class(f_gauss):
