@@ -444,11 +444,11 @@ def h_tail_log_values(alpha: complex, k: int, s_nodes, Q: int) -> tuple[np.ndarr
     kept, so the tail needs log zeta_{>Q}(n s) for n = 2..8 only, and only
     where its weight is not 0 (Ettahri, Ramare and Surel, Math. Comp. 2021;
     H. Cohen, 1998), each with one log of the product over p <= Q
-    (_log_zeta_above).  The bound covers the
-    truncation (_h_tail_trunc), zeta's error estimates and the rounding of
-    the p <= Q subtraction, each weighted by sum |e_m|/j.  Needs Re(s) >= 1;
-    raises ToleranceUnachievable where max(1,|alpha|)/Q^Re(s) > 1/2, since
-    the series does not certify there.
+    (_log_zeta_above).  The bound covers the truncation (_h_tail_trunc),
+    zeta's error estimates and the rounding of the p <= Q subtraction, each
+    weighted by sum |e_m|/j.  Needs Re(s) >= 1; raises
+    ToleranceUnachievable where max(1,|alpha|)/Q^Re(s) > 1/2, since the
+    series does not certify there.
     """
     alpha = complex(alpha)
     s_nodes = np.atleast_1d(np.asarray(s_nodes, dtype=np.complex128))
