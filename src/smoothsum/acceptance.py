@@ -1,12 +1,14 @@
 """The acceptance gate.
 
-Each criterion is a function returning a CheckResult with a small result
-table; the CLI `verify-all` subcommand and tests/test_acceptance.py both run
-these, so the gate is a single source of truth.  Criteria with a stated
-runtime budget fail when they exceed it.
+Each criterion body returns (ok, detail, rows) and is registered, in
+definition order, in CRITERIA with its number, name, table header and
+optional runtime budget.  One runner times each body and fails it past its
+budget; the CLI `verify-all` subcommand and tests/test_acceptance.py both run
+the registry, so the gate is a single source of truth.
 """
 
 import cmath
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -67,11 +69,39 @@ def csv_body(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def check_oracle_equivalence() -> CheckResult:
+CRITERIA = []  # the registered checks, in definition order
+
+
+def criterion(number: int, name: str, header: tuple, budget: float | None = None):
+    """Register a body returning (ok, detail, rows) as the check that times
+    it once on a monotonic clock, fails it past `budget` seconds and builds
+    its CheckResult."""
+
+    def register(body):
+        @functools.wraps(body)
+        def check() -> CheckResult:
+            t0 = time.perf_counter()
+            ok, detail, rows = body()
+            elapsed = time.perf_counter() - t0
+            ok = ok and (budget is None or elapsed < budget)
+            return CheckResult(number, name, ok, detail, elapsed, header, rows)
+
+        CRITERIA.append(check)
+        return check
+
+    return register
+
+
+@criterion(
+    1,
+    "oracle-equivalence",
+    ("alpha", "k", "N", "gap", "quad_error", "tail_bound", "tail_certificate", "ok"),
+    budget=120.0,
+)
+def check_oracle_equivalence():
     """1. exact_integral agrees with brute_S within the stated certificates."""
-    t0 = time.time()
     f = make_gaussian(1, 0.4)
-    rows, ok = [], True
+    rows = []
     for alpha in (0, 1, -1, 0.5 + 0.5j):
         for k in (2, 3):
             for N in (10, 30):
@@ -86,28 +116,17 @@ def check_oracle_equivalence() -> CheckResult:
                     and ex.tail_bound <= 1e-7
                     and br.tail_certificate <= 1e-7
                 )
-                ok = ok and good
                 rows.append(
                     (alpha, k, N, gap, ex.quad_error, ex.tail_bound, br.tail_certificate, good)
                 )
-    elapsed = time.time() - t0
-    ok = ok and elapsed < 120.0
-    worst = max(r[3] for r in rows)
-    return CheckResult(
-        1,
-        "oracle-equivalence",
-        ok,
-        f"16 parameter combinations, worst |exact-brute| = {worst:.2e}",
-        elapsed,
-        ("alpha", "k", "N", "gap", "quad_error", "tail_bound", "tail_certificate", "ok"),
-        rows,
-    )
+    detail = f"16 parameter combinations, worst |exact-brute| = {max(r[3] for r in rows):.2e}"
+    return all(r[-1] for r in rows), detail, rows
 
 
-def check_product_identity() -> CheckResult:
+@criterion(2, "product-identity", ("case", "count", "residual", "ok"))
+def check_product_identity():
     """2. log g = alpha log zeta_N + log h factorwise, and brute_S(f=1) equals
     the closed-form product."""
-    t0 = time.time()
     rng = np.random.default_rng(20260809)
     worst_ident = 0.0
     rows = []
@@ -135,15 +154,11 @@ def check_product_identity() -> CheckResult:
         worst_brute = max(worst_brute, rel)
         rows.append((f"brute_vs_g a={alpha} k={k} N={N}", br.terms_used, rel, rel <= 1e-12))
     ok = worst_ident <= 1e-10 and worst_brute <= 1e-12
-    return CheckResult(
-        2,
-        "product-identity",
-        ok,
-        f"identity residual {worst_ident:.2e} (<=1e-10); brute vs product rel {worst_brute:.2e} (<=1e-12)",
-        time.time() - t0,
-        ("case", "count", "residual", "ok"),
-        rows,
+    detail = (
+        f"identity residual {worst_ident:.2e} (<=1e-10); "
+        f"brute vs product rel {worst_brute:.2e} (<=1e-12)"
     )
+    return ok, detail, rows
 
 
 def _expint_cf(z: complex, tol: float = 1e-14, max_iter: int = 600) -> complex:
@@ -166,9 +181,9 @@ def _expint_cf(z: complex, tol: float = 1e-14, max_iter: int = 600) -> complex:
     raise RuntimeError("continued fraction did not converge")
 
 
-def check_golden_values() -> CheckResult:
+@criterion(3, "golden-values", ("check", "tolerance", "residual", "ok"), budget=60.0)
+def check_golden_values():
     """3. Special-function golden values, each against an independent route."""
-    t0 = time.time()
     rows = []
     table = dickman.default_table()
 
@@ -194,147 +209,97 @@ def check_golden_values() -> CheckResult:
         rows.append((f"h_infinite(1,{k},1) vs 1/zeta({k})", 1e-8, diff, diff <= 1e-8))
     z2 = abs(zeta_engine.zeta(2.0).zeta - math.pi**2 / 6.0)
     rows.append(("zeta(2) vs pi^2/6", 1e-10, z2, z2 <= 1e-10))
-
-    elapsed = time.time() - t0
-    ok = all(r[3] for r in rows) and elapsed < 60.0
-    return CheckResult(
-        3,
-        "golden-values",
-        ok,
-        f"rho/rhohat/J/h/zeta golden checks, worst J residual {worst_j:.2e}",
-        elapsed,
-        ("check", "tolerance", "residual", "ok"),
-        rows,
-    )
+    detail = f"rho/rhohat/J/h/zeta golden checks, worst J residual {worst_j:.2e}"
+    return all(r[3] for r in rows), detail, rows
 
 
-def check_tenenbaum() -> CheckResult:
+@criterion(4, "tenenbaum-lemma", ("N", "max_rel_err", "argmax_tau", "L_eps"), budget=300.0)
+def check_tenenbaum():
     """4. The partial-zeta factorization error decreases along the N ladder
     and is <= 0.1 at the top."""
-    t0 = time.time()
-    ladder = [10**3, 10**4, 10**5, 10**6]
-    taus = np.linspace(-3.0, 3.0, 25)
-    rep = tenenbaum_check(ladder, taus)
+    rep = tenenbaum_check([10**3, 10**4, 10**5, 10**6], np.linspace(-3.0, 3.0, 25))
     errs = [r.max_rel_err for r in rep]
     decreasing = all(errs[i] > errs[i + 1] for i in range(len(errs) - 1))
-    ok = decreasing and errs[-1] <= 0.1
-    elapsed = time.time() - t0
-    ok = ok and elapsed < 300.0
     rows = [(r.N, r.max_rel_err, r.argmax_tau, r.l_eps) for r in rep]
-    return CheckResult(
-        4,
-        "tenenbaum-lemma",
-        ok,
-        f"max rel errors {['%.2e' % e for e in errs]}, decreasing={decreasing}",
-        elapsed,
-        ("N", "max_rel_err", "argmax_tau", "L_eps"),
-        rows,
-    )
+    detail = f"max rel errors {['%.2e' % e for e in errs]}, decreasing={decreasing}"
+    return decreasing and errs[-1] <= 0.1, detail, rows
 
 
-def check_lemma1() -> CheckResult:
+@criterion(
+    5, "lemma1-trend", ("alpha", "k", "err_1e3", "err_1e4", "ratio", "expected_ratio", "ok")
+)
+def check_lemma1():
     """5. |h_N/h - 1| shrinks by >= 8x from N=10^3 to 10^4."""
-    t0 = time.time()
     taus = np.linspace(-3.0, 3.0, 25)
-    rows, ok = [], True
+    rows = []
     for alpha in (1.0, 0.5 + 0.5j):
         rep = lemma1_check(alpha, 2, [10**3, 10**4], taus)
         ratio = rep.decay_ratios[0]
-        good = ratio >= 8.0
-        ok = ok and good
-        rows.append((alpha, 2, rep.max_errors[0], rep.max_errors[1], ratio, rep.expected_ratios[0], good))
-    return CheckResult(
-        5,
-        "lemma1-trend",
-        ok,
-        f"decay ratios {[f'{r[4]:.1f}' for r in rows]} (need >= 8, scaling ~13.3)",
-        time.time() - t0,
-        ("alpha", "k", "err_1e3", "err_1e4", "ratio", "expected_ratio", "ok"),
-        rows,
-    )
+        errs = rep.max_errors
+        rows.append((alpha, 2, errs[0], errs[1], ratio, rep.expected_ratios[0], ratio >= 8.0))
+    detail = f"decay ratios {[f'{r[4]:.1f}' for r in rows]} (need >= 8, scaling ~13.3)"
+    return all(r[-1] for r in rows), detail, rows
 
 
-def check_theorem2() -> CheckResult:
+@criterion(
+    6,
+    "theorem2-convergence",
+    ("alpha", "k", "N", "S_exact", "C_f", "E_measured", "envelope", "ok"),
+    budget=600.0,
+)
+def check_theorem2():
     """6. |E measured| strictly decreasing along the N ladder with >= 5x total
     shrink, S computed via the exact integral."""
-    t0 = time.time()
     f = make_gaussian(1, 0.4)
     ladder = [10**2, 10**3, 10**4, 10**5]
-    rows, ok = [], True
+    rows = []
     for alpha, k in ((1, 2), (-1, 2), (0.5 + 0.5j, 3)):
         rep = theorem2_report([SumParams(alpha, k, N) for N in ladder], f, tol=1e-6)
         es = [r.e_measured for r in rep]
         decreasing = all(es[i] > es[i + 1] for i in range(len(es) - 1))
-        shrink = es[-1] <= es[0] / 5.0
-        ok = ok and decreasing and shrink
+        good = decreasing and es[-1] <= es[0] / 5.0
         for r in rep:
-            rows.append(
-                (alpha, k, r.params.N, r.s_exact, r.c_f, r.e_measured, r.envelope, decreasing and shrink)
-            )
-    elapsed = time.time() - t0
-    ok = ok and elapsed < 600.0
-    return CheckResult(
-        6,
-        "theorem2-convergence",
-        ok,
-        f"3 parameter sets over N ladder {ladder}",
-        elapsed,
-        ("alpha", "k", "N", "S_exact", "C_f", "E_measured", "envelope", "ok"),
-        rows,
-    )
+            rows.append((alpha, k, r.params.N, r.s_exact, r.c_f, r.e_measured, r.envelope, good))
+    return all(r[-1] for r in rows), f"3 parameter sets over N ladder {ladder}", rows
 
 
-def check_alpha_zero() -> CheckResult:
+@criterion(7, "alpha-zero", ("check", "terms", "residual", "ok"))
+def check_alpha_zero():
     """7. Degenerate alpha = 0: one term, exact value, tiny E."""
-    t0 = time.time()
     f = make_gaussian(1, 0.4)
     p = SumParams(0, 2, 100)
     br = brute_S(p, f)
     f0 = complex(np.complex128(f.eval_f(0.0)))
     exact_one_term = br.terms_used == 1 and br.value == f0
-    rep = theorem2_report([p], f, tol=1e-7)
-    e = rep[0].e_measured
-    ok = exact_one_term and e <= 1e-6
+    e = theorem2_report([p], f, tol=1e-7)[0].e_measured
     rows = [
         ("brute single term", br.terms_used, abs(br.value - f0), exact_one_term),
         ("theorem2 |E|", 1, e, e <= 1e-6),
     ]
-    return CheckResult(
-        7,
-        "alpha-zero",
-        ok,
-        f"brute = f(0) exactly ({exact_one_term}), |E| = {e:.2e} <= 1e-6",
-        time.time() - t0,
-        ("check", "terms", "residual", "ok"),
-        rows,
-    )
+    detail = f"brute = f(0) exactly ({exact_one_term}), |E| = {e:.2e} <= 1e-6"
+    return exact_one_term and e <= 1e-6, detail, rows
 
 
-def check_vinogradov_korobov() -> CheckResult:
+@criterion(8, "vinogradov-korobov", ("t", "zeta_abs", "bound", "ok"))
+def check_vinogradov_korobov():
     """8. |zeta(1+it)| <= 76.2 (log|t|)^{2/3} at the stated points."""
-    t0 = time.time()
-    rows, ok = [], True
+    rows = []
     for t in (3.0, 10.0, 1e3, 1e6):
         r = zeta_engine.vk_check(t)
-        ok = ok and r.passed
         rows.append((t, r.zeta_abs, r.bound, r.passed))
-    return CheckResult(
-        8,
-        "vinogradov-korobov",
-        ok,
-        "bound holds at t in {3, 10, 1e3, 1e6}",
-        time.time() - t0,
-        ("t", "zeta_abs", "bound", "ok"),
-        rows,
-    )
+    return all(r[-1] for r in rows), "bound holds at t in {3, 10, 1e3, 1e6}", rows
 
 
-def check_branch_robustness() -> CheckResult:
+@criterion(
+    9,
+    "branch-robustness",
+    ("alpha", "route_gap", "refinement_move", "nodes", "refined_nodes", "quad_error", "ok"),
+)
+def check_branch_robustness():
     """9. Branched powers equal direct integer powers; C_f refined to tol/10
     takes more nodes and moves by at most the base call's quad_error."""
-    t0 = time.time()
     f = make_gaussian(1, 0.4)
-    rows, ok = [], True
+    rows = []
     for alpha in (1, 2):
         p = SumParams(alpha, 2, 1000)
         a = main_term(p, f, 1e-9)
@@ -343,30 +308,9 @@ def check_branch_robustness() -> CheckResult:
         route_gap = abs(a.value - b.value)
         move = abs(a.value - c.value)
         good = route_gap <= 1e-9 and move <= a.quad_error and c.node_count > a.node_count
-        ok = ok and good
         rows.append((alpha, route_gap, move, a.node_count, c.node_count, a.quad_error, good))
-    return CheckResult(
-        9,
-        "branch-robustness",
-        ok,
-        f"route gaps {[f'{r[1]:.1e}' for r in rows]} (<=1e-9); refinement within quad_error",
-        time.time() - t0,
-        ("alpha", "route_gap", "refinement_move", "nodes", "refined_nodes", "quad_error", "ok"),
-        rows,
-    )
-
-
-CRITERIA = (
-    check_oracle_equivalence,
-    check_product_identity,
-    check_golden_values,
-    check_tenenbaum,
-    check_lemma1,
-    check_theorem2,
-    check_alpha_zero,
-    check_vinogradov_korobov,
-    check_branch_robustness,
-)
+    detail = f"route gaps {[f'{r[1]:.1e}' for r in rows]} (<=1e-9); refinement within quad_error"
+    return all(r[-1] for r in rows), detail, rows
 
 
 def run_criteria() -> list:

@@ -86,7 +86,9 @@ def make_gaussian(mu: float, sigma: float, eta: float = 6.0) -> TestFunction:
     Decay is super-polynomial, so any requested eta is certified; the window
     cutoff puts the |fhat| tail below 1e-14 (closed form erfc).  On the line
     Im x = y, int |fhat(x + iy)| dx = exp(sigma^2 y^2 / 2 - mu y), so the
-    strip bound is log S_f(a) = sigma^2 a^2 / 2 + |mu| a.
+    strip bound is log S_f(a) = sigma^2 a^2 / 2 + |mu| a.  The default u
+    cutoff mu + sigma sqrt(60), where the envelope is e^-30, is clamped at 0:
+    for mu < -sigma sqrt(60) the envelope on u >= 0 is below e^-30 already.
     """
     mu, sigma, eta = float(mu), float(sigma), float(eta)
     if not all(map(math.isfinite, (mu, sigma, eta))):
@@ -135,7 +137,7 @@ def make_gaussian(mu: float, sigma: float, eta: float = 6.0) -> TestFunction:
         fhat_cutoff=x_max,
         fhat_tail_bound=tail,
         sup_tail=sup_tail,
-        default_u_cutoff=mu + sigma * math.sqrt(60.0),
+        default_u_cutoff=max(0.0, mu + sigma * math.sqrt(60.0)),
         log_strip_bound=lambda a: 0.5 * s2 * a**2 + abs(mu) * a,
         eval_rounding=rounding,
     )

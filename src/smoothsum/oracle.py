@@ -72,7 +72,9 @@ def brute_S(
     (correctly rounded), of alpha^omega (omega complex multiplies, each
     within sqrt(5) u; Brent, Percival and Zimmermann, Math. Comp. 76, 2007)
     and of its product with the real S_omega (one rounding per part), none
-    of them underflowing.
+    of them underflowing.  At alpha = 0 the sum is the one term f(0), and
+    the certificate is f's rounding of it, f.eval_rounding(0, 0) |f(0)|
+    (0 for f = 1).
 
     u_cutoff=None takes the test function's default (placed where its
     envelope drops below ~1e-13); math.inf sums every term.  More than
@@ -91,7 +93,7 @@ def brute_S(
         raise ValueError("count_cap must be >= 0")
     if params.alpha == 0:  # alpha^Omega kills every n > 1
         value = complex(np.complex128(f.eval_f(0.0)))
-        return BruteResult(value, 1, float(u_cutoff), 0.0)
+        return BruteResult(value, 1, float(u_cutoff), float(f.eval_rounding(0.0, 0.0) * abs(value)))
     # the envelope first: parameters past the double range raise here
     cert = 0.0 if math.isinf(u_cutoff) else f.sup_tail(u_cutoff) * g_abs_bound(params)
     primes = sieve_primes(params.N)

@@ -191,6 +191,8 @@ def test_huge_gaussian_sigma_ends_in_a_result_or_a_refusal(tmp_path, cmd):
         (["exact", "--alpha", "1,0", "--k", "2", "--N", "100", "--f", "gaussian:1e300,0.4"], 3),
         (["brute", "--alpha", "1,0", "--k", "2", "--N", "30", "--f", "gaussian:1,0.4",
           "--u-cutoff", "1e200"], 0),
+        # a Gaussian centred below 0 takes its default cutoff, clamped at 0
+        (["brute", "--f", "gaussian:-3,0.1", "--alpha", "1,0", "--k", "2", "--N", "30"], 0),
     ],
     ids=lambda v: " ".join(v[:3]) if isinstance(v, list) else f"exit{v}",
 )

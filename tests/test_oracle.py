@@ -30,11 +30,21 @@ def f_gauss():
     return make_gaussian(1, 0.4)
 
 
-def test_alpha_zero_single_term(f_gauss):
-    r = brute_S(SumParams(0, 2, 1000), f_gauss)
-    assert r.terms_used == 1
-    assert r.value == complex(np.complex128(f_gauss.eval_f(0.0)))
-    assert r.tail_certificate == 0.0
+def test_alpha_zero_single_term(f_const):
+    # the one term f(0) is a rounded evaluation: its certificate covers a
+    # 40-digit exp(-mu^2 / (2 sigma^2)), sigma the double the Gaussian gets
+    p = SumParams(0, 2, 1000)
+    for mu, sigma in itertools.product((-3.0, -0.5, 1.0, 2.0), (0.1, 0.4, 0.7, 3.0)):
+        f = make_gaussian(mu, sigma)
+        r = brute_S(p, f)
+        assert r.terms_used == 1
+        assert r.value == complex(np.complex128(f.eval_f(0.0)))
+        with mpmath.workdps(40):
+            ref = mpmath.exp(-mpmath.mpf(mu) ** 2 / (2 * mpmath.mpf(sigma) ** 2))
+            assert abs(r.value.real - ref) <= r.tail_certificate
+        assert r.tail_certificate > 0
+    r = brute_S(p, f_const)
+    assert (r.value, r.tail_certificate) == (1.0, 0.0)
 
 
 def test_full_sum_equals_product(f_const):
