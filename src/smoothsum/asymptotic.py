@@ -17,11 +17,11 @@ The zeta^alpha (ix/log N)^alpha grouping is evaluated as A(x)^alpha with
 A = (s-1) zeta(s): both A and rhohat are nonvanishing on the contour, and
 each complex power is exp(alpha log) with the log continuous from the
 real-positive anchors A(0) = 1 and rhohat(0) = e^gamma.  log rhohat(ix) is
-the closed form gamma - Ein(ix) (dickman.log_rho_hat_ix); A is evaluated
-at each quadrature node, where |arg A| < pi/2 makes its principal log the
-continuous one (checked).  The integer-power route through rho_hat and the
-same A cross-checks the powers.  Both routes' integrands return a bound on
-their error at every node, which the rule integrates into tail_bound.
+the closed form gamma - Ein(ix) (dickman.log_rho_hat_ix); log A, like h, is
+sampled once on |x/log N| <= 3 (_h_contour), where |arg A| < pi/2 makes its
+principal log the continuous one (checked).  The integer-power route through
+rho_hat and A at each node cross-checks the powers.  Both routes' integrands
+return a bound on their error at every node, which the rule integrates into tail_bound.
 (log N)^alpha always means exp(alpha log log N), the real-positive branch.
 """
 
@@ -280,65 +280,89 @@ _H_MAX_DEGREE = 512
 MAIN_TERM_MIN_N = 20
 
 
-def _cheb_eval(t, coeffs) -> np.ndarray:
-    """sum_j c_j T_j(t), t in [-1, 1], as one product with the basis cos(j arccos t),
-    summed row by row: a BLAS product's bits may depend on the batch."""
-    theta = np.arccos(np.clip(t, -1.0, 1.0))
-    return (np.cos(np.outer(theta, np.arange(len(coeffs)))) * coeffs).sum(axis=1)
+def _barycentric_row(t, points) -> np.ndarray:
+    """Each t's Lagrange basis row on the Chebyshev extreme points, by the second
+    barycentric form (Berrut and Trefethen, SIAM Review 46, 2004); a t on a point
+    gets its unit row.  Rows are summed one by one: no bit depends on the batch."""
+    weights = np.where(np.arange(len(points)) % 2, -1.0, 1.0)
+    weights[[0, -1]] *= 0.5
+    diff = np.asarray(t, dtype=np.float64)[:, None] - points
+    with np.errstate(divide="ignore", invalid="ignore"):
+        row = weights / diff
+        total = row.sum(axis=1)  # infinite only where t is on a point
+        row /= total[:, None]
+    on_point = ~np.isfinite(total)
+    row[on_point] = diff[on_point] == 0.0
+    return row
+
+
+def _cheb_trunc(values, deg: int) -> tuple[float, float]:
+    """(E, 2 E r/(1 - r)) of the interpolant through values at the Chebyshev extreme
+    points, E its last coefficients' size (one FFT of the even extension: a DCT-I)."""
+    coeffs = np.fft.fft(np.concatenate((values, values[-2:0:-1])))[: deg + 1] / deg
+    coeffs[[0, deg]] *= 0.5
+    # the interpolant is off by at most 2 sum_{j>n} |a_j| (ATAP Thm 4.2), and
+    # analytic coefficients decay like r^j (Thm 8.1): r is read off their
+    # envelope from n/2 to n, at most 1 - 1/n where it sits at rounding
+    tail = float(np.max(np.abs(coeffs[-4:])))
+    mid = float(np.max(np.abs(coeffs[deg // 2 - 3 : deg // 2 + 1])))
+    r = min((tail / max(mid, tail, 1e-300)) ** (2.0 / deg), 1.0 - 1.0 / deg)
+    return tail, 2.0 * tail * r / (1.0 - r)
 
 
 @lru_cache(maxsize=64)
 def _h_contour(alpha: complex, k: int, variant_N: int, h_tol: float):
-    """Chebyshev model of tau -> h(1 + i tau) on |tau| <= 3.
+    """Chebyshev models of h(1 + i tau) and log A(1 + i tau) on |tau| <= 3.
 
     The main-term contour is s = 1 + ix/log N with |x| <= 3 log N, i.e.
-    always the segment |tau| <= 3 of the 1-line, so one interpolant serves
-    every N.  variant_N = 0 selects the infinite product
+    always the segment |tau| <= 3 of the 1-line, so one model serves every
+    N.  variant_N = 0 selects the infinite product
     (euler_products.h_infinite_log_values), which raises
     ToleranceUnachievable when the tail's certified bound exceeds h_tol;
     variant_N = N > 0 selects h_{alpha,k,N}, a walk over every p <= N.
 
-    h is sampled at the Chebyshev extreme points t_j = cos(pi j/n), and the
-    coefficients are one FFT of the samples' even extension (a DCT-I; ATAP,
-    chs. 2-3); the points nest, so doubling n samples only the n new ones.  A
-    degree is accepted at a truncation estimate <= h_tol/2, an absolute error.
-    Returns (coeffs, uniform_abs_error); query at t = x / (3 log N).
+    Both are sampled at the Chebyshev extreme points t_j = cos(pi j/n), A by one
+    Euler-Maclaurin batch; the points nest, so doubling n samples only the n new
+    ones.  A degree is accepted at h's truncation estimate <= h_tol/2 (absolute);
+    log A, the principal log (UnwrapError where |arg A| >= pi/2 at a sample), is
+    at rounding from n = 64.  Returns the t_j, both samples and both uniform errors.
     """
-    log_err = [0.0]
 
     def sample(ts):
         s_nodes = 1.0 + 3.0j * ts
+        a, a_err = zeta_engine._euler_maclaurin(s_nodes)
+        log_a = np.log(a)
+        if np.any(np.abs(log_a.imag) >= 0.5 * math.pi):
+            raise UnwrapError("|arg A| reaches pi/2 on |tau| <= 3")
         if variant_N > 0:
-            logs, err = h_log_values(alpha, k, s_nodes, sieve_primes(variant_N))
+            logs, log_err = h_log_values(alpha, k, s_nodes, sieve_primes(variant_N))
         else:
-            logs, err = h_infinite_log_values(alpha, k, s_nodes, h_tol)
-        log_err[0] = max(log_err[0], float(np.max(err)))
-        return np.exp(logs)
+            logs, log_err = h_infinite_log_values(alpha, k, s_nodes, h_tol)
+        # A = a (1 + v) moves log A by <= -log(1 - |v|); the log rounds within this
+        a_log_err = EXP_LOG_ERR * (1.0 + np.abs(log_a)) - np.log1p(-np.minimum(a_err / np.abs(a), 1.0))
+        return ts, np.exp(logs), log_err, log_a, a_log_err
 
     deg = 64
-    values = sample(np.cos(np.pi / deg * np.arange(deg + 1)))
+    samples = sample(np.cos(np.pi / deg * np.arange(deg + 1)))
     while True:
-        coeffs = np.fft.fft(np.concatenate((values, values[-2:0:-1])))[: deg + 1] / deg
-        coeffs[[0, deg]] *= 0.5
-        # the interpolant is off by at most 2 sum_{j>n} |a_j| (ATAP Thm 4.2),
-        # and h's coefficients decay like r^j (Thm 8.1): r is read off their
-        # envelope from n/2 to n, at most 1 - 1/n where it sits at rounding
-        tail = float(np.max(np.abs(coeffs[-4:])))
-        mid = float(np.max(np.abs(coeffs[deg // 2 - 3 : deg // 2 + 1])))
-        r = min((tail / max(mid, tail, 1e-300)) ** (2.0 / deg), 1.0 - 1.0 / deg)
-        trunc = 2.0 * tail * r / (1.0 - r)
+        points, h, log_err, log_a, a_log_err = samples
+        tail, trunc = _cheb_trunc(h, deg)
         if max(tail, trunc) <= 0.5 * h_tol:
-            # sample errors reach the interpolant through its Lebesgue constant
+            # sample errors reach a model through its Lebesgue constant L, and its
+            # row rounds within (6n + 6) u L max|sample| (Higham, IMA JNA 24, 2004)
             lebesgue = 2.0 / math.pi * math.log(deg + 1) + 1.0
-            scale = float(np.max(np.abs(values)))
-            return coeffs, trunc + scale * lebesgue * math.expm1(log_err[0])
+            rounding = (6 * deg + 6) * UNIT * lebesgue
+            h_unc = trunc + float(np.max(np.abs(h))) * (lebesgue * math.expm1(np.max(log_err)) + rounding)
+            delta = _cheb_trunc(log_a, deg)[1] + lebesgue * float(np.max(a_log_err))
+            return points, h, log_a, h_unc, delta + float(np.max(np.abs(log_a))) * rounding
         if 2 * deg > _H_MAX_DEGREE:
             raise ToleranceUnachievable(
                 f"h contour interpolation did not reach tol {h_tol:.1e} at degree "
                 f"{_H_MAX_DEGREE}"
             )
         odd = sample(np.cos(np.pi / (2 * deg) * np.arange(1, 2 * deg, 2)))
-        values, deg = np.insert(values, np.arange(1, deg + 1), odd), 2 * deg
+        samples = tuple(np.insert(v, np.arange(1, deg + 1), w) for v, w in zip(samples, odd))
+        deg *= 2
 
 
 def main_term(
@@ -363,10 +387,12 @@ def main_term(
     quad_error is the G7/K15 Gauss-Kronrod difference of the window integral,
     an estimate rather than a bound.  tail_bound integrates each node's
     error |fhat P| (h_unc + c (|h| + h_unc)), with P = rhohat^alpha A^alpha,
-    h_unc the h model's uniform error and c = expm1(-|alpha| log(1 - r)),
-    r A's relative error.  Raises ToleranceUnachievable when quad_error +
-    tail_bound exceeds tol or fhat's window [-X, X] is narrower than 3 x1,
-    x1 the seed node nearest 0, and UnwrapError where |arg A| >= pi/2.
+    h_unc the h model's uniform error and c = expm1(|alpha| delta), delta
+    the log A model's (the integer route takes A's relative error r at each
+    node, c = expm1(-|alpha| log(1 - r))).  Raises ToleranceUnachievable
+    when quad_error + tail_bound exceeds tol or fhat's window [-X, X] is
+    narrower than 3 x1, x1 the seed node nearest 0, and UnwrapError where
+    |arg A| >= pi/2 at a sample of the log A model.
     """
     _check_f_and_tol(f, tol)
     alpha, k = params.alpha, params.k
@@ -389,23 +415,24 @@ def main_term(
     if not f.fhat_cutoff >= 3.0 * half * SEED_GAP:
         raise ToleranceUnachievable(f"fhat's window is narrower than {3.0 * half * SEED_GAP:.2e}")
     variant_N = params.N if h_variant == "finite" else 0
-    h_coeffs, h_unc = _h_contour(alpha, k, variant_N, tol / 10.0)
+    points, h_vals, log_a_vals, h_unc, delta = _h_contour(alpha, k, variant_N, tol / 10.0)
+    models = np.stack((h_vals.real, h_vals.imag, log_a_vals.real, log_a_vals.imag))
 
     def integrand(xs):
         xs = np.asarray(xs, dtype=np.float64)
-        a, a_err = zeta_engine._euler_maclaurin(1.0 + 1j * xs / log_n)
-        log_a = np.log(a)
-        if np.any(np.abs(log_a.imag) >= 0.5 * math.pi):
-            raise UnwrapError("|arg A| reaches pi/2 on |tau| <= 3")
+        # einsum's own loop, unlike a BLAS product, gives a row the same bits in any batch
+        h_re, h_im, a_re, a_im = np.einsum("ij,kj->ki", _barycentric_row(xs / half, points), models)
+        h = h_re + 1j * h_im
         if use_integer_powers:
+            a, a_err = zeta_engine._euler_maclaurin(1.0 + 1j * xs / log_n)
             rv = np.array([dickman.rho_hat(float(x)).value for x in xs])
             powers = rv**m * a**m
+            # A = a (1 + v), |v| <= r, moves A^alpha by a factor within 1 + this
+            grow = np.expm1(-abs(alpha) * np.log1p(-a_err / np.abs(a)))
         else:
-            powers = np.exp(alpha * (dickman.log_rho_hat_ix(xs) + log_a))
+            powers = np.exp(alpha * (dickman.log_rho_hat_ix(xs) + (a_re + 1j * a_im)))
+            grow = math.expm1(abs(alpha) * delta)  # |log A - its model| <= delta
         fp = f.eval_fhat(xs) * powers
-        h = _cheb_eval(xs / half, h_coeffs)
-        # A = a (1 + v), |v| <= r, moves A^alpha by a factor within 1 + this
-        grow = np.expm1(-abs(alpha) * np.log1p(-a_err / np.abs(a)))
         return fp * h, np.abs(fp) * (h_unc + grow * (np.abs(h) + h_unc))
 
     res, _ = integrate_adaptive(integrand, -half, half, 0.5 * tol)

@@ -15,9 +15,9 @@ M >= max(20, 2|Im s|) and |Im s| <= 1e6, plus a bound on the rounding of
 the ~M terms, their sum and the assembly, which sets the error on the
 1-line (about 4e-14 relative at s = 1 + 3i and 2e-11 at 1 + 1000i).  One
 vectorised sum serves every caller: a scalar zeta, the batches of zeta(n s)
-behind the prime-zeta h tail (euler_products.h_tail_log_values), the nodes
-of the main term and the grids of regular_factor_path, the unwrapped
-reference path.  Each entry takes its own M (_cutoffs) and its sum runs
+behind the prime-zeta h tail (euler_products.h_tail_log_values), the main
+term's log A samples and integer-route nodes, regular_factor_path's
+unwrapped grids.  Each entry takes its own M (_cutoffs) and its sum runs
 over a fixed chunking of n, so an entry has the same bits in any batch.
 The sum is the one range check: it refuses |Im s| > MAX_IM = 1e7 (or NaN)
 with PrecisionLoss, before its cutoff M ~ 2|Im s| grows, for every caller.
@@ -62,7 +62,7 @@ class ZetaValue:
 def _cutoffs(s: np.ndarray) -> np.ndarray:
     """The Euler-Maclaurin cutoff of each entry: M = max(20, ceil(2 |Im s|))
     rounded up to a multiple of 4, so a batch of entries spread in Im s
-    falls into a quarter as many groups of one M (main-term nodes keep 20)."""
+    falls into a quarter as many groups of one M (the main term's |Im s| <= 3 keeps 20)."""
     return np.maximum(20, 4.0 * np.ceil(0.5 * np.abs(s.imag))).astype(np.int64)
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import types
 
 import mpmath
 import numpy as np
@@ -152,8 +153,8 @@ def test_batched_panels_change_no_bit(f, monkeypatch):
     # g_values gives each node its value and its log error in any batch, so
     # the exact route's sum, and a window |x| <= 3 log N that the adaptive
     # rule batches by panels, keep every bit of their ledgers when g_values
-    # takes 15 nodes at a time; the main term keeps its value fed one panel
-    # at a time
+    # takes 15 nodes at a time; the main term keeps its value and its ledger
+    # on both power routes fed one panel at a time
     w = 3.0 * math.log(30000)
     ledgers = (
         lambda: exact_integral(SumParams(0.7 + 0.4j, 3, 30000), f, 1e-7),
@@ -168,12 +169,10 @@ def test_batched_panels_change_no_bit(f, monkeypatch):
     batched = [run() for run in ledgers + values]
     monkeypatch.setattr(asymptotic, "g_values", _fifteen_at_a_time(asymptotic.g_values))
     monkeypatch.setattr(asymptotic, "integrate_adaptive", _unbatched(integrate_adaptive))
-    for i, (got, run) in enumerate(zip(batched, ledgers + values)):
+    for got, run in zip(batched, ledgers + values):
         ref = run()
         assert got.value == ref.value and got.quad_error == ref.quad_error
-        assert got.node_count == ref.node_count
-        if i < len(ledgers):
-            assert got.tail_bound == ref.tail_bound
+        assert got.node_count == ref.node_count and got.tail_bound == ref.tail_bound
 
 
 def test_gaussian_strip_bound_covers_shifted_lines():
@@ -285,16 +284,38 @@ def test_main_term_meets_tol_or_raises(f):
     }
 
 
+@pytest.fixture
+def fresh_h_models():
+    """An empty h-model cache before and after the test, so models built
+    under a patched zeta engine reach no other test."""
+    _h_contour.cache_clear()
+    yield
+    _h_contour.cache_clear()
+
+
+def _model(points, values, ts):
+    """A model's interpolant at the points ts of [-1, 1], through the row."""
+    return (asymptotic._barycentric_row(ts, points) * values).sum(axis=1)
+
+
+def _dct_coeffs(values):
+    """Chebyshev coefficients of the interpolant through values at the extreme
+    points cos(pi j/n), j = 0..n: one FFT of their even extension (a DCT-I)."""
+    n = len(values) - 1
+    coeffs = np.fft.fft(np.concatenate((values, values[-2:0:-1])))[: n + 1] / n
+    coeffs[[0, n]] *= 0.5
+    return coeffs
+
+
 def _main_integrand(alpha, k, N, f, tol):
     """The main term's integrand as a scalar function, from the same parts."""
-    log_n, half = math.log(N), 3.0 * math.log(N)
-    coeffs, _ = _h_contour(complex(alpha), k, 0, tol / 10.0)
+    half = 3.0 * math.log(N)
+    points, h, log_a, _, _ = _h_contour(complex(alpha), k, 0, tol / 10.0)
 
     def integrand(x):
         xs = np.array([x])
-        a, _ = zeta_engine._euler_maclaurin(1.0 + 1j * xs / log_n)
-        logs = dickman.log_rho_hat_ix(xs) + np.log(a)
-        y = f.eval_fhat(xs) * np.exp(alpha * logs) * asymptotic._cheb_eval(xs / half, coeffs)
+        logs = dickman.log_rho_hat_ix(xs) + _model(points, log_a, xs / half)
+        y = f.eval_fhat(xs) * np.exp(alpha * logs) * _model(points, h, xs / half)
         return complex(y[0])
 
     return integrand
@@ -333,12 +354,16 @@ def test_main_term_narrow_fhat_raises_or_matches_scipy(N):
     assert outcomes[300] == outcomes[1e3] == 0
 
 
-def test_main_term_checks_the_branch_of_a_at_the_nodes(f, monkeypatch):
-    # the principal log A is the continuous one only while |arg A| < pi/2
+def test_main_term_checks_the_branch_of_a_at_the_nodes(f, monkeypatch, fresh_h_models):
+    # the principal log A is the continuous one only while |arg A| < pi/2,
+    # checked at the samples of the log A model; a warm call reads no A at
+    # its nodes, so the rotated A reaches the result only through a new model
     p = SumParams(0.5, 2, 100)
-    main_term(p, f, 1e-6)  # builds the h model with the true A
+    built = main_term(p, f, 1e-6)
     em = zeta_engine._euler_maclaurin
     monkeypatch.setattr(zeta_engine, "_euler_maclaurin", lambda s: (-em(s)[0], em(s)[1]))
+    assert main_term(p, f, 1e-6) == built
+    _h_contour.cache_clear()
     with pytest.raises(UnwrapError):
         main_term(p, f, 1e-6)
 
@@ -352,10 +377,13 @@ def test_main_term_integer_power_route(f):
         main_term(SumParams(0.5, 2, 100), f, 1e-6, use_integer_powers=True)
 
 
-def test_zeta_error_estimate_is_read(f, monkeypatch):
-    # an inflated A error estimate widens tail_bound on both power routes,
-    # makes main_term raise where the ledger then misses tol, and stops
-    # tenenbaum_check once it reaches a tenth of the error a row measures
+def test_zeta_error_estimate_is_read(f, monkeypatch, fresh_h_models):
+    # an inflated A error estimate, at the log A model's samples and at the
+    # integer route's nodes, widens tail_bound on both power routes, makes
+    # main_term raise where the ledger then misses tol, and stops
+    # tenenbaum_check once it reaches a tenth of the error a row measures.
+    # Only the main term's own reads of A are inflated, not the zeta rows
+    # of h's prime-zeta tail, which would refuse the h model first
     p = SumParams(1, 2, 100)
     base = [main_term(p, f, 1e-4, use_integer_powers=b) for b in (False, True)]
     em = zeta_engine._euler_maclaurin
@@ -365,12 +393,13 @@ def test_zeta_error_estimate_is_read(f, monkeypatch):
         vals, errs = em(s, m_terms)
         return vals, errs + extra
 
-    monkeypatch.setattr(zeta_engine, "_euler_maclaurin", inflated)
+    monkeypatch.setattr(asymptotic, "zeta_engine", types.SimpleNamespace(_euler_maclaurin=inflated))
+    _h_contour.cache_clear()
     for b, integer in zip(base, (False, True)):
         got = main_term(p, f, 1e-4, use_integer_powers=integer)
         assert got.value == b.value
         assert got.tail_bound >= b.tail_bound + 1e-7
-        with pytest.raises(ToleranceUnachievable):
+        with pytest.raises(ToleranceUnachievable, match="ledger"):
             main_term(p, f, 1e-8, use_integer_powers=integer)
     # the N = 10^3 row measures 3.9e-3 at tau = 0, where |A| = 1
     taus = np.linspace(-3, 3, 13)
@@ -391,13 +420,13 @@ def test_tenenbaum_guard_is_relative_to_the_row():
 
 
 def test_main_term_non_integer_alpha_matches_closed_forms(f):
-    # the library's log rhohat and principal log A at the nodes against the
-    # same integral built from independent references, on the same
-    # quadrature: log rhohat(ix) = gamma - Cin(x) - i Si(x), that is
-    # Ci(|x|) - log|x| - i Si(x) from scipy's sici, and A = (s - 1) zeta(s)
-    # from mpmath
+    # the library's log rhohat and log A model against the same integral
+    # built from independent references, on the same quadrature:
+    # log rhohat(ix) = gamma - Cin(x) - i Si(x), that is
+    # Ci(|x|) - log|x| - i Si(x) from scipy's sici, A = (s - 1) zeta(s) at
+    # each node from mpmath, and h by Clenshaw on the model's coefficients
     alpha, k, tol = 0.5 + 0.5j, 3, 1e-8
-    h_coeffs, _ = _h_contour(alpha, k, 0, tol / 10.0)
+    h_coeffs = _dct_coeffs(_h_contour(alpha, k, 0, tol / 10.0)[1])
     for N in (10**2, 10**4):
         got = main_term(SumParams(alpha, k, N), f, tol)
         log_n, half = math.log(N), 3.0 * math.log(N)
@@ -416,40 +445,64 @@ def test_main_term_non_integer_alpha_matches_closed_forms(f):
         assert abs(got.value - ref.value) <= 1e-12 * abs(ref.value)
 
 
-def test_h_contour_doubles_on_nested_samples(monkeypatch):
+def test_h_contour_doubles_on_nested_samples(monkeypatch, fresh_h_models):
     # the degree-64 extreme points are the even points of degree 128, so a
-    # degree-128 build samples h at 65 + 64 points, not 65 + 129
-    sizes = []
+    # degree-128 build samples h and A at 65 + 64 points each, not 65 + 129
+    h_sizes, a_sizes = [], []
 
-    def counting(alpha, k, s_nodes, tol):
-        sizes.append(len(s_nodes))
+    def counting_h(alpha, k, s_nodes, tol):
+        h_sizes.append(len(s_nodes))
         return euler_products.h_infinite_log_values(alpha, k, s_nodes, tol)
 
-    monkeypatch.setattr(asymptotic, "h_infinite_log_values", counting)
-    _h_contour.cache_clear()
-    coeffs, _ = _h_contour(0.5 + 0.5j, 3, 0, 1e-9)
-    _h_contour.cache_clear()
-    assert len(coeffs) == 129
-    assert sizes == [65, 64]
+    def counting_a(s):
+        a_sizes.append(len(s))
+        return zeta_engine._euler_maclaurin(s)
+
+    monkeypatch.setattr(asymptotic, "h_infinite_log_values", counting_h)
+    monkeypatch.setattr(asymptotic, "zeta_engine", types.SimpleNamespace(_euler_maclaurin=counting_a))
+    points, h, log_a, _, _ = _h_contour(0.5 + 0.5j, 3, 0, 1e-9)
+    assert len(points) == len(h) == len(log_a) == 129
+    assert np.array_equal(points, np.cos(np.pi / 128 * np.arange(129)))
+    assert h_sizes == a_sizes == [65, 64]
 
 
 @pytest.mark.parametrize("alpha,k", [(0.5 + 0.5j, 3), (1.5, 2), (-1, 3), (1, 2)])
 def test_h_contour_matches_h_infinite(alpha, k):
     # the model within its uniform error plus each point's own tail bound
-    coeffs, unc = _h_contour(complex(alpha), k, 0, 1e-9)
+    points, h, _, unc, _ = _h_contour(complex(alpha), k, 0, 1e-9)
     taus = np.linspace(-3.0, 3.0, 40)
-    model = asymptotic._cheb_eval(taus / 3.0, coeffs)
-    for tau, got in zip(taus, model):
+    for tau, got in zip(taus, _model(points, h, taus / 3.0)):
         ref = euler_products.h_infinite(alpha, k, 1.0 + 1j * tau, 1e-9)
         assert abs(got - ref.value) <= unc + ref.tail_bound, (alpha, k, tau)
 
 
-def test_cheb_eval_matches_clenshaw():
-    # the one-product basis evaluation against numpy's Clenshaw recurrence
-    coeffs, _ = _h_contour(0.5 + 0.5j, 3, 0, 1e-9)
-    t = np.concatenate((np.linspace(-1.0, 1.0, 173), [0.0, 1e-300, 1.0 - 1e-16]))
-    got = asymptotic._cheb_eval(t, coeffs)
-    assert np.max(np.abs(got - cheb.chebval(t, coeffs))) <= 1e-14 * np.sum(np.abs(coeffs))
+@pytest.mark.parametrize("alpha,k", [(0.5 + 0.5j, 3), (3 + 1j, 3)])
+def test_log_a_model_matches_mpmath(alpha, k):
+    # log A's model within its uniform error delta of mpmath's principal
+    # log (s - 1) zeta(s), on and between the samples
+    points, _, log_a, _, delta = _h_contour(complex(alpha), k, 0, 1e-9)
+    taus = np.concatenate((np.linspace(-3.0, 3.0, 41), [-2.9, 0.05, 1.3, 2.71]))
+    with mpmath.workdps(30):
+        refs = [complex(mpmath.log(1j * t * mpmath.zeta(1 + 1j * t))) if t else 0j
+                for t in map(mpmath.mpf, taus)]
+    got = _model(points, log_a, taus / 3.0)
+    assert 0.0 < delta <= 1e-11
+    assert np.max(np.abs(got - np.array(refs))) <= delta
+
+
+def test_barycentric_row_matches_clenshaw():
+    # the barycentric row against numpy's Clenshaw recurrence on the DCT
+    # coefficients of the same samples, for both models; a t on a sample
+    # point gets that point's unit row and reads its sample exactly
+    points, h, log_a, _, _ = _h_contour(0.5 + 0.5j, 3, 0, 1e-9)
+    t = np.concatenate((np.linspace(-1.0, 1.0, 173), [-1.0, 0.0, 1e-300, 1.0, points[37]]))
+    for values in (h, log_a):
+        coeffs = _dct_coeffs(values)
+        got = _model(points, values, t)
+        assert np.max(np.abs(got - cheb.chebval(t, coeffs))) <= 1e-14 * np.sum(np.abs(coeffs))
+        assert got[-1] == values[37] and got[-2] == values[0] and got[-5] == values[-1]
+    row = asymptotic._barycentric_row(t[-1:], points)
+    assert np.array_equal(row[0], np.arange(len(points)) == 37)
 
 
 def test_log_n_power_modulus_identity():
