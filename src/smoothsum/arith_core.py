@@ -19,6 +19,7 @@ from .errors import CountCapExceeded, DomainError
 from .params import check_alpha_k
 
 DEFAULT_COUNT_CAP = 200_000_000
+SIEVE_CAP = 10**8  # the largest bound sieve_primes takes: 0.1 GB of flags, 5.8M primes
 BLOCK_TERMS = 4096  # blocks this large are split; larger ones raised peak memory
 UNIT = 2.0**-53  # unit roundoff of a double
 EXP_LOG_ERR = 8.0 * UNIT  # relative error of numpy's float64 exp and log, taken as 4 ulp
@@ -54,9 +55,12 @@ def sieve_primes(bound: int) -> PrimeSet:
     """Primes <= bound by Eratosthenes. bound < 2 gives the empty set.
 
     The largest sieve computed is cached and smaller requests are sliced
-    from it, so repeated calls across a run cost one sieve.
+    from it, so repeated calls across a run cost one sieve.  A bound above
+    SIEVE_CAP raises CountCapExceeded before anything is allocated.
     """
     bound = int(bound)
+    if bound > SIEVE_CAP:
+        raise CountCapExceeded(f"sieve bound {bound} exceeds the sieve cap {SIEVE_CAP}")
     if _sieve_cache and _sieve_cache[0].bound >= bound:
         return _sieve_cache[0].restrict(bound)
     if bound < 2:

@@ -31,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import dickman, zeta_engine
+from . import cheb, dickman, zeta_engine
 from .errors import EtaTooSmall, PrecisionLoss, ToleranceUnachievable, UnwrapError
 from .euler_products import (
     g_abs_bound,
@@ -68,15 +68,7 @@ class TestFunction:
     eval_rounding: object
 
 
-def _erfc_threshold(target: float) -> float:
-    lo, hi = 1.0, 14.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if math.erfc(mid) > target:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+_ERFC_Q = 5.472480624862384  # the least double q with math.erfc(q) <= 1e-14
 
 
 def make_gaussian(mu: float, sigma: float, eta: float = 6.0) -> TestFunction:
@@ -95,22 +87,25 @@ def make_gaussian(mu: float, sigma: float, eta: float = 6.0) -> TestFunction:
         raise ValueError("mu, sigma and eta must be finite")
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    q = _erfc_threshold(1e-14)
-    x_max = q * math.sqrt(2.0) / sigma
+    x_max = _ERFC_Q * math.sqrt(2.0) / sigma
     tail = math.erfc(sigma * x_max / math.sqrt(2.0))
     c = sigma / math.sqrt(2.0 * math.pi)
     s2 = sigma * sigma  # inf past the double range, where sigma**2 would raise
+    var = max(s2, math.ulp(0.0))  # s2 is 0 below the double range: f(mu) would be 0/0
 
     def f(t):
         y = np.array(t, dtype=np.float64)  # a copy, worked on in place
         y -= mu
         y *= y
-        y /= -2.0 * s2
+        y /= -2.0 * var
         return np.exp(y, out=y)
 
     def rounding(t_max, dt):
         # f rounds t' - mu, its square and the quotient: with d >= |t' - mu| the
-        # exponent is off by below d (delta + 3u d)/sigma^2, delta = dt + u d
+        # exponent is off by below d (delta + 3u d)/sigma^2, delta = dt + u d;
+        # no bound where s2 is not a normal double, so not within u of sigma^2
+        if s2 < np.finfo(np.float64).tiny:
+            return math.inf
         d = max(abs(mu), abs(t_max - mu)) + dt
         e = d * (dt + 4.0 * UNIT * d) / s2
         return np.expm1(e + EXP_LOG_ERR)
@@ -152,7 +147,7 @@ def make_test_constant() -> TestFunction:
         eta=0.0,
         fhat_cutoff=math.inf,
         fhat_tail_bound=math.inf,
-        sup_tail=lambda u: 0.0 if math.isinf(u) else 1.0,
+        sup_tail=lambda u: 0.0 if u == math.inf else 1.0,
         default_u_cutoff=math.inf,
         log_strip_bound=None,
         eval_rounding=lambda t_max, dt: 0.0,
@@ -280,36 +275,6 @@ _H_MAX_DEGREE = 512
 MAIN_TERM_MIN_N = 20
 
 
-def _barycentric_row(t, points) -> np.ndarray:
-    """Each t's Lagrange basis row on the Chebyshev extreme points, by the second
-    barycentric form (Berrut and Trefethen, SIAM Review 46, 2004); a t on a point
-    gets its unit row.  Rows are summed one by one: no bit depends on the batch."""
-    weights = np.where(np.arange(len(points)) % 2, -1.0, 1.0)
-    weights[[0, -1]] *= 0.5
-    diff = np.asarray(t, dtype=np.float64)[:, None] - points
-    with np.errstate(divide="ignore", invalid="ignore"):
-        row = weights / diff
-        total = row.sum(axis=1)  # infinite only where t is on a point
-        row /= total[:, None]
-    on_point = ~np.isfinite(total)
-    row[on_point] = diff[on_point] == 0.0
-    return row
-
-
-def _cheb_trunc(values, deg: int) -> tuple[float, float]:
-    """(E, 2 E r/(1 - r)) of the interpolant through values at the Chebyshev extreme
-    points, E its last coefficients' size (one FFT of the even extension: a DCT-I)."""
-    coeffs = np.fft.fft(np.concatenate((values, values[-2:0:-1])))[: deg + 1] / deg
-    coeffs[[0, deg]] *= 0.5
-    # the interpolant is off by at most 2 sum_{j>n} |a_j| (ATAP Thm 4.2), and
-    # analytic coefficients decay like r^j (Thm 8.1): r is read off their
-    # envelope from n/2 to n, at most 1 - 1/n where it sits at rounding
-    tail = float(np.max(np.abs(coeffs[-4:])))
-    mid = float(np.max(np.abs(coeffs[deg // 2 - 3 : deg // 2 + 1])))
-    r = min((tail / max(mid, tail, 1e-300)) ** (2.0 / deg), 1.0 - 1.0 / deg)
-    return tail, 2.0 * tail * r / (1.0 - r)
-
-
 @lru_cache(maxsize=64)
 def _h_contour(alpha: complex, k: int, variant_N: int, h_tol: float):
     """Chebyshev models of h(1 + i tau) and log A(1 + i tau) on |tau| <= 3.
@@ -343,24 +308,21 @@ def _h_contour(alpha: complex, k: int, variant_N: int, h_tol: float):
         return ts, np.exp(logs), log_err, log_a, a_log_err
 
     deg = 64
-    samples = sample(np.cos(np.pi / deg * np.arange(deg + 1)))
+    samples = sample(cheb.points(deg))
     while True:
         points, h, log_err, log_a, a_log_err = samples
-        tail, trunc = _cheb_trunc(h, deg)
+        tail, trunc = cheb.truncation(h, deg)
         if max(tail, trunc) <= 0.5 * h_tol:
-            # sample errors reach a model through its Lebesgue constant L, and its
-            # row rounds within (6n + 6) u L max|sample| (Higham, IMA JNA 24, 2004)
-            lebesgue = 2.0 / math.pi * math.log(deg + 1) + 1.0
-            rounding = (6 * deg + 6) * UNIT * lebesgue
+            # sample errors reach a model through its Lebesgue constant, and its
+            # row and sum round within row_rounding max|sample|
+            lebesgue, rounding = float(cheb.lebesgue(deg)), float(cheb.row_rounding(deg))
             h_unc = trunc + float(np.max(np.abs(h))) * (lebesgue * math.expm1(np.max(log_err)) + rounding)
-            delta = _cheb_trunc(log_a, deg)[1] + lebesgue * float(np.max(a_log_err))
+            delta = cheb.truncation(log_a, deg)[1] + lebesgue * float(np.max(a_log_err))
             return points, h, log_a, h_unc, delta + float(np.max(np.abs(log_a))) * rounding
         if 2 * deg > _H_MAX_DEGREE:
-            raise ToleranceUnachievable(
-                f"h contour interpolation did not reach tol {h_tol:.1e} at degree "
-                f"{_H_MAX_DEGREE}"
-            )
-        odd = sample(np.cos(np.pi / (2 * deg) * np.arange(1, 2 * deg, 2)))
+            msg = f"h contour interpolation did not reach tol {h_tol:.1e} at degree {_H_MAX_DEGREE}"
+            raise ToleranceUnachievable(msg)
+        odd = sample(cheb.points(2 * deg)[1::2])
         samples = tuple(np.insert(v, np.arange(1, deg + 1), w) for v, w in zip(samples, odd))
         deg *= 2
 
@@ -385,14 +347,15 @@ def main_term(
     multiplies h_unc by int |fhat P|), and the quadrature tol/2.
 
     quad_error is the G7/K15 Gauss-Kronrod difference of the window integral,
-    an estimate rather than a bound.  tail_bound integrates each node's
-    error |fhat P| (h_unc + c (|h| + h_unc)), with P = rhohat^alpha A^alpha,
-    h_unc the h model's uniform error and c = expm1(|alpha| delta), delta
-    the log A model's (the integer route takes A's relative error r at each
-    node, c = expm1(-|alpha| log(1 - r))).  Raises ToleranceUnachievable
-    when quad_error + tail_bound exceeds tol or fhat's window [-X, X] is
-    narrower than 3 x1, x1 the seed node nearest 0, and UnwrapError where
-    |arg A| >= pi/2 at a sample of the log A model.
+    an estimate rather than a bound; so are the truncation parts of h_unc and
+    delta, each model's fitted-r estimate (cheb.truncation).  tail_bound
+    integrates each node's error |fhat P| (h_unc + c (|h| + h_unc)), with
+    P = rhohat^alpha A^alpha, h_unc the h model's uniform error and
+    c = expm1(|alpha| delta), delta the log A model's (the integer route
+    takes A's relative error r at each node, c = expm1(-|alpha| log(1 - r))).
+    Raises ToleranceUnachievable when quad_error + tail_bound exceeds tol or
+    fhat's window [-X, X] is narrower than 3 x1, x1 the seed node nearest 0,
+    and UnwrapError where |arg A| >= pi/2 at a sample of the log A model.
     """
     _check_f_and_tol(f, tol)
     alpha, k = params.alpha, params.k
@@ -421,7 +384,7 @@ def main_term(
     def integrand(xs):
         xs = np.asarray(xs, dtype=np.float64)
         # einsum's own loop, unlike a BLAS product, gives a row the same bits in any batch
-        h_re, h_im, a_re, a_im = np.einsum("ij,kj->ki", _barycentric_row(xs / half, points), models)
+        h_re, h_im, a_re, a_im = np.einsum("ij,kj->ki", cheb.barycentric_row(xs / half, points), models)
         h = h_re + 1j * h_im
         if use_integer_powers:
             a, a_err = zeta_engine._euler_maclaurin(1.0 + 1j * xs / log_n)

@@ -25,20 +25,14 @@ over a fixed chunking of the primes, so every product depends only on its
 arguments, and a node's value not on its batch, bit for bit.
 
 The vector routes (g_values, zeta_partial_values, h_log_values) take the
-series above 1024 without a walk per node when their nodes share one
-Re s = sigma: from the Chebyshev moments of `prime_moments`, O(n) per node
-in place of O(pi(N)).  Each node takes the smallest degree n = 32, 64, ...
-whose certified interpolation error, weighted by |e_m| sum_p p^(-m sigma),
-is <= 1e-16, and walks where n would reach the prime count.
-`_factor_log_sum` is the one owner of the error of a log sum: it returns,
-per node, the series truncation, plus on the moment route that 1e-16 and
-the rounding at the node's own degree and tau, so a node's error does not
-depend on its batch either.  The vector routes return (values, log_err)
-with that per-node bound, and their callers (asymptotic's exact route,
-the h contour) read it instead of rebuilding it.  The point routes
-(g_product, zeta_partial, h_finite) always walk: they are the independent
-slow route; they carry the bound in tail_bound and raise DomainError
-where the product's value is past the double range.
+series above 1024 from the Chebyshev moments of `prime_moments` where their
+nodes share one Re s = sigma, O(n) per node in place of O(pi(N)), and walk
+a node whose certified degree would reach the prime count.  They return
+(values, log_err), the per-node error bound that `_factor_log_sum` owns
+(the series truncation; on the moment route also the interpolation and
+rounding), and their callers read it.  The point routes (g_product,
+zeta_partial, h_finite) always walk, as the independent slow route, carry
+the bound in tail_bound and raise DomainError past the double range.
 
 The infinite product h_{alpha,k} (`h_infinite_log_values`, which h_infinite
 and the main term's h contour sample) walks no prime past Q, the smallest
@@ -59,7 +53,7 @@ from functools import partial
 import numpy as np
 
 from . import prime_moments, zeta_engine
-from .arith_core import PrimeSet, sieve_primes
+from .arith_core import SIEVE_CAP, PrimeSet, sieve_primes
 from .errors import DomainError, ToleranceUnachievable
 from .params import SumParams, check_alpha_k
 
@@ -134,7 +128,8 @@ def _series_coeffs(alpha: complex, beta: complex, k: int) -> np.ndarray:
 
 
 def _series_pieces(coeffs, z: np.ndarray) -> np.ndarray:
-    # sum along each row of sum_m coeffs[m-1] z^m, Horner
+    # sum along each row of sum_m coeffs[m-1] z^m, Horner; a coefficient may be
+    # a row, one entry per column of z (the moment route's e_m W[m-1, j])
     acc = coeffs[-1] * z
     for c in coeffs[-2::-1]:
         acc += c
@@ -189,15 +184,6 @@ def _above(primes: PrimeSet, floor: int) -> PrimeSet:
     return PrimeSet(primes.bound, primes.primes[cut:], primes.log_primes[cut:])
 
 
-def _moment_weights(coeffs: np.ndarray, floor: int, sigma: float, primes: PrimeSet):
-    """(weights, count): weights[m-1] = |e_m| S_m over the count primes in
-    (floor, bound]; weights is None where `primes` is not every one of them."""
-    sums, count = prime_moments._power_sums(floor, primes.bound, sigma, _SERIES_TERMS)
-    if count != len(primes) - int(np.searchsorted(primes.primes, floor, side="right")):
-        return None, count
-    return np.abs(coeffs) * sums, count
-
-
 def _factor_log_sum(alpha, beta, k: int, s, primes: PrimeSet, moments: bool = True):
     """sum over `primes` of log[(1-z)^(-beta) (1-w^k)/(1-w)], z = p^(-s),
     w = alpha*z, at every node of s: exact piece logs up to the series
@@ -227,8 +213,9 @@ def _factor_log_sum(alpha, beta, k: int, s, primes: PrimeSet, moments: bool = Tr
     coeffs, taus = _series_coeffs(alpha, beta, k), s_nodes.imag
     degrees = np.zeros(len(s_nodes), dtype=np.int64)
     if moments and np.all(s_nodes.real == sigma):
-        weights, count = _moment_weights(coeffs, floor, sigma, primes)
-        if weights is not None:
+        sums, count = prime_moments._power_sums(floor, primes.bound, sigma, _SERIES_TERMS)
+        if count == len(_above(primes, floor)):  # every prime in (floor, bound]
+            weights = np.abs(coeffs) * sums  # |e_m| S_m
             half = 0.5 * math.log(primes.bound / floor)
             degrees = prime_moments._degrees(weights, half, taus, count, _SERIES_MAX_TRUNC)
     walk = degrees == 0
@@ -237,8 +224,8 @@ def _factor_log_sum(alpha, beta, k: int, s, primes: PrimeSet, moments: bool = Tr
         acc[walk] += _chunked_piece_sum(partial(_series_pieces, coeffs), series, s_nodes[walk])
     for n in sorted(set(degrees[~walk].tolist())):  # np.unique would import numpy.ma
         sel = degrees == n
-        w_v = prime_moments._moments(floor, primes.bound, sigma, _SERIES_TERMS, n)
-        acc[sel] += prime_moments._series(coeffs, *w_v, taus[sel])
+        w, v = prime_moments._moments(floor, primes.bound, sigma, _SERIES_TERMS, n)
+        acc[sel] += _series_pieces(coeffs[:, None] * w, np.exp(-1j * np.outer(taus[sel], v)))
     if not walk.all():
         rounding = prime_moments._error(weights, degrees[~walk], np.abs(taus[~walk]), sigma, primes.bound, count)
         log_err[~walk] += _SERIES_MAX_TRUNC + rounding
@@ -344,21 +331,16 @@ def h_tail_log_bound(alpha: complex, k: int, sigma: float, P: float) -> float:
     ) * _prime_sum_bound(k * sigma, P)
 
 
-_CUTOFF_CAP = 100_000_000
-
-
 def h_cutoff(alpha: complex, k: int, sigma: float, tol: float) -> tuple[int, float]:
-    """Smallest doubling cutoff P <= 10^8 with certified |log tail| <= tol."""
+    """Smallest doubling cutoff P <= SIEVE_CAP with certified |log tail| <= tol."""
     P = 128
     while True:
         bound = h_tail_log_bound(alpha, k, sigma, P)
         if bound <= tol:
             return P, bound
-        if P >= _CUTOFF_CAP:
-            raise ToleranceUnachievable(
-                f"h tail {bound:.2e} > tol {tol:.2e} at the sieve cap {_CUTOFF_CAP}"
-            )
-        P = min(2 * P, _CUTOFF_CAP)
+        if P >= SIEVE_CAP:
+            raise ToleranceUnachievable(f"h tail {bound:.2e} > tol {tol:.2e} at the sieve cap {SIEVE_CAP}")
+        P = min(2 * P, SIEVE_CAP)
 
 
 _MOBIUS = (0, 1, -1, -1, 0)  # mu(j) for j <= _SERIES_TERMS // 2

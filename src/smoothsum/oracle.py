@@ -67,14 +67,17 @@ def brute_S(
     each real term f(log n / log N) e^{-log n} (relative to the term, at
     most (omega + 9) u max log n plus exp's and f's own, f's from
     f.eval_rounding; sum |t| over a class is S_omega unless a term is
-    negative) and the summation's rounding: the residuals', weighted by
+    negative; where that is not finite, as for a Gaussian of sigma 1e-150,
+    each computed term t' is within |t'| + sup |f| / n of its own, at most
+    the weighted sum |t'| plus 2 sup |f| G(1) in all) and the summation's
+    rounding: the residuals', weighted by
     |alpha|^omega over their scale, and per class the rounding of S_omega
     (correctly rounded), of alpha^omega (omega complex multiplies, each
     within sqrt(5) u; Brent, Percival and Zimmermann, Math. Comp. 76, 2007)
     and of its product with the real S_omega (one rounding per part), none
     of them underflowing.  At alpha = 0 the sum is the one term f(0), and
     the certificate is f's rounding of it, f.eval_rounding(0, 0) |f(0)|
-    (0 for f = 1).
+    (0 for f = 1), or |f'(0)| + sup |f| where that is not finite.
 
     u_cutoff=None takes the test function's default (placed where its
     envelope drops below ~1e-13); math.inf sums every term.  More than
@@ -92,8 +95,11 @@ def brute_S(
     if count_cap < 0:
         raise ValueError("count_cap must be >= 0")
     if params.alpha == 0:  # alpha^Omega kills every n > 1
-        value = complex(np.complex128(f.eval_f(0.0)))
-        return BruteResult(value, 1, float(u_cutoff), float(f.eval_rounding(0.0, 0.0) * abs(value)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = complex(np.complex128(f.eval_f(0.0)))
+            cert = float(f.eval_rounding(0.0, 0.0) * abs(value))
+        cert = cert if math.isfinite(cert) else abs(value) + f.sup_tail(-math.inf)
+        return BruteResult(value, 1, float(u_cutoff), cert)
     # the envelope first: parameters past the double range raise here
     cert = 0.0 if math.isinf(u_cutoff) else f.sup_tail(u_cutoff) * g_abs_bound(params)
     primes = sieve_primes(params.N)
@@ -150,5 +156,8 @@ def brute_S(
         f_rel = f.eval_rounding(L / log_N, (log_err + 3.0 * UNIT * L) / log_N)
         form_rel = np.expm1(log_err + EXP_LOG_ERR + f_rel + UNIT)
         abs_s = s - 2.0 * np.ldexp(negatives[: top + 1], -shifts)
-        cert += float(weight @ (form_rel * abs_s))
+        form = float(weight @ (form_rel * abs_s))
+        if not math.isfinite(form):  # t' is within |t'| + sup |f| / n of t; weight <= 2 |alpha|^omega
+            form = float(weight @ abs_s) + 2.0 * f.sup_tail(-math.inf) * g_abs_bound(params)
+        cert += form
     return BruteResult(value, terms, float(u_cutoff), cert + UNIT * abs(value))

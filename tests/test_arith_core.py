@@ -60,6 +60,12 @@ def test_sieve_small():
     assert list(sieve_primes(2).primes) == [2]
 
 
+def test_sieve_refuses_a_bound_past_its_cap():
+    # refused before the bound + 1 flags are allocated
+    with pytest.raises(CountCapExceeded, match="sieve cap"):
+        sieve_primes(arith_core.SIEVE_CAP + 1)
+
+
 def test_sieve_against_trial_division():
     assert len(sieve_primes(100)) == 25
     assert list(sieve_primes(500).primes) == trial_division_primes(500)

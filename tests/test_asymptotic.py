@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.special
-from numpy.polynomial import chebyshev as cheb
+from numpy.polynomial.chebyshev import chebval
 
 from smoothsum import (
     EtaTooSmall,
@@ -30,7 +30,7 @@ from smoothsum import (
     zeta,
     zeta_partial,
 )
-from smoothsum import asymptotic, dickman, euler_products, zeta_engine
+from smoothsum import asymptotic, cheb, dickman, euler_products, zeta_engine
 from smoothsum.dickman import rho_hat_path
 from smoothsum.zeta_engine import regular_factor_path
 from smoothsum.euler_products import g_abs_bound
@@ -295,7 +295,7 @@ def fresh_h_models():
 
 def _model(points, values, ts):
     """A model's interpolant at the points ts of [-1, 1], through the row."""
-    return (asymptotic._barycentric_row(ts, points) * values).sum(axis=1)
+    return (cheb.barycentric_row(ts, points) * values).sum(axis=1)
 
 
 def _dct_coeffs(values):
@@ -437,7 +437,7 @@ def test_main_term_non_integer_alpha_matches_closed_forms(f):
             with mpmath.workdps(25):
                 a = np.array([complex((s - 1) * mpmath.zeta(s)) for s in 1.0 + 1j * xs / log_n])
             logs = log_rho + np.log(a)
-            y = f.eval_fhat(xs) * np.exp(alpha * logs) * cheb.chebval(xs / half, h_coeffs)
+            y = f.eval_fhat(xs) * np.exp(alpha * logs) * chebval(xs / half, h_coeffs)
             return y, np.zeros_like(xs)
 
         ref, _ = integrate_adaptive(integrand, -half, half, 0.5 * tol)
@@ -462,7 +462,7 @@ def test_h_contour_doubles_on_nested_samples(monkeypatch, fresh_h_models):
     monkeypatch.setattr(asymptotic, "zeta_engine", types.SimpleNamespace(_euler_maclaurin=counting_a))
     points, h, log_a, _, _ = _h_contour(0.5 + 0.5j, 3, 0, 1e-9)
     assert len(points) == len(h) == len(log_a) == 129
-    assert np.array_equal(points, np.cos(np.pi / 128 * np.arange(129)))
+    assert np.array_equal(points, cheb.points(128))
     assert h_sizes == a_sizes == [65, 64]
 
 
@@ -499,10 +499,30 @@ def test_barycentric_row_matches_clenshaw():
     for values in (h, log_a):
         coeffs = _dct_coeffs(values)
         got = _model(points, values, t)
-        assert np.max(np.abs(got - cheb.chebval(t, coeffs))) <= 1e-14 * np.sum(np.abs(coeffs))
+        assert np.max(np.abs(got - chebval(t, coeffs))) <= 1e-14 * np.sum(np.abs(coeffs))
         assert got[-1] == values[37] and got[-2] == values[0] and got[-5] == values[-1]
-    row = asymptotic._barycentric_row(t[-1:], points)
+    row = cheb.barycentric_row(t[-1:], points)
     assert np.array_equal(row[0], np.arange(len(points)) == 37)
+
+
+@pytest.mark.parametrize("n", [32, 128, 512])
+def test_barycentric_row_rounding_is_bounded(n):
+    # sum_j |l^_j - l_j| of the computed row within cheb.row_rounding(n), the
+    # exact row l_j of the same double t and points taken at 30 digits; the t
+    # are random ones and t a few ulps off a point, where one w_j/(t - x_j)
+    # dwarfs the rest
+    points = cheb.points(n)
+    rng = np.random.default_rng(n)
+    near = [x + k * abs(np.spacing(x)) for x in points[[0, 1, n // 3, n // 2, n]] for k in (-3, -1, 1, 2)]
+    t = np.concatenate((rng.uniform(-1.0, 1.0, 12), [x for x in near if abs(x) <= 1.0]))
+    weights = [(-1) ** j * (0.5 if j in (0, n) else 1.0) for j in range(n + 1)]
+    got = cheb.barycentric_row(t, points)
+    with mpmath.workdps(30):
+        for ti, row in zip(t, got):
+            q = [w / (mpmath.mpf(ti) - mpmath.mpf(x)) for w, x in zip(weights, points)]
+            total = mpmath.fsum(q)
+            err = mpmath.fsum(abs(mpmath.mpf(r) - qj / total) for r, qj in zip(row, q))
+            assert err <= cheb.row_rounding(n), (n, ti)
 
 
 def test_log_n_power_modulus_identity():

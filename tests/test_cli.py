@@ -172,6 +172,15 @@ def test_huge_gaussian_sigma_ends_in_a_result_or_a_refusal(tmp_path, cmd):
         assert all(math.isfinite(v) for v in result.values())
 
 
+def test_exact_past_the_sieve_cap_is_refused_and_cfactor_runs(tmp_path):
+    # the exact route sieves to N and refuses N = 10^21 (exit 3) before it
+    # allocates; the main term sieves no prime past its h cutoff and runs
+    args = ["--alpha", "1,0", "--k", "2", "--N", str(10**21), "--f", "gaussian:1,0.4"]
+    assert run(["exact", *args, "--out", str(tmp_path / "bad")]) == 3
+    assert not (tmp_path / "bad").exists()
+    assert run(["cfactor", *args, "--out", str(tmp_path)]) == 0
+
+
 @pytest.mark.parametrize(
     "argv, code",
     [

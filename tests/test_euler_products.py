@@ -21,7 +21,7 @@ from smoothsum import (
     zeta_partial,
     zeta,
 )
-from smoothsum import euler_products, prime_moments
+from smoothsum import cheb, euler_products, prime_moments
 from smoothsum.dickman import EXP_EULER_GAMMA
 from smoothsum.euler_products import (
     _h_floor,
@@ -656,7 +656,8 @@ def test_moment_route_matches_the_walks(N):
 def test_moment_interpolation_error_is_certified():
     """At degree 8, where interpolation dominates rounding, the series side
     of log zeta_N from the moments is within the Chebyshev certificate
-    sum_m |e_m| S_m 4 rho^(-n) e^(omega (rho - 1/rho)/2)/(rho - 1)."""
+    sum_m |e_m| S_m 4 rho^(-n) e^(omega (rho - 1/rho)/2)/(rho - 1)
+    (cheb.ellipse_bound), at the best rho of a grid that holds for any rho > 1."""
     N, n = 10**5, 8
     above = euler_products._above(sieve_primes(N), 1024)
     taus = np.linspace(-3.0, 3.0, 13)
@@ -664,14 +665,17 @@ def test_moment_interpolation_error_is_certified():
     walk = euler_products._chunked_piece_sum(
         lambda z: euler_products._series_pieces(coeffs, z), above, 1.0 + 1j * taus
     )
-    got = prime_moments._series(coeffs, *prime_moments._moments(1024, N, 1.0, 8, n), taus)
+    w, v = prime_moments._moments(1024, N, 1.0, 8, n)
+    got = euler_products._series_pieces(coeffs[:, None] * w, np.exp(-1j * np.outer(taus, v)))
     sums, count = prime_moments._power_sums(1024, N, 1.0, 8)
     assert count == len(above)
     half = 0.5 * math.log(N / 1024)
-    bound = sum(
-        abs(c) * sums[m - 1] * prime_moments._interp_error(n, m * half * np.abs(taus))
-        for m, c in enumerate(coeffs, 1)
-    )
+    rho = np.linspace(1.05, 40.0, 800)[:, None]
+    bound = np.zeros(len(taus))
+    for m, c in enumerate(coeffs, 1):
+        omega = m * half * np.abs(taus)
+        ellipse = cheb.ellipse_bound(n, rho, 0.5 * omega * (rho - 1.0 / rho))
+        bound += abs(c) * sums[m - 1] * np.min(ellipse, axis=0)
     err = np.abs(got - walk)
     assert np.all(err <= bound + 1e-14)
     assert np.max(err) > 1e-6  # the interpolation error is the one measured

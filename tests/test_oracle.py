@@ -197,3 +197,40 @@ def test_out_of_range_raises_before_enumerating(f_gauss):
             brute_S(p, f_gauss)
         with pytest.raises(DomainError, match="not finite"):
             brute_S(p, f_gauss, math.inf)
+
+
+def _squarefree_smooth(N, limit):
+    """The squarefree N-smooth n <= limit, by trial division."""
+    out = []
+    for n in range(1, limit + 1):
+        m = n
+        for p in range(2, N + 1):
+            if m % p == 0:
+                m //= p
+                if m % p == 0:
+                    break
+        else:
+            if m == 1:
+                out.append(n)
+    return out
+
+
+@pytest.mark.parametrize("N", [100, 101])
+@pytest.mark.parametrize("sigma", [1e-150, 1e-170])
+def test_tiny_sigma_certificate_is_finite_and_covers(N, sigma):
+    # f's rounding bound divides by sigma^2 and is not finite here (at 1e-170
+    # sigma^2 underflows to 0); each route to a certificate falls back on
+    # |f| <= 1 per term.  Past n = 2N every 30-digit term is below e^-1e297
+    f = make_gaussian(1, sigma)
+    ns = _squarefree_smooth(N, 2 * N)
+    with mpmath.workdps(30):
+        s2 = mpmath.mpf(sigma) ** 2
+        log_n = mpmath.log(N)
+        fs = [mpmath.exp(-((mpmath.log(n) / log_n - 1) ** 2) / (2 * s2)) for n in ns]
+        omegas = [len([p for p in sieve_primes(N).primes.tolist() if n % p == 0]) for n in ns]
+        for alpha in (0, 1, 0.5 + 0.5j):
+            r = brute_S(SumParams(alpha, 2, N), f)
+            a = mpmath.mpc(alpha)
+            ref = mpmath.fsum(fv * a**w / n for fv, w, n in zip(fs, omegas, ns))
+            assert math.isfinite(r.tail_certificate) and r.tail_certificate >= 0, (alpha, r)
+            assert abs(mpmath.mpc(r.value) - ref) <= r.tail_certificate, (alpha, r, ref)
