@@ -19,7 +19,8 @@ def barycentric_row(t, points) -> np.ndarray:
     """Each t's Lagrange basis row on the Chebyshev extreme points, by the second
     barycentric form (Berrut and Trefethen, SIAM Review 46, 2004); a t on a point
     gets its unit row.  Rows are summed one by one: no bit depends on the batch."""
-    weights = np.where(np.arange(len(points)) % 2, -1.0, 1.0)
+    weights = np.ones(len(points))
+    weights[1::2] = -1.0
     weights[[0, -1]] *= 0.5
     diff = np.asarray(t, dtype=np.float64)[:, None] - points
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -27,7 +28,8 @@ def barycentric_row(t, points) -> np.ndarray:
         total = row.sum(axis=1)  # infinite only where t is on a point
         row /= total[:, None]
     on_point = ~np.isfinite(total)
-    row[on_point] = diff[on_point] == 0.0
+    if on_point.any():
+        row[on_point] = diff[on_point] == 0.0
     return row
 
 

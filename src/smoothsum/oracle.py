@@ -51,6 +51,10 @@ class BruteResult:
     u_cutoff: float
     tail_certificate: float
 
+    def __post_init__(self):  # the one check every route to a result passes
+        if not 0.0 <= self.tail_certificate < math.inf:
+            raise DomainError(f"tail certificate {self.tail_certificate} is not finite and >= 0")
+
 
 def brute_S(
     params: SumParams,
@@ -82,9 +86,10 @@ def brute_S(
     u_cutoff=None takes the test function's default (placed where its
     envelope drops below ~1e-13); math.inf sums every term.  More than
     count_cap terms in the whole sum raise CountCapExceeded; a non-finite
-    term or class product raises DomainError.  `threads` accepts only 1; it
-    remains for callers that still pass it and goes at the next benchmark
-    change.
+    term or class product, or a certificate that is not finite and >= 0
+    (as from a sup_tail that returns inf or NaN), raises DomainError.
+    `threads` accepts only 1; it remains for callers that still pass it and
+    goes at the next benchmark change.
     """
     if threads != 1:
         raise ValueError("brute_S is sequential: threads must be 1")

@@ -18,9 +18,10 @@ that sum is the tail_bound returned, and the one place where an integrand's
 error reaches a ledger.
 
 The seed panels take one call of the integrand, and each round one call
-for all its halves; the integrands of the g windows (asymptotic._g_integral)
-and the main term give each node the same bits, and the same error bound, in any
-batch, so for them batching changes neither panels nor bits.  Final
+for all its halves and one array pass for their sums, each panel's along
+its own row; the integrands of the g windows (asymptotic._g_integral) and
+the main term give each node the same bits, and the same error bound, in
+any batch, so for them batching changes neither panels nor bits.  Final
 accumulation is an exactly-rounded fsum over panels sorted by left
 endpoint, so node budget and scheduling cannot change the result bits.
 """
@@ -77,19 +78,20 @@ class PanelIntegral:
 
 
 def _eval_panels(f, segs) -> list:
-    """G7/K15 over each (a, b) of segs, with every node in one call of f."""
-    halves = [0.5 * (b - a) for a, b in segs]
-    xs = np.concatenate([0.5 * (a + b) + half * _NODES for (a, b), half in zip(segs, halves)])
+    """G7/K15 over each (a, b) of segs, with every node in one call of f.  Each
+    panel's three sums run along its own row of the (panels x 15) arrays, by
+    the pairwise summation np.sum gives a lone row: batching changes no bit."""
+    a, b = np.array(segs, dtype=np.float64).T
+    half = 0.5 * (b - a)
+    xs = ((0.5 * (a + b))[:, None] + half[:, None] * _NODES).ravel()
     ys, es = f(xs)
     ys = np.asarray(ys, dtype=np.complex128).reshape(len(segs), len(_NODES))
     es = np.asarray(es, dtype=np.float64).reshape(len(segs), len(_NODES))
-    panels = []
-    for (a, b), half, y, e in zip(segs, halves, ys, es):
-        hi = half * np.sum(_K15 * y)
-        lo = half * np.sum(_G7 * y)
-        e_hi = half * float(np.sum(_K15 * e))
-        panels.append(PanelIntegral(a, b, complex(hi), abs(hi - lo), e_hi))
-    return panels
+    hi = half * (_K15 * ys).sum(axis=1)
+    lo = half * (_G7 * ys).sum(axis=1)
+    e_hi = half * (_K15 * es).sum(axis=1)
+    rows = zip(*(v.tolist() for v in (a, b, hi, lo, e_hi)))
+    return [PanelIntegral(x0, x1, k, abs(k - g), e) for x0, x1, k, g, e in rows]
 
 
 def integrate_adaptive(f, a: float, b: float, tol: float) -> tuple[QuadResult, float]:

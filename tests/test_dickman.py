@@ -14,6 +14,7 @@ from smoothsum import (
     expint_J,
     rho_hat,
 )
+from smoothsum import cheb, dickman
 from smoothsum.dickman import default_table, log_rho_hat_ix, rho_hat_path
 
 # independent marching-Simpson solve of u rho'(u) + rho(u-1) = 0 (h = 1/4096)
@@ -211,10 +212,71 @@ def test_log_rho_hat_ix_matches_mpmath():
     assert np.max(np.abs(log_rho_hat_ix(xs) - want)) <= 2e-15
 
 
+def _mp_log_rho_hat(x):
+    """-E1(ix) - log(ix) to 30 digits, gamma at 0."""
+    if x == 0.0:
+        return complex(EULER_GAMMA)
+    with mpmath.workdps(30):
+        z = mpmath.mpc(0, x)
+        return complex(-mpmath.e1(z) - mpmath.log(z))
+
+
+# 2^j and its neighbouring doubles, where one interval of the kernel meets the next
+_EDGES = [
+    y for j in range(2, 22) for y in (math.nextafter(2.0**j, 0.0), 2.0**j, math.nextafter(2.0**j, math.inf))
+]
+# far out, up to the largest double, which I_1022 holds with its top node 2^1024 out of range
+_FAR = [1e15, -1e15, 1e300, -1e300, 1.7976931348623157e308, -1.7976931348623157e308]
+
+
+def test_log_rho_hat_ix_pieces_are_certified():
+    # the ellipse bound with the docstring's M is below 1e-18 on every interval:
+    # I_0 at rho = 16, I_1 .. I_1022 at rho = 4 (the bound falls with j)
+    n = len(dickman._POINTS) - 1
+    assert cheb.ellipse_bound(n, 16.0, 2.0 + 16.0 + 1.0 / 16.0) <= 1e-18
+    j = np.arange(1, 1023)
+    log_m = -(j * math.log(2.0) + math.log(3.0 - (4.0 + 0.25) / 2.0))
+    assert np.max(cheb.ellipse_bound(n, 4.0, log_m)) <= 1e-18
+    # and M holds on those ellipses: |Ein(w)| <= e^|w| at w = i x on I_0's,
+    # |q(x)| = |e^{ix} E1(ix)| <= 1/Re x on I_1's and I_10's
+    theta = np.linspace(0.0, 2.0 * math.pi, 48, endpoint=False)
+    with mpmath.workdps(40):
+        for t in 0.5 * (16.0 * np.exp(1j * theta) + np.exp(-1j * theta) / 16.0):
+            w = mpmath.mpc(0, 1) * 2.0 * (complex(t) + 1.0)
+            term, ein = mpmath.mpc(1), 0  # Ein(w) = sum (-1)^{m+1} w^m / (m m!), |w| < 19
+            for m in range(1, 121):
+                term *= -w / m
+                ein -= term / m
+            assert abs(ein) <= mpmath.exp(abs(w))
+        for jj in (1, 10):
+            for t in 0.5 * (4.0 * np.exp(1j * theta) + np.exp(-1j * theta) / 4.0):
+                x = 2.0**jj * (complex(t) + 3.0)
+                z = mpmath.mpc(0, 1) * x
+                assert abs(mpmath.exp(z) * mpmath.e1(z)) <= 1.0 / x.real
+
+
+def test_log_rho_hat_ix_meets_mpmath_at_interval_edges():
+    xs = np.array(_EDGES + [-x for x in _EDGES])
+    want = np.array([_mp_log_rho_hat(float(x)) for x in xs])
+    assert np.max(np.abs(log_rho_hat_ix(xs) - want)) <= 2e-15
+    xs = np.array(_FAR)
+    want = np.array([_mp_log_rho_hat(float(x)) for x in xs])
+    assert np.all(np.abs(log_rho_hat_ix(xs) - want) <= 4 * np.finfo(np.float64).eps * np.abs(want))
+
+
+def test_log_rho_hat_ix_builds_the_intervals_it_reads():
+    # a call far out builds its one interval, not every interval below it
+    dickman._piece.cache_clear()
+    log_rho_hat_ix(np.array([1e300, -1e300]))
+    assert dickman._piece.cache_info().currsize == 1
+    assert dickman._piece.cache_info().hits == 0
+
+
 def test_log_rho_hat_ix_entries_match_singletons():
-    # every continued-fraction entry runs the same fixed depth, so a batch
-    # mixing the series (|x| <= 4) and fraction (|x| > 4) sides changes no bit
-    xs = np.concatenate((np.linspace(-40.0, 40.0, 61), [4.0, -4.0, 4.0 + 1e-12, 4.5, 1e3]))
+    # each entry reads its own interval's samples through its own barycentric
+    # row, so a batch mixing intervals, signs and edges changes no bit
+    xs = np.linspace(-40.0, 40.0, 61)
+    xs = np.concatenate((xs, [4.0, -4.0, 4.0 + 1e-12, 4.5, 1e3], _EDGES, _FAR))
     batch = log_rho_hat_ix(xs)
     for x, got in zip(xs, batch):
         assert log_rho_hat_ix(np.array([x]))[0] == got

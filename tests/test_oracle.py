@@ -234,3 +234,26 @@ def test_tiny_sigma_certificate_is_finite_and_covers(N, sigma):
             ref = mpmath.fsum(fv * a**w / n for fv, w, n in zip(fs, omegas, ns))
             assert math.isfinite(r.tail_certificate) and r.tail_certificate >= 0, (alpha, r)
             assert abs(mpmath.mpc(r.value) - ref) <= r.tail_certificate, (alpha, r, ref)
+
+
+def test_narrow_gaussian_cutoff_drops_the_tail():
+    # sigma sqrt(60) is below half an ulp of mu = 1: the cutoff is the next
+    # double, where the envelope is 0, so the certificate loses the envelope
+    # term G(1) (about 5.1 here) and keeps the value
+    f = make_gaussian(1, 1e-150)
+    assert f.default_u_cutoff == math.nextafter(1.0, math.inf)
+    assert f.sup_tail(f.default_u_cutoff) == 0.0
+    r = brute_S(SumParams(1, 2, 101), f)
+    assert r.value == brute_S(SumParams(1, 2, 101), f, 1.0).value
+    assert r.tail_certificate < 11.0
+    # the cutoff keeps its bits wherever mu + sigma sqrt(60) rounds above mu
+    for mu, sigma in ((1, 0.4), (-3, 0.1), (0, 1e-300), (1, 1e-16)):
+        assert make_gaussian(mu, sigma).default_u_cutoff == max(0.0, mu + sigma * math.sqrt(60.0))
+
+
+@pytest.mark.parametrize("alpha", [1, 0.5 + 0.5j])
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_certificate_is_finite_or_raises(alpha, bad):
+    f = dataclasses.replace(make_gaussian(1, 0.4), sup_tail=lambda u: bad)
+    with pytest.raises(DomainError, match="certificate"):
+        brute_S(SumParams(alpha, 2, 30), f)

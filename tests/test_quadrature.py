@@ -114,3 +114,19 @@ def test_panels_share_calls_of_f():
     assert all(n % 30 == 0 for n in calls[1:]) and max(calls[1:]) > 30
     panels = seeds + sum(n // 30 for n in calls[1:])
     assert res.node_count == 15 * (2 * panels - seeds)
+
+
+def test_panel_sums_match_a_lone_panel():
+    # each panel's K15, G7 and error sums run along its own row, with the
+    # bits np.sum gives that row alone, so a round's batch changes no bit
+    def f(x):
+        return np.exp(-x * x) * np.exp(3j * x) / (1.1 + x), 1e-16 * (1.0 + x * x)
+
+    segs = [(-3.0 + 0.37 * i, -2.6 + 0.41 * i) for i in range(40)]
+    for p, (a, b) in zip(quadrature._eval_panels(f, segs), segs):
+        assert p == quadrature._eval_panels(f, [(a, b)])[0]
+        half = 0.5 * (b - a)
+        ys, es = f(0.5 * (a + b) + half * quadrature._NODES)
+        hi = half * np.sum(quadrature._K15 * ys)
+        assert p.value == hi and p.error == abs(hi - half * np.sum(quadrature._G7 * ys))
+        assert p.integrand_error == half * np.sum(quadrature._K15 * es)
